@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import AtomPair, DipoleTensor
 from .errors import TruncationError
@@ -227,9 +226,10 @@ def evolve(
 def measure_resonant_period(p: JCParams, n: int) -> float:
     """Measured oscillation period of P_e starting from |upper, n>.
 
-    Locates two consecutive crossings of the mid-population level with
-    root refinement on the exact evolution; the period is twice their
-    separation. For resonant RWA dynamics this equals pi/(g sqrt(n+1)).
+    Locates two consecutive crossings of the mid-population level and
+    bisects each on the exact evolution to machine precision; the period
+    is twice their separation. For resonant RWA dynamics this equals
+    pi/(g sqrt(n+1)).
     """
     if n + 2 > p.n_max:
         raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
@@ -237,25 +237,38 @@ def measure_resonant_period(p: JCParams, n: int) -> float:
     nb = p.n_max + 1
     evals, vecs = np.linalg.eigh(build_hamiltonian(p))
     coeff = vecs.conj().T @ state.amplitudes
+    upper = vecs[:nb]
 
-    def p_excited(t: float) -> float:
-        psi = vecs @ (np.exp(-1j * evals * t) * coeff)
-        return float(np.sum(np.abs(psi[:nb]) ** 2))
+    def p_excited(ts) -> np.ndarray:
+        psi = upper @ (np.exp(-1j * np.outer(evals, ts)) * coeff[:, None])
+        return np.sum(np.abs(psi) ** 2, axis=0)
 
     guess = np.pi / (abs(p.g) * np.sqrt(n + 1.0))
     ts = np.linspace(0.0, 1.5 * guess, 600)
-    pe = np.array([p_excited(t) for t in ts])
+    pe = p_excited(ts)
     mid = 0.5 * (pe.max() + pe.min())
-    f = lambda t: p_excited(t) - mid
     crossings = []
     for i in range(len(ts) - 1):
         if (pe[i] - mid) * (pe[i + 1] - mid) < 0:
-            crossings.append(brentq(f, ts[i], ts[i + 1], xtol=1e-15, rtol=8.9e-16))
+            crossings.append(_bisect(lambda t: p_excited(t)[0] - mid, ts[i], ts[i + 1]))
             if len(crossings) == 2:
                 break
     if len(crossings) < 2:
         raise RuntimeError("no oscillation detected; is g zero?")
     return 2.0 * (crossings[1] - crossings[0])
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in a bracket [lo, hi] where f changes sign, to the last bit."""
+    lo_negative = f(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
 
 
 def rwa_discrepancy(p: JCParams, t_span: float, n_init: int = 0, n_samples: int = 2001) -> float:

@@ -7,8 +7,10 @@ Every loop integral reduces by 4D spherical symmetry to
 
 the factor 1/(16 pi^2) being 2 pi^2 / (2 pi)^4 from the 3-sphere area
 times 1/2 from u = l^2. The closed forms below are exact antiderivatives
-at finite Lambda (all boundary terms kept); radial_quadrature is the
-independent oracle they are tested against.
+at finite Lambda (all boundary terms kept) and take arrays of scales;
+radial_quadrature is the independent oracle they are tested against.
+The oracles import scipy when they run, so the closed forms need numpy
+alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
 
 from .errors import KinematicDomainError, QuadratureError
 
@@ -78,6 +79,8 @@ def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
     f takes u = l^2 and must be continuous on [0, Lambda^2]. Deterministic
     for fixed (f, Lambda, tol).
     """
+    from scipy import integrate
+
     if Lambda < 0:
         raise ValueError("Lambda must be >= 0")
     if Lambda == 0:
@@ -90,17 +93,23 @@ def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
     return PREFACTOR * value
 
 
-def _check_scale(scale_sq: float, Lambda: float) -> None:
+def _check_scale(scale_sq, Lambda: float) -> None:
     if Lambda <= 0:
         raise ValueError(f"Lambda must be positive, got {Lambda}")
-    if not np.isfinite(scale_sq) or scale_sq <= 0:
+    scale_sq = np.asarray(scale_sq)
+    bad = ~(np.isfinite(scale_sq) & (scale_sq > 0))
+    if np.any(bad):
         raise KinematicDomainError(
-            f"non-positive integrand scale a^2/b^2 = {scale_sq}; kinematics outside the Euclidean domain"
+            f"non-positive integrand scale a^2/b^2 = {scale_sq[bad].flat[0]}; "
+            "kinematics outside the Euclidean domain"
         )
 
 
-def master_integral(kind: MasterIntegralKind, scale_sq: float, Lambda: float) -> float:
-    """Exact closed form of the chosen inner integral at finite Lambda."""
+def master_integral(kind: MasterIntegralKind, scale_sq, Lambda: float):
+    """Exact closed form of the chosen inner integral at finite Lambda.
+
+    scale_sq may be a scalar or an array; the result has its shape.
+    """
     _check_scale(scale_sq, Lambda)
     s = scale_sq
     L2 = Lambda**2
@@ -121,11 +130,12 @@ def master_integral(kind: MasterIntegralKind, scale_sq: float, Lambda: float) ->
     return PREFACTOR * bracket
 
 
-def master_integral_d_scale(kind: MasterIntegralKind, scale_sq: float, Lambda: float) -> float:
+def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
     """Exact derivative of master_integral with respect to the scale.
 
     Needed by the first-order mass-splitting expansion of the
-    self-energy; only the kinds that enter it are provided.
+    self-energy; only the kinds that enter it are provided. Takes a
+    scalar or an array scale like master_integral.
     """
     _check_scale(scale_sq, Lambda)
     s = scale_sq
@@ -160,6 +170,8 @@ def feynman_identity_check(A: float, B: float, C: float | None = None, tol: floa
     """
     if A <= 0 or B <= 0 or (C is not None and C <= 0):
         raise ValueError("denominators must be positive")
+    from scipy import integrate
+
     if C is None:
         val, _ = integrate.quad(
             lambda x: 1.0 / (x * A + (1.0 - x) * B) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=300

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import AtomPair
 
@@ -179,14 +178,20 @@ def build_generator(H: ModeHamiltonian, warn: bool = True) -> Generator:
 
 
 def similarity_transform(H: np.ndarray | ModeHamiltonian, Lambda: np.ndarray) -> np.ndarray:
-    """H' = e^{i Lambda} H e^{-i Lambda} by exact matrix exponential."""
+    """H' = e^{i Lambda} H e^{-i Lambda}, exactly.
+
+    i Lambda must be Hermitian (Lambda anti-Hermitian, as build_generator
+    makes it), so one eigendecomposition i Lambda = V D V^dag gives both
+    factors e^{+-i Lambda} = V e^{+-D} V^dag.
+    """
     Hm = H.matrix if isinstance(H, ModeHamiltonian) else np.asarray(H, dtype=complex)
-    U = expm(1j * np.asarray(Lambda, dtype=complex))
-    Uinv = expm(-1j * np.asarray(Lambda, dtype=complex))
-    # guard against a drifted exponential pair (cannot occur for bounded Lambda)
-    err = np.linalg.norm(U @ Uinv - np.eye(Hm.shape[0]))
-    if err > 1e-13 * max(1.0, np.linalg.norm(U)):
-        raise ArithmeticError(f"matrix exponential pair inconsistent: |U U^-1 - 1| = {err:.3e}")
+    A = 1j * np.asarray(Lambda, dtype=complex)
+    skew = np.linalg.norm(A - A.conj().T)
+    if skew > 1e-12 * max(1.0, np.linalg.norm(A)):
+        raise ValueError(f"i Lambda is not Hermitian: |i Lambda - (i Lambda)^dag| = {skew:.3e}")
+    d, V = np.linalg.eigh(A)
+    U = (V * np.exp(d)) @ V.conj().T
+    Uinv = (V * np.exp(-d)) @ V.conj().T
     return U @ Hm @ Uinv
 
 

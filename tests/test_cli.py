@@ -2,6 +2,9 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,26 @@ class TestCsvContract:
         conf = write_conf(tmp_path, "")
         code = cli.main(["jc-rabi", "--config", conf, "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestImportFloor:
+    def test_commands_run_without_scipy(self, tmp_path):
+        # only oracle-verify needs scipy; the other commands run on numpy
+        conf = write_conf(tmp_path, "")
+        script = (
+            "import sys\n"
+            "from dipole_loop.cli import main\n"
+            "for command in ('loop-vertex', 'jc-rabi'):\n"
+            f"    assert main([command, '--config', {conf!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestLambdaGridFlag:

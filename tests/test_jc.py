@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipole_loop import jc
 from dipole_loop.core import AtomPair, dipole_from_moment
 from dipole_loop.errors import TruncationError
 from dipole_loop.jc import (
@@ -171,6 +172,17 @@ class TestRabiPeriod:
     def test_needs_headroom(self):
         with pytest.raises(ValueError, match="n_max"):
             measure_resonant_period(resonant(n_max=4), 3)
+
+    def test_bisection_matches_brentq(self, monkeypatch):
+        # the crossings were refined with brentq before; bisection must land
+        # on the same periods, here without the RWA so they are not exact
+        from scipy.optimize import brentq
+
+        p = resonant(g=0.004, n_max=12, rwa=False)
+        fast = [measure_resonant_period(p, n) for n in (0, 3, 7)]
+        monkeypatch.setattr(jc, "_bisect", lambda f, lo, hi: brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        slow = [measure_resonant_period(p, n) for n in (0, 3, 7)]
+        assert fast == pytest.approx(slow, rel=1e-10)
 
 
 class TestRWADiscrepancy:

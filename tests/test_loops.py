@@ -84,6 +84,23 @@ class TestClosedForms:
             with pytest.raises(KinematicDomainError):
                 master_integral(kind, 0.0, 10.0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_array_scales_match_scalar_calls(self, kind):
+        scales = np.array([1e-6, 0.37, 4.0, 2.5e3])
+        expect = [master_integral(kind, float(s), 50.0) for s in scales]
+        assert np.array_equal(master_integral(kind, scales, 50.0), expect)
+        if kind in (MasterIntegralKind.I_A, MasterIntegralKind.I_E):
+            expect = [master_integral_d_scale(kind, float(s), 50.0) for s in scales]
+            assert np.array_equal(master_integral_d_scale(kind, scales, 50.0), expect)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_one_bad_array_entry_rejected(self, bad):
+        scales = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(KinematicDomainError, match="non-positive integrand scale"):
+            master_integral(MasterIntegralKind.I_D, scales, 10.0)
+        with pytest.raises(KinematicDomainError, match="non-positive integrand scale"):
+            master_integral_d_scale(MasterIntegralKind.I_A, scales, 10.0)
+
     @given(st.floats(1e-4, 1e2), st.floats(0.5, 200.0))
     @settings(max_examples=30, deadline=None)
     def test_all_positive_scales(self, s, lam):

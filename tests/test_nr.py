@@ -123,6 +123,20 @@ class TestTransform:
         after = np.sort(np.linalg.eigvals(transformed).real)
         assert np.allclose(before, after, atol=1e-12)
 
+    def test_matches_matrix_exponential(self):
+        from scipy.linalg import expm
+
+        H = assemble_mode_hamiltonian(0.07, 3e-4, ATOMS)
+        Lam = build_generator(H).Lambda
+        expect = expm(1j * Lam) @ H.matrix @ expm(-1j * Lam)
+        assert np.allclose(similarity_transform(H, Lam), expect, rtol=0.0, atol=1e-14)
+
+    def test_rejects_non_hermitian_generator(self):
+        H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
+        Lam = build_generator(H).Lambda
+        with pytest.raises(ValueError, match="Hermitian"):
+            similarity_transform(H, 1j * Lam)
+
     def test_residual_drops_quadratically(self):
         targets = np.geomspace(1e-4, 1e-2, 9)
         lams, after = [], []
