@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +58,7 @@ from .loops import (
     radial_quadrature,
     symmetric_integration_check,
 )
-from .units import HBAR_SI, UnitSystem
+from .units import UnitSystem
 
 __all__ = ["COMMANDS", "RunConfig", "parse_config", "parse_grid", "dispatch", "main"]
 
@@ -409,7 +410,21 @@ def _cell(v) -> str:
     return str(v)
 
 
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
+@functools.lru_cache(maxsize=None)
+def _float_row_format(k: int) -> str:
+    return ",".join(["%.17e"] * k) + "\n"
+
+
 def _write_csv(path: str, cfg: RunConfig, command: str, header: list, rows: list) -> None:
+    """Write the config echo, the header and the rows.
+
+    A row of floats only is formatted with one "%.17e,...\n" string; it
+    needs no quoting, so the bytes equal csv.writer's over _cell. Rows
+    holding ints or strings go through csv.writer.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
         for line in cfg.echo_lines():
@@ -417,7 +432,10 @@ def _write_csv(path: str, cfg: RunConfig, command: str, header: list, rows: list
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            if _FLOAT_TYPES.issuperset(map(type, row)):
+                fh.write(_float_row_format(len(row)) % tuple(row))
+            else:
+                writer.writerow([_cell(v) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +510,7 @@ def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
         k = atoms.m1 * np.sqrt(target)
         gdotF = ratio * target * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
         res = nrmod.decoupling_residual(k, gdotF, atoms)
-        blk = nrmod.reduced_block_error(k, gdotF, atoms)
+        blk = nrmod.reduced_block_error(k, gdotF, atoms, transformed=res["transformed"])
         return (
             target,
             res["lambda_max"],

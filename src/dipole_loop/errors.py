@@ -38,3 +38,7 @@ class OracleError(DipoleLoopError):
 
 class TruncationError(DipoleLoopError):
     """Fock-space truncation leakage exceeded the configured threshold."""
+
+
+class DynamicsError(DipoleLoopError):
+    """Cavity dynamics cannot be resolved: phases lose precision or no oscillation is seen."""

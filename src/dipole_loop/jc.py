@@ -4,7 +4,9 @@ The Hamiltonian is H = Omega a^dag a + (omega12/2) sigma_z
 + g (sigma_+ a + a^dag sigma_-), with the counter-rotating terms
 sigma_- a and sigma_+ a^dag optionally included. Evolution is exact by
 eigendecomposition, so there is no time-stepping error; the only
-approximation is the Fock truncation, which is monitored.
+approximation is the Fock truncation, which is monitored. H is real and
+conserves excitation parity with or without the RWA, so each parity
+sector is diagonalised and evolved on its own in real arithmetic.
 
 Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 (excited) state and level 1 the lower state.
@@ -12,12 +14,13 @@ Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import AtomPair, DipoleTensor
-from .errors import TruncationError
+from .errors import DynamicsError, TruncationError
 
 __all__ = [
     "CavityMode",
@@ -25,10 +28,16 @@ __all__ = [
     "JCState",
     "rabi_coupling",
     "build_hamiltonian",
+    "parity_sectors",
     "evolve",
     "rwa_discrepancy",
     "measure_resonant_period",
 ]
+
+# eps * max|E| * t above which double-precision phases e^{-iEt} are refused
+PHASE_PRECISION_BOUND = 1e-6
+# sample times per block when accumulating populations in evolve
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -120,11 +129,6 @@ class JCState:
         p_up = self.excited_population()
         return 2.0 * p_up - 1.0
 
-    def top_band_population(self) -> float:
-        """Total population sitting at n = n_max, the truncation monitor."""
-        nb = self.n_max + 1
-        return float(abs(self.amplitudes[nb - 1]) ** 2 + abs(self.amplitudes[2 * nb - 1]) ** 2)
-
 
 def rabi_coupling(gamma: DipoleTensor, cavity: CavityMode, atoms: AtomPair) -> float:
     """Rabi coupling g = -gamma_x E_per_photon sin(K z) / sqrt(m1 m2).
@@ -160,22 +164,94 @@ def build_hamiltonian(p: JCParams) -> np.ndarray:
     return H
 
 
+def parity_sectors(n_max: int) -> tuple:
+    """Basis indices of the even and odd excitation-parity sectors.
+
+    |upper, n> has n + 1 excitations and |lower, n> has n. Every term of
+    H, with or without the rotating-wave approximation, changes the
+    excitation number by 0 or 2, so H is block diagonal over the two.
+    """
+    nb = n_max + 1
+    parity = np.concatenate([np.arange(1, nb + 1), np.arange(nb)]) % 2
+    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _sector_spectrum(p: JCParams, parity: int) -> tuple:
+    """(idx, evals, vecs) of the block of H on one parity sector.
+
+    The block is real symmetric, so vecs is real. Cached per parameter
+    set, because jc-rabi measures several periods on one Hamiltonian and
+    each sector needs diagonalising once; the arrays are read-only.
+    """
+    idx = parity_sectors(p.n_max)[parity]
+    evals, vecs = np.linalg.eigh(build_hamiltonian(p)[np.ix_(idx, idx)])
+    for a in (idx, evals, vecs):
+        a.flags.writeable = False
+    return idx, evals, vecs
+
+
+def _sector_eigen(p: JCParams, psi0: np.ndarray) -> list:
+    """(idx, evals, vecs, coeff) for each parity sector where psi0 has weight.
+
+    coeff = vecs^T psi0[idx] carries the (possibly complex) amplitudes of
+    psi0 in the sector's eigenbasis.
+    """
+    sectors = []
+    for parity, idx in enumerate(parity_sectors(p.n_max)):
+        if np.any(psi0[idx]):
+            _, evals, vecs = _sector_spectrum(p, parity)
+            sectors.append((idx, evals, vecs, vecs.T @ psi0[idx]))
+    return sectors
+
+
+def _check_phase_precision(evals: np.ndarray, t_span: float) -> None:
+    """Refuse a time span over which double-precision phases E t lose precision."""
+    estimate = np.finfo(float).eps * float(np.max(np.abs(evals))) * t_span
+    if estimate > PHASE_PRECISION_BOUND:
+        raise DynamicsError(
+            f"phase precision estimate eps*max|E|*t = {estimate:.3e} exceeds "
+            f"{PHASE_PRECISION_BOUND:.0e}: double-precision phases cannot resolve "
+            "the dynamics over this time span"
+        )
+
+
+def _sector_parts(evals, vecs, coeff, ts):
+    """Real and imaginary parts of the sector amplitudes at times ts.
+
+    e^{-iEt} c = (cos Et - i sin Et)(c_r + i c_i), so two real products
+    with the real eigenvectors give psi(t) = re + i im, rows over ts.
+    """
+    phase = np.multiply.outer(ts, evals)
+    cos, sin = np.cos(phase), np.sin(phase)
+    c_r, c_i = coeff.real, coeff.imag
+    re = (cos * c_r + sin * c_i) @ vecs.T
+    im = (cos * c_i - sin * c_r) @ vecs.T
+    return re, im
+
+
 @dataclass(frozen=True)
 class EvolutionResult:
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
     p_excited: np.ndarray
     inversion: np.ndarray
     norms: np.ndarray
     top_band: np.ndarray
     params: JCParams = field(repr=False)
+    sectors: list = field(repr=False, compare=False)
 
-    def state_at(self, i: int) -> JCState:
-        amp = self.states[i] / np.linalg.norm(self.states[i])
-        return JCState(amp, self.params.n_max)
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """Amplitudes at every sample time, shape (len(times), dim), built on demand."""
+        states = np.zeros((len(self.times), self.params.dim), dtype=complex)
+        for idx, evals, vecs, coeff in self.sectors:
+            re, im = _sector_parts(evals, vecs, coeff, self.times)
+            states[:, idx] = re + 1j * im
+        return states
 
 
 def _propagate(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Dense complex propagation on the full space; the oracle of the sector path."""
     evals, vecs = np.linalg.eigh(H)
     coeff = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, evals))
@@ -191,22 +267,36 @@ def evolve(
 ) -> EvolutionResult:
     """Evolve exactly and sample every dt_report up to time t.
 
+    Works per parity sector in real arithmetic and accumulates the
+    populations in chunks of samples, so the full state array is only
+    built if EvolutionResult.states is read.
+
     Raises TruncationError if the top-band population ever exceeds
     p.leak_threshold (a single mode is assumed, not truncation
-    artifacts); set enforce_truncation=False to only record it.
+    artifacts); set enforce_truncation=False to only record it. Raises
+    DynamicsError when eps*max|E|*t exceeds PHASE_PRECISION_BOUND.
     """
     if t < 0 or dt_report <= 0:
         raise ValueError("need t >= 0 and dt_report > 0")
-    H = build_hamiltonian(p)
     n_steps = int(np.floor(t / dt_report + 1e-9))
     times = np.arange(n_steps + 1) * dt_report
-    states = _propagate(H, state.amplitudes, times)
+    sectors = _sector_eigen(p, state.amplitudes)
+    _check_phase_precision(np.concatenate([s[1] for s in sectors]), float(times[-1]))
 
     nb = p.n_max + 1
-    pops = np.abs(states) ** 2
-    p_exc = pops[:, :nb].sum(axis=1)
-    norms = pops.sum(axis=1)
-    top = pops[:, nb - 1] + pops[:, 2 * nb - 1]
+    p_exc = np.zeros(len(times))
+    norms = np.zeros(len(times))
+    top = np.zeros(len(times))
+    for idx, evals, vecs, coeff in sectors:
+        upper = (idx < nb).astype(float)
+        (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
+        for start in range(0, len(times), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            re, im = _sector_parts(evals, vecs, coeff, times[rows])
+            pops = re * re + im * im
+            p_exc[rows] += pops @ upper
+            norms[rows] += pops.sum(axis=1)
+            top[rows] += pops[:, at_top]
     if enforce_truncation and float(top.max()) > p.leak_threshold:
         raise TruncationError(
             f"top-band population {top.max():.3e} exceeds threshold {p.leak_threshold:.3e}; "
@@ -214,12 +304,12 @@ def evolve(
         )
     return EvolutionResult(
         times=times,
-        states=states,
         p_excited=p_exc,
         inversion=2.0 * p_exc - norms,
         norms=np.sqrt(norms),
         top_band=top,
         params=p,
+        sectors=sectors,
     )
 
 
@@ -229,32 +319,33 @@ def measure_resonant_period(p: JCParams, n: int) -> float:
     Locates two consecutive crossings of the mid-population level and
     bisects each on the exact evolution to machine precision; the period
     is twice their separation. For resonant RWA dynamics this equals
-    pi/(g sqrt(n+1)).
+    pi/(g sqrt(n+1)). Only the parity sector of |upper, n> is evolved.
     """
     if n + 2 > p.n_max:
         raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
     state = JCState.basis("upper", n, p.n_max)
     nb = p.n_max + 1
-    evals, vecs = np.linalg.eigh(build_hamiltonian(p))
-    coeff = vecs.conj().T @ state.amplitudes
-    upper = vecs[:nb]
+    ((idx, evals, vecs, coeff),) = _sector_eigen(p, state.amplitudes)
+    upper = vecs[idx < nb] * coeff.real
 
     def p_excited(ts) -> np.ndarray:
-        psi = upper @ (np.exp(-1j * np.outer(evals, ts)) * coeff[:, None])
-        return np.sum(np.abs(psi) ** 2, axis=0)
+        phase = np.multiply.outer(evals, ts)
+        re, im = upper @ np.cos(phase), upper @ np.sin(phase)
+        return np.sum(re * re + im * im, axis=0)
 
     guess = np.pi / (abs(p.g) * np.sqrt(n + 1.0))
+    _check_phase_precision(evals, 1.5 * guess)
     ts = np.linspace(0.0, 1.5 * guess, 600)
     pe = p_excited(ts)
     mid = 0.5 * (pe.max() + pe.min())
     crossings = []
     for i in range(len(ts) - 1):
         if (pe[i] - mid) * (pe[i + 1] - mid) < 0:
-            crossings.append(_bisect(lambda t: p_excited(t)[0] - mid, ts[i], ts[i + 1]))
+            crossings.append(_bisect(lambda t: p_excited(t) - mid, ts[i], ts[i + 1]))
             if len(crossings) == 2:
                 break
     if len(crossings) < 2:
-        raise RuntimeError("no oscillation detected; is g zero?")
+        raise DynamicsError("no oscillation detected; is g zero?")
     return 2.0 * (crossings[1] - crossings[0])
 
 

@@ -104,7 +104,10 @@ class ModeHamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.B, self.C], [-self.C, -self.B]])
+        H = np.empty((4, 4))
+        H[:2, :2], H[:2, 2:] = self.B, self.C
+        H[2:, :2], H[2:, 2:] = -self.C, -self.B
+        return H
 
     @property
     def beta_part(self) -> np.ndarray:
@@ -173,8 +176,9 @@ def build_generator(H: ModeHamiltonian, warn: bool = True) -> Generator:
     lam = np.diag([H.k**2 / m1**2, H.k**2 / m2**2])
     lam3 = H.gammaDotF / (H.atoms.m_bar * np.sqrt(m1 * m2))
     g = -0.25 * (lam + lam3 * EPS_BAR)
-    Lambda = 1j * np.block([[np.zeros((2, 2)), g], [g, np.zeros((2, 2))]])
-    return Generator(Lambda=Lambda, params=sp)
+    off = np.zeros((4, 4))
+    off[:2, 2:] = off[2:, :2] = g
+    return Generator(Lambda=1j * off, params=sp)
 
 
 def similarity_transform(H: np.ndarray | ModeHamiltonian, Lambda: np.ndarray) -> np.ndarray:
@@ -203,26 +207,36 @@ def decoupling_residual(k: float, gammaDotF: float, atoms: AtomPair) -> dict:
     """Sector-coupling norms before and after the transform.
 
     Returns r_before and r_after (Frobenius norms of the off-diagonal
-    2x2 blocks) and lambda_max. r_after scales quadratically in the
-    expansion parameters.
+    2x2 blocks), lambda_max, and the transformed matrix, which
+    reduced_block_error can take instead of recomputing it. r_after
+    scales quadratically in the expansion parameters.
     """
     H = assemble_mode_hamiltonian(k, gammaDotF, atoms)
     gen = build_generator(H, warn=False)
-    before = _off_block_norm(H.matrix)
-    after = _off_block_norm(similarity_transform(H, gen.Lambda))
-    return {"r_before": before, "r_after": after, "lambda_max": gen.params.max}
+    transformed = similarity_transform(H, gen.Lambda)
+    return {
+        "r_before": _off_block_norm(H.matrix),
+        "r_after": _off_block_norm(transformed),
+        "lambda_max": gen.params.max,
+        "transformed": transformed,
+    }
 
 
-def reduced_block_error(k: float, gammaDotF: float, atoms: AtomPair) -> dict:
+def reduced_block_error(
+    k: float, gammaDotF: float, atoms: AtomPair, transformed: np.ndarray | None = None
+) -> dict:
     """Deviation of the transformed upper 2x2 block from the decoupled form.
 
     The reference is the free part diag(k^2/2m_a + m_a) plus the
     off-diagonal dipole coupling gamma.F / (2 sqrt(m1 m2)); agreement is
-    to second order in the expansion parameters.
+    to second order in the expansion parameters. `transformed` is the
+    matrix decoupling_residual returned for the same inputs, if at hand.
     """
     H = assemble_mode_hamiltonian(k, gammaDotF, atoms)
     gen = build_generator(H, warn=False)
-    upper = similarity_transform(H, gen.Lambda)[:2, :2]
+    if transformed is None:
+        transformed = similarity_transform(H, gen.Lambda)
+    upper = transformed[:2, :2]
     m1, m2 = atoms.m1, atoms.m2
     reference = np.diag([k**2 / (2 * m1) + m1, k**2 / (2 * m2) + m2]) + gammaDotF / (
         2 * np.sqrt(m1 * m2)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -413,6 +414,22 @@ def vertex_one_loop(
     delta = 0.0 if symmetric_masses else atoms.delta
     # b^2 = x^2 beta(y), beta(y) = (m2^2 + delta) + (q^2 - delta) y - q^2 y^2
     beta_min, y_min = _quadratic_min(m2_sq + delta, q_sq - delta, -q_sq)
+    if 0.0 < y_min < 1.0:
+        # Timelike q: near threshold beta_min << m2^2, and the expanded
+        # quadratic loses to cancellation the digits the rule needs. The
+        # vertex form beta_min + (-q^2) (y - y*)^2, with beta_min and y*
+        # rounded once from exact rationals, keeps full relative precision.
+        q_frac, d_frac = Fraction(q_sq), Fraction(delta)
+        beta_min = float(Fraction(m2_sq) + d_frac + (q_frac - d_frac) ** 2 / (4 * q_frac))
+        y_min = float((q_frac - d_frac) / (2 * q_frac))
+
+        def beta_of(y):
+            return beta_min - q_sq * (y - y_min) ** 2
+    else:
+
+        def beta_of(y):
+            return b_sq(1.0, y, q_sq, m2_sq, delta)
+
     if beta_min <= 0.0:
         raise KinematicDomainError(
             f"b^2(x, y={y_min:.3g}) = {beta_min:.3g} x^2 <= 0; timelike q beyond threshold"
@@ -425,7 +442,7 @@ def vertex_one_loop(
     L2 = reg.Lambda**2
 
     def f(y):
-        beta = b_sq(1.0, y, q_sq, m2_sq, delta)
+        beta = beta_of(y)
         k = L2 / (beta * (L2 + beta))
         return np.stack([np.log1p(L2 / beta) - 0.5 * L2 / (L2 + beta), k, y * k, y * y * k])
 

@@ -297,3 +297,59 @@ class TestJcEvolveCommand:
         assert min(pe) < 1e-6  # reaches the lower level twice over two periods
         norms = [float(r[3]) for r in rows]
         assert max(abs(n - 1.0) for n in norms) < 1e-12
+
+
+class TestPhasePrecisionRefusal:
+    @pytest.mark.parametrize("command", ["jc-evolve", "jc-rabi"])
+    def test_unresolvable_phases_exit_3(self, tmp_path, capsys, command):
+        # g ~ 1e-16: eps*max|E|*t is O(1), and the periods came out 99% wrong
+        conf = write_conf(tmp_path, "dipole.dx = 1e-15\n")
+        code = cli.main([command, "--config", conf, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: phase precision estimate eps*max|E|*t = ")
+        assert "Traceback" not in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["jc-evolve", "jc-rabi"])
+    def test_small_coupling_still_runs(self, tmp_path, command):
+        conf = write_conf(tmp_path, "dipole.dx = 1e-6\n")
+        assert cli.main([command, "--config", conf, "--out", str(tmp_path)]) == 0
+
+
+def _reference_csv(path, cfg, command, header, rows):
+    """Every row through csv.writer and _cell: the fast row writer's oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# command = {command}\n")
+        for line in cfg.echo_lines():
+            fh.write(line + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._cell(v) for v in row])
+
+
+class TestFastRowWriter:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_bytes_match_csv_writer(self, tmp_path, command):
+        cfg = cli.parse_config("")
+        result = cli._HANDLERS[command](cfg, cli._physics(cfg))
+        header, rows = result[0], result[1]
+        cli._write_csv(str(tmp_path / "fast.csv"), cfg, command, header, rows)
+        _reference_csv(str(tmp_path / "slow.csv"), cfg, command, header, rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
+
+    def test_mixed_rows_fall_back(self, tmp_path):
+        cfg = cli.parse_config("")
+        header = ["a", "b", "c"]
+        rows = [
+            (1.5, np.float64(-2.0e-300), float("nan")),
+            (3, 0.25, "x,y"),
+            (np.int64(7), True, np.float32(0.1)),
+            [0.1, 0.2, 0.3],
+        ]
+        cli._write_csv(str(tmp_path / "fast.csv"), cfg, "check-dims", header, rows)
+        _reference_csv(str(tmp_path / "slow.csv"), cfg, "check-dims", header, rows)
+        fast = (tmp_path / "fast.csv").read_bytes()
+        assert fast == (tmp_path / "slow.csv").read_bytes()
+        assert b'\n3,2.50000000000000000e-01,"x,y"\n' in fast

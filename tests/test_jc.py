@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dipole_loop import jc
 from dipole_loop.core import AtomPair, dipole_from_moment
-from dipole_loop.errors import TruncationError
+from dipole_loop.errors import DynamicsError, TruncationError
 from dipole_loop.jc import (
     CavityMode,
     JCParams,
@@ -15,9 +15,13 @@ from dipole_loop.jc import (
     build_hamiltonian,
     evolve,
     measure_resonant_period,
+    parity_sectors,
     rabi_coupling,
     rwa_discrepancy,
 )
+
+# sector path against the dense complex propagation, fixed beforehand
+FAST_ABS = 1e-11
 
 
 def resonant(g=0.002, omega12=0.05, n_max=8, rwa=True):
@@ -81,6 +85,25 @@ class TestHamiltonian:
         # |upper, n+1> additionally couples to |lower, n>
         for n in range(p.n_max):
             assert H[n + 1, nb + n] == pytest.approx(0.01 * np.sqrt(n + 1))
+
+
+class TestParitySectors:
+    def test_partition(self):
+        even, odd = parity_sectors(4)
+        assert sorted(np.concatenate([even, odd]).tolist()) == list(range(10))
+        # |upper, n> has n + 1 excitations (index n), |lower, n> has n (index 5 + n)
+        assert even.tolist() == [1, 3, 5, 7, 9]
+        assert odd.tolist() == [0, 2, 4, 6, 8]
+
+    @pytest.mark.parametrize("rwa", [True, False])
+    def test_hamiltonian_never_crosses_sectors(self, rwa):
+        p = JCParams(g=0.03, omega12=0.07, Omega=0.05, n_max=120, rwa=rwa)
+        H = build_hamiltonian(p)
+        even, odd = parity_sectors(p.n_max)
+        assert np.count_nonzero(H[np.ix_(even, odd)]) == 0
+        assert np.count_nonzero(H[np.ix_(odd, even)]) == 0
+        # every coupling lies inside a sector
+        assert np.count_nonzero(H[np.ix_(even, even)]) + np.count_nonzero(H[np.ix_(odd, odd)]) == np.count_nonzero(H)
 
 
 class TestState:
@@ -154,7 +177,84 @@ class TestEvolution:
             evolve(state, p, 1.0, 0.0)
 
 
+def _superposition(n_max):
+    # weight in both parity sectors, with complex amplitudes
+    amp = np.zeros(2 * (n_max + 1), dtype=complex)
+    amp[2] = 0.6                   # |upper, 2>, odd
+    amp[n_max + 1 + 2] = 0.48j     # |lower, 2>, even
+    amp[1] = -0.36 + 0.48j         # |upper, 1>, even
+    amp[n_max + 1 + 4] = 0.2       # |lower, 4>, even
+    return JCState(amp / np.linalg.norm(amp), n_max)
+
+
+class TestSectorEvolutionOracle:
+    """evolve's sector, real-arithmetic path against the dense _propagate."""
+
+    @pytest.mark.parametrize("case", ["rwa", "no_rwa", "detuned", "superposition"])
+    def test_matches_dense_propagation(self, case):
+        p = JCParams(
+            g=0.004,
+            omega12=0.05 if case != "detuned" else 0.062,
+            Omega=0.05,
+            n_max=14,
+            rwa=case == "rwa",
+        )
+        state = _superposition(p.n_max) if case == "superposition" else JCState.basis("upper", 3, p.n_max)
+        t = 3 * np.pi / p.g
+        # more samples than one accumulation chunk
+        out = evolve(state, p, t, t / (2 * jc._CHUNK + 100))
+        dense = jc._propagate(build_hamiltonian(p), state.amplitudes, out.times)
+        pops = np.abs(dense) ** 2
+        nb = p.n_max + 1
+        assert np.max(np.abs(out.p_excited - pops[:, :nb].sum(axis=1))) <= FAST_ABS
+        assert np.max(np.abs(out.norms - np.sqrt(pops.sum(axis=1)))) <= FAST_ABS
+        assert np.max(np.abs(out.top_band - (pops[:, nb - 1] + pops[:, 2 * nb - 1]))) <= FAST_ABS
+        assert np.max(np.abs(out.states - dense)) <= FAST_ABS
+
+    def test_superposition_has_both_sectors(self):
+        p = JCParams(g=0.004, omega12=0.05, Omega=0.05, n_max=14, rwa=False)
+        out = evolve(_superposition(p.n_max), p, 100.0, 10.0)
+        assert len(out.sectors) == 2
+        assert len(evolve(JCState.basis("lower", 0, p.n_max), p, 100.0, 10.0).sectors) == 1
+
+    def test_refuses_unresolvable_phases(self):
+        p = resonant(g=1e-13)
+        state = JCState.basis("upper", 0, p.n_max)
+        with pytest.raises(DynamicsError, match=r"eps\*max\|E\|\*t = "):
+            evolve(state, p, 2 * np.pi / p.g, np.pi / p.g)
+
+
+def _dense_period(p, n):
+    """The period search on the full space in complex arithmetic."""
+    nb = p.n_max + 1
+    evals, vecs = np.linalg.eigh(build_hamiltonian(p))
+    coeff = vecs.conj().T @ JCState.basis("upper", n, p.n_max).amplitudes
+    upper = vecs[:nb]
+
+    def p_excited(ts):
+        psi = upper @ (np.exp(-1j * np.outer(evals, ts)) * coeff[:, None])
+        return np.sum(np.abs(psi) ** 2, axis=0)
+
+    ts = np.linspace(0.0, 1.5 * np.pi / (abs(p.g) * np.sqrt(n + 1.0)), 600)
+    pe = p_excited(ts)
+    mid = 0.5 * (pe.max() + pe.min())
+    crossings = []
+    for i in range(len(ts) - 1):
+        if (pe[i] - mid) * (pe[i + 1] - mid) < 0 and len(crossings) < 2:
+            crossings.append(jc._bisect(lambda t: p_excited(t)[0] - mid, ts[i], ts[i + 1]))
+    return 2.0 * (crossings[1] - crossings[0])
+
+
 class TestRabiPeriod:
+    @pytest.mark.parametrize("n", [0, 3, 7, 10])
+    def test_sector_search_matches_dense(self, n):
+        p = resonant(g=0.004, n_max=12, rwa=False)
+        assert measure_resonant_period(p, n) == pytest.approx(_dense_period(p, n), rel=1e-12)
+
+    def test_refuses_unresolvable_phases(self):
+        with pytest.raises(DynamicsError, match="phase precision"):
+            measure_resonant_period(resonant(g=1e-13), 0)
+
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_resonant_period(self, n):
         p = resonant()

@@ -132,6 +132,17 @@ class TestVertex:
         J, K = oracle_vertex(v["q_sq"], SPLIT.M2, 0.0, 100.0)
         assert [v["J"], v["K0"], v["K1"], v["K2"]] == pytest.approx([J, *K], rel=REL)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_timelike_at_1e_6_of_threshold(self, symmetric):
+        # beta_min is ~1e-6 of m2^2: the expanded quadratic lost ten digits
+        # there, and the rule could not reach quad_tol 1e-12
+        threshold = 4.0 * SPLIT.M2 if symmetric else (SPLIT.m1 + SPLIT.m2) ** 2
+        q = np.array([np.sqrt(0.999999 * threshold), 0.0, 0.0, 0.0])
+        v = vertex_one_loop(P_PRIME - q, P_PRIME, q, SPLIT, GAMMA, reg(100.0), symmetric_masses=symmetric)
+        m2_sq, delta = (SPLIT.M2, 0.0) if symmetric else (SPLIT.m2**2, SPLIT.delta)
+        J, K = oracle_vertex(v["q_sq"], m2_sq, delta, 100.0)
+        assert [v["J"], v["K0"], v["K1"], v["K2"]] == pytest.approx([J, *K], rel=REL)
+
     def test_threshold_between_nodes_is_caught(self):
         # beta < 0 only for |y - 1/2| < 0.0025, well inside the gap between
         # the central nodes of a 32-node rule; the exact minimum sees it
