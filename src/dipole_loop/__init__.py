@@ -8,142 +8,24 @@ bookkeeping built on them. The `dipole-loop` console script exposes the
 batch commands.
 """
 
-from .core import (
-    METRIC,
-    AtomPair,
-    DipoleTensor,
-    FieldStrength,
-    Metric,
-    classify_renormalizability,
-    contractions,
-    dipole_from_moment,
-    engineering_dimension,
-    gamma_sq_dot,
-    minkowski_dot,
-)
-from .errors import (
-    ConfigError,
-    DipoleLoopError,
-    DynamicsError,
-    KinematicDomainError,
-    OracleError,
-    PoleError,
-    QuadratureError,
-    TruncationError,
-)
-from .jc import (
-    CavityMode,
-    EvolutionResult,
-    JCParams,
-    JCState,
-    build_hamiltonian,
-    evolve,
-    measure_resonant_period,
-    parity_sectors,
-    rabi_coupling,
-    rwa_discrepancy,
-)
-from .loops import (
-    MasterIntegralKind,
-    RegScheme,
-    a_sq,
-    b_sq,
-    feynman_identity_check,
-    master_integral,
-    master_integral_d_scale,
-    radial_quadrature,
-    symmetric_integration_check,
-)
-from .nr import (
-    Generator,
-    ModeHamiltonian,
-    SmallParams,
-    assemble_mode_hamiltonian,
-    build_generator,
-    decoupling_residual,
-    psi_chi_decompose,
-    psi_chi_reconstruct,
-    reduced_block_error,
-    similarity_transform,
-)
-from .renorm import (
-    DivergenceFit,
-    RenormConstants,
-    SelfEnergyResult,
-    counterterm_report,
-    divergence_fit,
-    mass_shift,
-    photon_exchange_kernel,
-    photon_polarization,
-    self_energy,
-    vertex_one_loop,
-    wavefunction_Z,
-)
-from .units import QUANTITIES, UnitSystem
+from . import core, errors, jc, loops, nr, renorm, units
+from .core import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .jc import *  # noqa: F401,F403
+from .loops import *  # noqa: F401,F403
+from .nr import *  # noqa: F401,F403
+from .renorm import *  # noqa: F401,F403
+from .units import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "METRIC",
-    "AtomPair",
-    "CavityMode",
-    "ConfigError",
-    "DipoleLoopError",
-    "DipoleTensor",
-    "DivergenceFit",
-    "DynamicsError",
-    "EvolutionResult",
-    "FieldStrength",
-    "Generator",
-    "JCParams",
-    "JCState",
-    "KinematicDomainError",
-    "MasterIntegralKind",
-    "Metric",
-    "ModeHamiltonian",
-    "OracleError",
-    "PoleError",
-    "QUANTITIES",
-    "QuadratureError",
-    "RegScheme",
-    "RenormConstants",
-    "SelfEnergyResult",
-    "SmallParams",
-    "TruncationError",
-    "UnitSystem",
-    "a_sq",
-    "assemble_mode_hamiltonian",
-    "b_sq",
-    "build_generator",
-    "build_hamiltonian",
-    "classify_renormalizability",
-    "contractions",
-    "counterterm_report",
-    "decoupling_residual",
-    "dipole_from_moment",
-    "divergence_fit",
-    "engineering_dimension",
-    "evolve",
-    "feynman_identity_check",
-    "gamma_sq_dot",
-    "mass_shift",
-    "master_integral",
-    "master_integral_d_scale",
-    "measure_resonant_period",
-    "minkowski_dot",
-    "photon_exchange_kernel",
-    "parity_sectors",
-    "photon_polarization",
-    "psi_chi_decompose",
-    "psi_chi_reconstruct",
-    "rabi_coupling",
-    "radial_quadrature",
-    "reduced_block_error",
-    "rwa_discrepancy",
-    "self_energy",
-    "similarity_transform",
-    "symmetric_integration_check",
-    "vertex_one_loop",
-    "wavefunction_Z",
+    *core.__all__,
+    *errors.__all__,
+    *jc.__all__,
+    *loops.__all__,
+    *nr.__all__,
+    *renorm.__all__,
+    *units.__all__,
     "__version__",
 ]

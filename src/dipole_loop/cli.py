@@ -9,8 +9,9 @@ loop-polarization, report-counterterms, check-dims, oracle-verify.
 
 Configuration is line-oriented "section.key = value" with '#' comments.
 All config problems are collected and reported together with line
-numbers; unknown keys are rejected. Exit codes: 0 success, 2 config
-error, 3 numeric/domain error, 4 failed internal cross-check.
+numbers; unknown keys are rejected, and so is a config asking for more
+work than the MAX_* caps. Exit codes: 0 success, 2 config error,
+3 numeric/domain error, 4 failed internal cross-check.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
@@ -30,7 +31,6 @@ import csv
 import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,6 @@ from . import renorm
 from .core import (
     AtomPair,
     classify_renormalizability,
-    contractions,
     dipole_from_moment,
     engineering_dimension,
 )
@@ -80,6 +79,15 @@ COMMANDS = (
 # ---------------------------------------------------------------------------
 
 
+# Caps on the work one config may ask for, each at least ten times the
+# largest value a workload, test or README example uses. parse_grid
+# checks its count before it allocates the grid.
+MAX_GRID_COUNT = 2000
+MAX_N_MAX = 1200
+MAX_N_TIMES = 200_000
+MAX_S_COUNT = 100
+
+
 def parse_grid(spec: str) -> np.ndarray:
     """Parse "start:stop:count,log|lin" into a 1-d grid."""
     spec = spec.strip()
@@ -96,6 +104,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid {spec!r} has unparsable numbers") from None
     if count < 2:
         raise ValueError(f"grid {spec!r} needs count >= 2")
+    if count > MAX_GRID_COUNT:
+        raise ValueError(f"grid {spec!r} needs count <= {MAX_GRID_COUNT}")
     if parts[1] == "log":
         if start <= 0 or stop <= 0:
             raise ValueError(f"log grid {spec!r} needs positive endpoints")
@@ -136,56 +146,75 @@ def _choice(*allowed: str):
     return parse
 
 
-def _positive(v, key):
-    if not (isinstance(v, (int, float)) and np.isfinite(v) and v > 0):
-        raise ValueError(f"{key} must be a positive finite number")
+def _grid(what: str):
+    """Value parser of a grid spec: checked in full, kept as its text."""
+
+    def parse(s: str) -> str:
+        if np.any(parse_grid(s) <= 0):
+            raise ValueError(f"{what} grid values must be positive")
+        return s.strip()
+
+    return parse
 
 
-def _finite(v, key):
-    if not np.isfinite(v):
-        raise ValueError(f"{key} must be finite")
+_CUTOFF_GRID = _grid("cutoff")
+
+# checks: (predicate, phrase) pairs; a value that fails one is reported
+# as "<key> <phrase>"
+_POSITIVE = (lambda v: np.isfinite(v) and v > 0, "must be a positive finite number")
+_FINITE = (np.isfinite, "must be finite")
+_FINITE_WHEN_GIVEN = (lambda v: v is None or np.isfinite(v), "must be finite when given")
 
 
-# key -> (default, value parser). Defaults are the resolved values used
-# when a key is absent; empty-string defaults mean "derived at dispatch".
-_REGISTRY = {
-    "atoms.m1": (1.0, float),
-    "atoms.m2": (0.95, float),
-    "dipole.dx": (0.01, float),
-    "dipole.dy": (0.0, float),
-    "dipole.dz": (0.0, float),
-    "cavity.omega": (0.05, float),
-    "cavity.volume": (1.0, float),
-    "cavity.z": (None, _opt(float)),
-    "jc.level_init": ("upper", _choice("upper", "lower")),
-    "jc.n_init": (0, int),
-    "jc.n_max": (8, int),
-    "jc.rwa": (True, _parse_bool),
-    "jc.leak_threshold": (1e-8, float),
-    "jc.t_max": (None, _opt(float)),
-    "jc.n_times": (401, int),
-    "jc.n_list": ((0, 1, 5), _parse_int_list),
-    "regulator.lambda": (100.0, float),
-    "regulator.quad_tol": (1e-10, float),
-    "regulator.lambda_grid": (None, _opt(str.strip)),
-    "selfenergy.level": (1, int),
-    "selfenergy.path": ("expansion", _choice("expansion", "exact")),
-    "selfenergy.b_order": (0, int),
-    "selfenergy.s_max": (None, _opt(float)),
-    "selfenergy.s_count": (9, int),
-    "vertex.q0": (0.25, float),
-    "vertex.q1": (0.25, float),
-    "vertex.q2": (0.0, float),
-    "vertex.q3": (0.0, float),
-    "vertex.symmetric_masses": (True, _parse_bool),
-    "polarization.q0": (0.0, float),
-    "polarization.q1": (0.3, float),
-    "polarization.q2": (0.0, float),
-    "polarization.q3": (0.0, float),
-    "nr.lambda_grid": ("1e-4:1e-2:9,log", str.strip),
-    "nr.lambda3_ratio": (0.7, float),
-    "units.mode": ("natural", _choice("natural", "SI")),
-    "units.base_energy_ev": (1.0, float),
+def _at_least(lo):
+    return (lambda v: v >= lo, f"must be >= {lo}")
+
+
+def _at_most(hi):
+    return (lambda v: v <= hi, f"must be <= {hi}")
+
+
+# key -> (default, value parser, checks). Defaults are the resolved values
+# used when a key is absent; None means "derived at dispatch". The checks
+# run in order on the merged value and the first that fails is reported.
+_TABLE = {
+    "atoms.m1": (1.0, float, (_POSITIVE,)),
+    "atoms.m2": (0.95, float, (_POSITIVE,)),
+    "dipole.dx": (0.01, float, (_FINITE,)),
+    "dipole.dy": (0.0, float, (_FINITE,)),
+    "dipole.dz": (0.0, float, (_FINITE,)),
+    "cavity.omega": (0.05, float, (_POSITIVE,)),
+    "cavity.volume": (1.0, float, (_POSITIVE,)),
+    "cavity.z": (None, _opt(float), (_FINITE_WHEN_GIVEN,)),
+    "jc.level_init": ("upper", _choice("upper", "lower"), ()),
+    "jc.n_init": (0, int, (_at_least(0),)),
+    "jc.n_max": (8, int, (_at_most(MAX_N_MAX),)),
+    "jc.rwa": (True, _parse_bool, ()),
+    "jc.leak_threshold": (1e-8, float, ((lambda v: 0 < v < 1, "must be in (0, 1)"),)),
+    "jc.t_max": (None, _opt(float), ((lambda v: v is None or v > 0, "must be positive when given"),)),
+    "jc.n_times": (401, int, (_at_least(2), _at_most(MAX_N_TIMES))),
+    "jc.n_list": ((0, 1, 5), _parse_int_list, ()),
+    "regulator.lambda": (100.0, float, (_POSITIVE,)),
+    "regulator.quad_tol": (1e-10, float, ((lambda v: 0 < v < 1e-2, "must be in (0, 1e-2)"),)),
+    "regulator.lambda_grid": (None, _opt(_CUTOFF_GRID), ()),
+    "selfenergy.level": (1, int, ((lambda v: v in (1, 2), "must be 1 or 2"),)),
+    "selfenergy.path": ("expansion", _choice("expansion", "exact"), ()),
+    "selfenergy.b_order": (0, int, ((lambda v: v in (0, 1), "must be 0 or 1"),)),
+    "selfenergy.s_max": (None, _opt(float), (_FINITE_WHEN_GIVEN,)),
+    "selfenergy.s_count": (9, int, (_at_least(2), _at_most(MAX_S_COUNT))),
+    "vertex.q0": (0.25, float, (_FINITE,)),
+    "vertex.q1": (0.25, float, (_FINITE,)),
+    "vertex.q2": (0.0, float, (_FINITE,)),
+    "vertex.q3": (0.0, float, (_FINITE,)),
+    "vertex.symmetric_masses": (True, _parse_bool, ()),
+    "polarization.q0": (0.0, float, (_FINITE,)),
+    "polarization.q1": (0.3, float, (_FINITE,)),
+    "polarization.q2": (0.0, float, (_FINITE,)),
+    "polarization.q3": (0.0, float, (_FINITE,)),
+    "nr.lambda_grid": ("1e-4:1e-2:9,log", _grid("small-parameter"), ()),
+    "nr.lambda3_ratio": (0.7, float, (_POSITIVE,)),
+    "units.mode": ("natural", _choice("natural", "SI"), ()),
+    "units.base_energy_ev": (1.0, float, (_POSITIVE,)),
 }
 
 
@@ -221,72 +250,35 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _validate(values: dict, where: dict) -> list:
-    """Cross-field constraint checks; returns a list of problems."""
+def _check(values: dict, where: dict) -> list:
+    """The table's checks, then the cross-field rules; returns the problems."""
 
     def loc(key):
         return f"line {where[key]}: " if key in where else ""
 
     problems = []
+    numbers_ok = True
+    for key, (_, _, checks) in _TABLE.items():
+        for check in checks:
+            ok, phrase = check
+            if not ok(values[key]):
+                problems.append(f"{loc(key)}{key} {phrase}")
+                if check in (_POSITIVE, _FINITE):
+                    numbers_ok = False
+                break
 
-    def check(key, fn):
-        try:
-            fn(values[key], key)
-        except ValueError as exc:
-            problems.append(f"{loc(key)}{exc}")
-
-    for key in ("atoms.m1", "atoms.m2", "cavity.omega", "cavity.volume",
-                "regulator.lambda", "units.base_energy_ev", "nr.lambda3_ratio"):
-        check(key, _positive)
-    for key in ("dipole.dx", "dipole.dy", "dipole.dz", "vertex.q0", "vertex.q1",
-                "vertex.q2", "vertex.q3", "polarization.q0", "polarization.q1",
-                "polarization.q2", "polarization.q3"):
-        check(key, _finite)
-
-    if not problems and values["atoms.m1"] < values["atoms.m2"]:
+    # a non-positive or non-finite number would make the ordering meaningless
+    if numbers_ok and values["atoms.m1"] < values["atoms.m2"]:
         problems.append(f"{loc('atoms.m2')}atoms.m1 must be >= atoms.m2 (level 1 is the upper level)")
-
-    if not (0 < values["regulator.quad_tol"] < 1e-2):
-        problems.append(f"{loc('regulator.quad_tol')}regulator.quad_tol must be in (0, 1e-2)")
-    if not (0 < values["jc.leak_threshold"] < 1):
-        problems.append(f"{loc('jc.leak_threshold')}jc.leak_threshold must be in (0, 1)")
-    if values["jc.n_init"] < 0:
-        problems.append(f"{loc('jc.n_init')}jc.n_init must be >= 0")
     if values["jc.n_max"] < values["jc.n_init"] + 2:
         problems.append(
             f"{loc('jc.n_max')}jc.n_max must be >= jc.n_init + 2 to monitor truncation leakage"
         )
-    if values["jc.n_times"] < 2:
-        problems.append(f"{loc('jc.n_times')}jc.n_times must be >= 2")
-    if values["jc.t_max"] is not None and not values["jc.t_max"] > 0:
-        problems.append(f"{loc('jc.t_max')}jc.t_max must be positive when given")
-    if values["cavity.z"] is not None and not np.isfinite(values["cavity.z"]):
-        problems.append(f"{loc('cavity.z')}cavity.z must be finite when given")
     for n in values["jc.n_list"]:
         if n < 0 or n + 2 > values["jc.n_max"]:
             problems.append(
                 f"{loc('jc.n_list')}jc.n_list entry {n} needs 0 <= n <= jc.n_max - 2"
             )
-    if values["selfenergy.level"] not in (1, 2):
-        problems.append(f"{loc('selfenergy.level')}selfenergy.level must be 1 or 2")
-    if values["selfenergy.b_order"] not in (0, 1):
-        problems.append(f"{loc('selfenergy.b_order')}selfenergy.b_order must be 0 or 1")
-    if values["selfenergy.s_count"] < 2:
-        problems.append(f"{loc('selfenergy.s_count')}selfenergy.s_count must be >= 2")
-    if values["selfenergy.s_max"] is not None and not np.isfinite(values["selfenergy.s_max"]):
-        problems.append(f"{loc('selfenergy.s_max')}selfenergy.s_max must be finite when given")
-
-    for key in ("regulator.lambda_grid", "nr.lambda_grid"):
-        if values[key] is None:
-            continue
-        try:
-            grid = parse_grid(values[key])
-            if key == "regulator.lambda_grid" and np.any(grid <= 0):
-                raise ValueError("cutoff grid values must be positive")
-            if key == "nr.lambda_grid" and np.any(grid <= 0):
-                raise ValueError("small-parameter grid values must be positive")
-        except ValueError as exc:
-            problems.append(f"{loc(key)}{key}: {exc}")
     return problems
 
 
@@ -296,7 +288,7 @@ def parse_config(text: str) -> RunConfig:
     Collects every problem (unknown key, unparsable value, constraint
     violation) with its line number before raising ConfigError.
     """
-    values = {key: default for key, (default, _) in _REGISTRY.items()}
+    values = {key: default for key, (default, _, _) in _TABLE.items()}
     where: dict = {}
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -308,21 +300,20 @@ def parse_config(text: str) -> RunConfig:
             continue
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _REGISTRY:
+        if key not in _TABLE:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in where:
             problems.append(f"line {lineno}: duplicate key {key!r} (first set on line {where[key]})")
             continue
         where[key] = lineno
-        _, parser = _REGISTRY[key]
         try:
-            values[key] = parser(val)
+            values[key] = _TABLE[key][1](val)
         except (ValueError, TypeError) as exc:
             problems.append(f"line {lineno}: {key}: {exc}")
     # constraint checks run on the merged values even when some lines
     # failed to parse (those keys keep defaults, so no cascades)
-    problems.extend(_validate(values, where))
+    problems.extend(_check(values, where))
     if problems:
         raise ConfigError(problems)
     return RunConfig(values)
@@ -363,7 +354,6 @@ def _physics(cfg: RunConfig) -> dict:
         "cavity": cavity,
         "reg": reg,
         "t_max": conv(cfg["jc.t_max"], "time"),
-        "units": units,
     }
 
 
@@ -374,27 +364,9 @@ def _lambda_values(cfg: RunConfig) -> np.ndarray:
     return parse_grid(spec)
 
 
-def _thread_count(n_items: int) -> int:
-    raw = os.environ.get("DIPOLE_LOOP_THREADS", "0").strip()
-    try:
-        n = int(raw)
-        if n < 0:
-            raise ValueError
-    except ValueError:
-        raise ConfigError([f"DIPOLE_LOOP_THREADS must be a non-negative integer, got {raw!r}"]) from None
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, min(n, n_items))
-
-
 def _pmap(fn, items):
-    """Order-preserving map over a sweep, capped by DIPOLE_LOOP_THREADS."""
-    items = list(items)
-    n = _thread_count(len(items))
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving map over a sweep; bench/tracing.py wraps it by name."""
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +450,7 @@ def _cmd_jc_evolve(cfg: RunConfig, phys: dict):
         f"jc-evolve: {len(rows)} samples to t = {t_max:.6g}, "
         f"norm drift {drift:.3e}, max top-band {float(result.top_band.max()):.3e}"
     )
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_jc_rabi(cfg: RunConfig, phys: dict):
@@ -498,7 +470,7 @@ def _cmd_jc_rabi(cfg: RunConfig, phys: dict):
     header = ["n[1]", "period_measured[natural]", "period_predicted[natural]", "rel_err[1]"]
     worst = max(r[3] for r in rows)
     summary = f"jc-rabi: {len(rows)} photon numbers, worst period error {worst:.3e}"
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
@@ -533,7 +505,7 @@ def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
     after = np.array([r[3] for r in rows])
     slope = float(np.polyfit(np.log(lam), np.log(after), 1)[0])
     summary = f"nr-reduce: {len(rows)} points, post-transform residual slope {slope:.4f} (target 2)"
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_loop_selfenergy(cfg: RunConfig, phys: dict):
@@ -570,7 +542,7 @@ def _cmd_loop_selfenergy(cfg: RunConfig, phys: dict):
         f"loop-selfenergy: level {level}, {path} path, {len(lambdas)} cutoff(s) x "
         f"{len(s_grid)} offsets, Sigma(-m^2) = {rows[0][5]:.9e}"
     )
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_loop_vertex(cfg: RunConfig, phys: dict):
@@ -600,7 +572,7 @@ def _cmd_loop_vertex(cfg: RunConfig, phys: dict):
         "Z1_inv[1]",
     ]
     summary = f"loop-vertex: {len(rows)} cutoff(s), Z1_inv = {rows[-1][7]:.12e} at lambda = {rows[-1][0]:.6g}"
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_loop_polarization(cfg: RunConfig, phys: dict):
@@ -624,7 +596,7 @@ def _cmd_loop_polarization(cfg: RunConfig, phys: dict):
         f"loop-polarization: {len(rows)} cutoff(s), P = {rows[-1][2]:.12e}, "
         f"transversality {rows[-1][3]:.3e}"
     )
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_report_counterterms(cfg: RunConfig, phys: dict):
@@ -652,7 +624,7 @@ def _cmd_report_counterterms(cfg: RunConfig, phys: dict):
         f"report-counterterms: measured loop prefactor {rep.prefactor_measured:.12e}, "
         f"ratio to printed 1/(2 pi)^3 = {rep.prefactor_ratio_to_printed:.9f}"
     )
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_check_dims(cfg: RunConfig, phys: dict):
@@ -675,7 +647,7 @@ def _cmd_check_dims(cfg: RunConfig, phys: dict):
         "classification[name]",
     ]
     summary = "check-dims: 4 interaction/dimension assignments tabulated"
-    return header, rows, summary
+    return header, rows, summary, []
 
 
 def _cmd_oracle_verify(cfg: RunConfig, phys: dict):
@@ -743,6 +715,8 @@ def _cmd_oracle_verify(cfg: RunConfig, phys: dict):
 # dispatch and entry point
 # ---------------------------------------------------------------------------
 
+# Each handler returns (header, rows, summary, problems); problems are
+# failed internal cross-checks, raised as OracleError once the CSV is written.
 _HANDLERS = {
     "jc-evolve": _cmd_jc_evolve,
     "jc-rabi": _cmd_jc_rabi,
@@ -765,12 +739,7 @@ def dispatch(command: str, cfg: RunConfig, out_dir: str = ".") -> str:
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
     phys = _physics(cfg)
-    result = _HANDLERS[command](cfg, phys)
-    if len(result) == 4:
-        header, rows, summary, problems = result
-    else:
-        header, rows, summary = result
-        problems = []
+    header, rows, summary, problems = _HANDLERS[command](cfg, phys)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, command.replace("-", "_") + ".csv")
     _write_csv(path, cfg, command, header, rows)
@@ -804,12 +773,10 @@ def main(argv: list | None = None) -> int:
         cfg = parse_config(text)
         if args.lambda_grid is not None:
             try:
-                grid = parse_grid(args.lambda_grid)
-                if np.any(grid <= 0):
-                    raise ValueError("cutoff grid values must be positive")
+                spec = _CUTOFF_GRID(args.lambda_grid)
             except ValueError as exc:
                 raise ConfigError([f"--lambda-grid: {exc}"]) from None
-            cfg = RunConfig({**dict(cfg.items()), "regulator.lambda_grid": args.lambda_grid.strip()})
+            cfg = RunConfig({**dict(cfg.items()), "regulator.lambda_grid": spec})
         dispatch(args.command, cfg, args.out)
         return 0
     except ConfigError as exc:

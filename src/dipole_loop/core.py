@@ -8,42 +8,30 @@ atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "Metric",
+    "METRIC",
     "AtomPair",
     "DipoleTensor",
-    "FieldStrength",
     "dipole_from_moment",
     "contractions",
+    "gamma_sq_dot",
+    "minkowski_dot",
     "engineering_dimension",
     "classify_renormalizability",
 ]
 
 
-@dataclass(frozen=True)
 class Metric:
-    """Minkowski metric diag(-1, +1, ..., +1) in n+1 spacetime dimensions."""
-
-    n_spatial: int = 3
-
-    def __post_init__(self):
-        if self.n_spatial not in (2, 3):
-            raise ValueError(f"spatial dimension must be 2 or 3, got {self.n_spatial}")
-
-    @property
-    def dim(self) -> int:
-        return self.n_spatial + 1
+    """Minkowski metric diag(-1, +1, +1, +1) in 3+1 spacetime dimensions."""
 
     @property
     def g(self) -> np.ndarray:
-        g = np.eye(self.dim)
-        g[0, 0] = -1.0
-        return g
+        return np.diag([-1.0, 1.0, 1.0, 1.0])
 
     def lower(self, t: np.ndarray) -> np.ndarray:
         """Lower every index of a tensor given with all indices up."""
@@ -54,12 +42,8 @@ class Metric:
             out = np.moveaxis(out, 0, axis)
         return out
 
-    def raise_(self, t: np.ndarray) -> np.ndarray:
-        # g is its own inverse for this signature
-        return self.lower(t)
 
-
-METRIC = Metric(3)
+METRIC = Metric()
 
 
 @dataclass(frozen=True)
@@ -127,14 +111,11 @@ class DipoleTensor:
     """Antisymmetric coupling gamma^{mu nu} (components with indices up)."""
 
     components: np.ndarray
-    metric: Metric = field(default=METRIC)
 
     def __post_init__(self):
         comp = _check_antisymmetric(self.components, "gamma")
-        if comp.shape[0] != self.metric.dim:
-            raise ValueError(
-                f"gamma shape {comp.shape} does not match spacetime dimension {self.metric.dim}"
-            )
+        if comp.shape[0] != 4:
+            raise ValueError(f"gamma shape {comp.shape} does not match spacetime dimension 4")
         comp = comp.copy()
         comp.flags.writeable = False
         object.__setattr__(self, "components", comp)
@@ -144,70 +125,23 @@ class DipoleTensor:
         """gamma^{0i}, the dipole-moment components."""
         return self.components[0, 1:].copy()
 
-    @property
-    def magnetic(self) -> np.ndarray:
-        """gamma^{ij}, zero in the laboratory frame."""
-        return self.components[1:, 1:].copy()
 
-    def scaled(self, s: float) -> "DipoleTensor":
-        return DipoleTensor(s * self.components, self.metric)
-
-    def dot_field(self, F: "FieldStrength") -> float:
-        """The scalar gamma . F = gamma^{mu nu} F_{mu nu}."""
-        return float(np.sum(self.components * F.components_lower))
-
-
-@dataclass(frozen=True)
-class FieldStrength:
-    """Electromagnetic field tensor F_{mu nu} (components with indices down).
-
-    For a pure electric field E_i the nonzero entries are F_{0i} = -E_i.
-    """
-
-    components_lower: np.ndarray
-    metric: Metric = field(default=METRIC)
-
-    def __post_init__(self):
-        comp = _check_antisymmetric(self.components_lower, "F")
-        if comp.shape[0] != self.metric.dim:
-            raise ValueError(
-                f"F shape {comp.shape} does not match spacetime dimension {self.metric.dim}"
-            )
-        comp = comp.copy()
-        comp.flags.writeable = False
-        object.__setattr__(self, "components_lower", comp)
-
-    @classmethod
-    def from_electric(cls, e: np.ndarray, metric: Metric = METRIC) -> "FieldStrength":
-        e = np.asarray(e, dtype=float)
-        if e.shape != (metric.n_spatial,):
-            raise ValueError(f"electric field must have {metric.n_spatial} components")
-        F = np.zeros((metric.dim, metric.dim))
-        F[0, 1:] = -e
-        F[1:, 0] = e
-        return cls(F, metric)
-
-    @property
-    def electric(self) -> np.ndarray:
-        return -self.components_lower[0, 1:]
-
-
-def dipole_from_moment(d: np.ndarray, atoms: AtomPair, metric: Metric = METRIC) -> DipoleTensor:
+def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
     """Build gamma^{mu nu} from an electric dipole moment vector.
 
     gamma^{0i} = d_i sqrt(m1 m2), gamma^{i0} = -gamma^{0i}, spatial
     components zero (laboratory frame).
     """
     d = np.asarray(d, dtype=float)
-    if d.shape != (metric.n_spatial,):
-        raise ValueError(f"dipole moment must have {metric.n_spatial} components, got {d.shape}")
+    if d.shape != (3,):
+        raise ValueError(f"dipole moment must have 3 components, got {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("dipole moment must be finite")
     scale = np.sqrt(atoms.m1 * atoms.m2)
-    comp = np.zeros((metric.dim, metric.dim))
+    comp = np.zeros((4, 4))
     comp[0, 1:] = d * scale
     comp[1:, 0] = -d * scale
-    return DipoleTensor(comp, metric)
+    return DipoleTensor(comp)
 
 
 def contractions(gamma: DipoleTensor) -> dict:
@@ -223,9 +157,9 @@ def contractions(gamma: DipoleTensor) -> dict:
             gamma^2_{tau lambda} = gamma^{mu}_{ tau} gamma_{mu lambda},
             symmetric, both indices down.
     """
-    g = gamma.metric.g
+    g = METRIC.g
     up = gamma.components
-    down = gamma.metric.lower(up)
+    down = METRIC.lower(up)
     gamma_sq = float(np.sum(down * up))
     # gamma^mu_tau = g_{tau nu} gamma^{mu nu}; then contract with gamma_{mu lambda}
     mixed = up @ g  # gamma^{mu}_{ tau}
@@ -244,7 +178,7 @@ def gamma_sq_dot(gamma: DipoleTensor, p: np.ndarray, q: np.ndarray | None = None
     return float(p @ t @ q)
 
 
-def minkowski_dot(p: np.ndarray, q: np.ndarray, metric: Metric = METRIC) -> float:
+def minkowski_dot(p: np.ndarray, q: np.ndarray) -> float:
     """p . q = g_{mu nu} p^mu q^nu with signature (-,+,+,+)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)

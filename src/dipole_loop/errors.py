@@ -4,6 +4,16 @@ Each maps onto one CLI exit code: ConfigError -> 2, numeric/domain
 errors -> 3, failed internal cross-checks -> 4.
 """
 
+__all__ = [
+    "DipoleLoopError",
+    "ConfigError",
+    "KinematicDomainError",
+    "QuadratureError",
+    "OracleError",
+    "TruncationError",
+    "DynamicsError",
+]
+
 
 class DipoleLoopError(Exception):
     """Base class for all package errors."""
@@ -22,10 +32,6 @@ class ConfigError(DipoleLoopError):
 
 class KinematicDomainError(DipoleLoopError):
     """A Feynman-parameter scale (a^2, b^2, M^2(x)) left the positive domain."""
-
-
-class PoleError(DipoleLoopError):
-    """Evaluation requested exactly on a propagator pole (q^2 = 0 kernel)."""
 
 
 class QuadratureError(DipoleLoopError):

@@ -26,6 +26,7 @@ __all__ = [
     "CavityMode",
     "JCParams",
     "JCState",
+    "EvolutionResult",
     "rabi_coupling",
     "build_hamiltonian",
     "parity_sectors",
@@ -121,13 +122,6 @@ class JCState:
         amp = np.zeros(2 * (n_max + 1), dtype=complex)
         amp[(0 if level == "upper" else 1) * (n_max + 1) + n] = 1.0
         return cls(amp, n_max)
-
-    def excited_population(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes[: self.n_max + 1]) ** 2))
-
-    def inversion(self) -> float:
-        p_up = self.excited_population()
-        return 2.0 * p_up - 1.0
 
 
 def rabi_coupling(gamma: DipoleTensor, cavity: CavityMode, atoms: AtomPair) -> float:

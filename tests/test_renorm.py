@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipole_loop.core import AtomPair, DipoleTensor, contractions, dipole_from_moment, minkowski_dot
-from dipole_loop.errors import KinematicDomainError, PoleError
+from dipole_loop.core import AtomPair, contractions, dipole_from_moment
+from dipole_loop.errors import KinematicDomainError
 from dipole_loop.loops import PREFACTOR, RegScheme
 from dipole_loop.renorm import (
     counterterm_report,
     divergence_fit,
     mass_shift,
-    photon_exchange_kernel,
     photon_polarization,
     self_energy,
     vertex_one_loop,
@@ -236,42 +235,6 @@ class TestPolarization:
         q = np.array([2.5, 0.0, 0.0, 0.0])  # q^2 = -6.25 < -(m1+m2)^2
         with pytest.raises(KinematicDomainError, match="threshold"):
             photon_polarization(q, SPLIT, gamma_for(SPLIT), REG)
-
-
-class TestExchangeKernel:
-    def test_brute_force_value(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            entries = rng.normal(size=6)
-            m = np.zeros((4, 4))
-            (m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3]) = entries
-            gamma = DipoleTensor(m - m.T)
-            q = rng.normal(size=4)
-            q[1] += 3.0
-            q_sq = minkowski_dot(q, q)
-            g = np.diag([-1.0, 1.0, 1.0, 1.0])
-            q_low = g @ q
-            w = np.array([sum(gamma.components[mu, nu] * q_low[mu] for mu in range(4)) for nu in range(4)])
-            expect = minkowski_dot(w, w) / q_sq
-            out = photon_exchange_kernel(q, gamma)
-            assert out["value"] == pytest.approx(expect, rel=1e-12)
-
-    def test_pure_spatial_momentum(self):
-        # for an electric-only tensor and spatial q: V = -(d sqrt(m1 m2))^2
-        gamma = gamma_for(SPLIT)
-        out = photon_exchange_kernel(np.array([0.0, 0.3, 0.0, 0.0]), gamma)
-        assert out["value"] == pytest.approx(-(0.01**2) * SPLIT.m1 * SPLIT.m2, rel=1e-12)
-
-    def test_pole_raises(self):
-        gamma = gamma_for(SPLIT)
-        with pytest.raises(PoleError):
-            photon_exchange_kernel(np.array([0.3, 0.3, 0.0, 0.0]), gamma)
-        with pytest.raises(PoleError):
-            photon_exchange_kernel(np.zeros(4), gamma)
-
-    def test_level_index_assignments(self):
-        out = photon_exchange_kernel(np.array([0.0, 0.3, 0.0, 0.0]), gamma_for(SPLIT))
-        assert set(out["index_set"]) == {(1, 2, 1, 2), (2, 1, 1, 2), (2, 1, 2, 1), (1, 2, 2, 1)}
 
 
 class TestDivergenceFit:
