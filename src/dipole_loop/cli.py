@@ -86,6 +86,7 @@ MAX_GRID_COUNT = 2000
 MAX_N_MAX = 1200
 MAX_N_TIMES = 200_000
 MAX_S_COUNT = 100
+MAX_N_LIST = 100
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -193,7 +194,7 @@ _TABLE = {
     "jc.leak_threshold": (1e-8, float, ((lambda v: 0 < v < 1, "must be in (0, 1)"),)),
     "jc.t_max": (None, _opt(float), ((lambda v: v is None or v > 0, "must be positive when given"),)),
     "jc.n_times": (401, int, (_at_least(2), _at_most(MAX_N_TIMES))),
-    "jc.n_list": ((0, 1, 5), _parse_int_list, ()),
+    "jc.n_list": ((0, 1, 5), _parse_int_list, ((lambda v: len(v) <= MAX_N_LIST, f"must have at most {MAX_N_LIST} entries"),)),
     "regulator.lambda": (100.0, float, (_POSITIVE,)),
     "regulator.quad_tol": (1e-10, float, ((lambda v: 0 < v < 1e-2, "must be in (0, 1e-2)"),)),
     "regulator.lambda_grid": (None, _opt(_CUTOFF_GRID), ()),
@@ -513,22 +514,18 @@ def _cmd_loop_selfenergy(cfg: RunConfig, phys: dict):
     level = cfg["selfenergy.level"]
     path = cfg["selfenergy.path"]
     b_order = cfg["selfenergy.b_order"]
-    m_sq = atoms.mass(level) ** 2
     lambdas = _lambda_values(cfg)
     s_max = cfg["selfenergy.s_max"]
     if s_max is None:
         s_max = 1e-3 * atoms.M2
     s_grid = np.linspace(0.0, s_max, cfg["selfenergy.s_count"])
-
-    def one(point):
-        lam, s = point
+    p_sq = s_grid - atoms.mass(level) ** 2
+    rows = []
+    for lam in lambdas:
         reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
-        res = renorm.self_energy(level, s - m_sq, None, atoms, gamma, reg, path=path, b_order=b_order)
+        res = renorm.self_energy(level, p_sq, None, atoms, gamma, reg, path=path, b_order=b_order)
         subtracted = res.total - res.on_shell_value
-        return (lam, s, res.p_sq, res.sigma_I, res.sigma_II, res.total, subtracted)
-
-    points = [(lam, s) for lam in lambdas for s in s_grid]
-    rows = _pmap(one, points)
+        rows.extend((lam, *row) for row in zip(s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, subtracted))
     header = [
         "lambda[natural]",
         "s[natural^2]",

@@ -86,10 +86,6 @@ class JCParams:
             raise ValueError("detuning must be finite")
 
     @property
-    def detuning(self) -> float:
-        return self.omega12 - self.Omega
-
-    @property
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
 

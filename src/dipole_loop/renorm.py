@@ -33,7 +33,7 @@ scipy is not imported here; the adaptive oracles live in the tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -157,70 +157,77 @@ def _quadratic_min(c0: float, c1: float, c2: float) -> tuple:
 
 @dataclass(frozen=True)
 class SelfEnergyResult:
-    """Scalar and tensor parts of Sigma at one evaluation point.
+    """Scalar and tensor parts of Sigma at the evaluation points.
 
     sigma_II_coeff is the coefficient of gamma^2_{tau lambda} p^tau
     p^lambda; sigma_II is that coefficient contracted with the supplied
-    on-shell-family momentum. total = sigma_I + sigma_II.
+    on-shell-family momentum. total = sigma_I + sigma_II. Every field
+    but on_shell_value has the shape of p_sq (floats for a scalar p_sq).
     """
 
-    sigma_I: float
-    sigma_II_coeff: float
-    sigma_II: float
-    total: float
-    p_sq: float
+    sigma_I: float | np.ndarray
+    sigma_II_coeff: float | np.ndarray
+    sigma_II: float | np.ndarray
+    total: float | np.ndarray
     on_shell_value: float
-    level: int
-    path: str
 
 
-def _sigma_integrals_exact(p_sq: float, m_inner_sq: float, reg: RegScheme):
-    """x-integrals of I_A and x^2 I_E at the true masses."""
-    if p_sq < -m_inner_sq:
+def _integrate_offsets(f, offsets, tol: float) -> np.ndarray:
+    """Integrals of the r rows of f(x, o) at every offset o, on one rule.
+
+    f maps the nodes (n,) and a column (k, 1) of the distinct offsets to
+    r blocks of (k, n) rows; the result is (r,) + shape(offsets). Equal
+    offsets share one row, so their integrals are bitwise equal.
+    """
+    distinct, inverse = np.unique(offsets, return_inverse=True)
+    ints = _fixed_rule(lambda x: f(x, distinct[:, None]).reshape(-1, x.size), tol)
+    return ints.reshape(-1, distinct.size)[:, inverse].reshape((-1,) + np.shape(offsets))
+
+
+def _sigma_integrals_exact(p_sq, m_inner_sq: float, reg: RegScheme):
+    """x-integrals of I_A and x^2 I_E at the true masses, per p^2."""
+    lowest = np.min(p_sq)
+    if lowest < -m_inner_sq:
         raise KinematicDomainError(
-            f"p^2 = {p_sq} below -m_inner^2 = {-m_inner_sq}: the loop scale a^2(x) turns "
+            f"p^2 = {lowest} below -m_inner^2 = {-m_inner_sq}: the loop scale a^2(x) turns "
             "negative (decay threshold); use the expansion path"
         )
 
-    def f(x):
-        a2 = a_sq(x, p_sq, m_inner_sq)
+    def f(x, p):
+        a2 = a_sq(x, p, m_inner_sq)
         return np.stack([master_integral(I_A, a2, reg.Lambda), x * x * master_integral(I_E, a2, reg.Lambda)])
 
-    int_a, int_e = _fixed_rule(f, reg.quad_tol)
-    return float(int_a), float(int_e)
+    return _integrate_offsets(f, p_sq, reg.quad_tol)
 
 
-def _sigma_integrals_expansion(s: float, level: int, atoms: AtomPair, reg: RegScheme, order: int):
-    """x-integrals expanded about the symmetric mass point.
+def _sigma_integrals_expansion(s, level: int, atoms: AtomPair, reg: RegScheme, order: int):
+    """x-integrals expanded about the symmetric mass point, per offset.
 
     s = p^2 + m_level^2 is the off-shell offset. At order 0 the scale is
     a0^2 = M^2 x^2 + s x(1-x); order 1 adds the exact delta-derivative,
     which shifts both the inner mass and the on-shell reference.
     """
-    if s < 0:
+    lowest = np.min(s)
+    if lowest < 0:
         raise KinematicDomainError(
-            f"s = p^2 + m^2 = {s} < 0: below the massless-photon branch point"
+            f"s = p^2 + m^2 = {lowest} < 0: below the massless-photon branch point"
         )
     if order not in (0, 1):
         raise ValueError(f"expansion order must be 0 or 1, got {order}")
-    M2 = atoms.M2
-    sign = 1.0 if level == 1 else -1.0
 
-    def f(x):
-        a0 = M2 * x * x + s * x * (1.0 - x)
+    def f(x, s):
+        a0 = atoms.M2 * x * x + s * x * (1.0 - x)
         rows = [master_integral(I_A, a0, reg.Lambda), x * x * master_integral(I_E, a0, reg.Lambda)]
         if order == 1:
             rows.append(x * (2.0 - x) * master_integral_d_scale(I_A, a0, reg.Lambda))
             rows.append(x * x * x * (2.0 - x) * master_integral_d_scale(I_E, a0, reg.Lambda))
         return np.stack(rows)
 
-    ints = _fixed_rule(f, reg.quad_tol)
-    int_a, int_e = float(ints[0]), float(ints[1])
+    ints = _integrate_offsets(f, s, reg.quad_tol)
     if order == 1:
-        half_delta = 0.5 * atoms.delta
-        int_a -= sign * half_delta * float(ints[2])
-        int_e -= sign * half_delta * float(ints[3])
-    return int_a, int_e
+        half_delta = (0.5 if level == 1 else -0.5) * atoms.delta
+        return ints[0] - half_delta * ints[2], ints[1] - half_delta * ints[3]
+    return ints
 
 
 def _onshell_momentum(level: int, atoms: AtomPair, p_spatial: float = 0.0) -> np.ndarray:
@@ -240,9 +247,12 @@ def self_energy(
 ) -> SelfEnergyResult:
     """One-loop self-energy of the given level at invariant p^2.
 
-    p is the four-vector used to contract the tensor part (defaults to
-    the rest-frame on-shell momentum of the level). path is "expansion"
-    (in the mass splitting, default) or "exact".
+    p_sq is a scalar or an array; every point and the on-shell
+    reference Sigma(-m^2) are integrated on one rule, and a point on the
+    mass shell shares the reference's row, so its subtracted value is
+    exactly 0. p is the four-vector used to contract the tensor part
+    (defaults to the rest-frame on-shell momentum of the level). path is
+    "expansion" (in the mass splitting, default) or "exact".
     """
     if level not in (1, 2):
         raise ValueError(f"level must be 1 or 2, got {level}")
@@ -250,44 +260,36 @@ def self_energy(
         raise ValueError(f"path must be 'expansion' or 'exact', got {path!r}")
     m_level_sq = atoms.mass(level) ** 2
     m_inner_sq = atoms.mass(2 if level == 1 else 1) ** 2
-    if p is None:
-        p = _onshell_momentum(level, atoms)
-    p = np.asarray(p, dtype=float)
 
     gsq = contractions(gamma)["gamma_sq"]
-    gpp = gamma_sq_dot(gamma, p)
+    gpp = gamma_sq_dot(gamma, _onshell_momentum(level, atoms) if p is None else p)
 
+    # the points, flattened, then the on-shell reference
     if path == "exact":
-        int_a, int_e = _sigma_integrals_exact(p_sq, m_inner_sq, reg)
-        if p_sq == -m_level_sq:
-            int_a0, int_e0 = int_a, int_e
-        elif m_level_sq > m_inner_sq:
+        if m_level_sq > m_inner_sq:
             # the heavier level's mass shell sits below the decay
             # threshold, so the subtraction point is unreachable here
-            int_a0 = int_e0 = float("nan")
+            int_a, int_e = (np.append(v, np.nan) for v in _sigma_integrals_exact(p_sq, m_inner_sq, reg))
         else:
-            int_a0, int_e0 = _sigma_integrals_exact(-m_level_sq, m_inner_sq, reg)
+            int_a, int_e = _sigma_integrals_exact(np.append(p_sq, -m_level_sq), m_inner_sq, reg)
     else:
         atoms.require_small_b()
-        s = p_sq + m_level_sq
-        int_a, int_e = _sigma_integrals_expansion(s, level, atoms, reg, b_order)
-        int_a0, int_e0 = (
-            _sigma_integrals_expansion(0.0, level, atoms, reg, b_order) if s != 0.0 else (int_a, int_e)
-        )
+        int_a, int_e = _sigma_integrals_expansion(np.append(np.add(p_sq, m_level_sq), 0.0), level, atoms, reg, b_order)
 
     sigma_I = gsq * int_a
     coeff = 4.0 * int_e
     sigma_II = coeff * gpp
-    on_shell = gsq * int_a0 + 4.0 * int_e0 * gpp
+    total = sigma_I + sigma_II
+
+    def at_points(v):  # [()] turns a 0-d array into a float64 scalar
+        return v[:-1].reshape(np.shape(p_sq))[()]
+
     return SelfEnergyResult(
-        sigma_I=sigma_I,
-        sigma_II_coeff=coeff,
-        sigma_II=sigma_II,
-        total=sigma_I + sigma_II,
-        p_sq=p_sq,
-        on_shell_value=on_shell,
-        level=level,
-        path=path,
+        sigma_I=at_points(sigma_I),
+        sigma_II_coeff=at_points(coeff),
+        sigma_II=at_points(sigma_II),
+        total=at_points(total),
+        on_shell_value=float(total[-1]),
     )
 
 
@@ -312,8 +314,13 @@ def mass_shift(
         "tensor_coeff": res.sigma_II_coeff,
         "tensor_contracted": res.sigma_II,
         "total": res.total,
-        "p": p,
     }
+
+
+# wavefunction_Z's s grid size and the largest curvature residual of its
+# fit, relative to the slope, that it accepts
+Z_GRID_POINTS = 9
+Z_CURVATURE_LIMIT = 1e-3
 
 
 def wavefunction_Z(
@@ -322,28 +329,23 @@ def wavefunction_Z(
     gamma: DipoleTensor,
     reg: RegScheme,
     s_max_frac: float = 1e-3,
-    n_points: int = 9,
     b_order: int = 0,
-    curvature_limit: float = 1e-3,
 ) -> dict:
     """Extract the wavefunction factor from the subtracted self-energy.
 
-    Fits Sigma(p^2) - Sigma(-m^2) = s * f on a one-sided grid
-    s = p^2 + m^2 in [0, s_max_frac * M^2]. The scalar part of f comes
-    from the I_A integrals, the tensor part (coefficient of
-    gamma^2_{tau lambda} p^tau p^lambda) from the I_E integrals. The fit
-    is rejected if the curvature residual exceeds curvature_limit times
-    the slope magnitude.
+    Fits Sigma(p^2) - Sigma(-m^2) = s * f on a one-sided grid of
+    Z_GRID_POINTS offsets s = p^2 + m^2 in [0, s_max_frac * M^2]. The scalar
+    part of f comes from the I_A integrals, the tensor part (coefficient
+    of gamma^2_{tau lambda} p^tau p^lambda) from the I_E integrals. The
+    fit is rejected if the curvature residual exceeds Z_CURVATURE_LIMIT
+    times the slope magnitude.
     """
-    if n_points < 3:
-        raise ValueError("need at least 3 grid points")
     atoms.require_small_b()
     gsq = contractions(gamma)["gamma_sq"]
-    M2 = atoms.M2
-    s_grid = np.linspace(0.0, s_max_frac * M2, n_points)
-    ints = [_sigma_integrals_expansion(s, level, atoms, reg, b_order) for s in s_grid]
-    sub_a = gsq * (np.array([ia for ia, _ in ints]) - ints[0][0])
-    sub_e = 4.0 * (np.array([ie for _, ie in ints]) - ints[0][1])
+    s_grid = np.linspace(0.0, s_max_frac * atoms.M2, Z_GRID_POINTS)
+    int_a, int_e = _sigma_integrals_expansion(s_grid, level, atoms, reg, b_order)
+    sub_a = gsq * (int_a - int_a[0])
+    sub_e = 4.0 * (int_e - int_e[0])
 
     def fit_through_origin(y):
         denom = float(s_grid @ s_grid)
@@ -356,21 +358,18 @@ def wavefunction_Z(
     f_scalar, curv_scalar = fit_through_origin(sub_a)
     f_tensor, curv_tensor = fit_through_origin(sub_e)
     curvature = max(curv_scalar, curv_tensor)
-    accepted = curvature <= curvature_limit
-    if not accepted:
+    if not curvature <= Z_CURVATURE_LIMIT:
         raise ArithmeticError(
-            f"curvature residual {curvature:.3e} exceeds {curvature_limit:.0e} of the slope; "
+            f"curvature residual {curvature:.3e} exceeds {Z_CURVATURE_LIMIT:.0e} of the slope; "
             "narrow the s grid or reduce the mass splitting"
         )
-    p_ref = _onshell_momentum(level, atoms)
-    gpp = gamma_sq_dot(gamma, p_ref)
+    gpp = gamma_sq_dot(gamma, _onshell_momentum(level, atoms))
     return {
         "f_scalar": f_scalar,
         "f_tensor_coeff": f_tensor,
         "Z_phi_inv": 1.0 + f_scalar + f_tensor * gpp,
         "curvature_residual": curvature,
         "s_grid": s_grid,
-        "p_ref": p_ref,
     }
 
 
@@ -462,7 +461,6 @@ def vertex_one_loop(
         "K1": K[1],
         "K2": K[2],
         "Gamma_I_coeff": gamma_I_coeff,
-        "tensor_coeffs": {"pp": K[0], "pq_sym": -K[1], "qq": K[2]},
         "tensor_contracted": tensor_contracted,
         "Z1_inv": z1_inv,
         "q_sq": q_sq,
@@ -529,7 +527,6 @@ class DivergenceFit:
     c_log: float
     c_const: float
     fit_residual: float
-    lambda_grid: np.ndarray = field(repr=False)
     model: str = "quad_log_const"
     accepted: bool = True
 
@@ -585,7 +582,6 @@ def divergence_fit(
         c_log=c_log,
         c_const=c_const,
         fit_residual=resid,
-        lambda_grid=lambdas,
         model=model,
         accepted=accepted,
     )

@@ -118,6 +118,14 @@ class TestParseConfig:
             cli.parse_config(f"# a cap\n{key} = 1e-3:1e3:{cap + 1},log\n")
         assert err.value.problems == [f"line 2: {key}: grid '1e-3:1e3:{cap + 1},log' needs count <= {cap}"]
 
+    def test_n_list_length_cap(self):
+        cap = cli.MAX_N_LIST
+        at_cap = ",".join(["0"] * cap)
+        assert cli.parse_config(f"jc.n_list = {at_cap}\n")["jc.n_list"] == (0,) * cap
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"# a cap\njc.n_list = {at_cap},0\n")
+        assert err.value.problems == [f"line 2: jc.n_list must have at most {cap} entries"]
+
     def test_echo_sorted_and_stable(self):
         cfg = cli.parse_config("atoms.m1 = 2.0\n")
         lines = cfg.echo_lines()
@@ -276,6 +284,32 @@ class TestLambdaGridFlag:
             f"needs count <= {cli.MAX_GRID_COUNT}\n"
         )
         assert not any(tmp_path.glob("*.csv"))
+
+
+class TestRuleCount:
+    @pytest.mark.parametrize("command, grid, rules", [
+        # one Feynman-parameter rule per cutoff covers its whole s sweep
+        # and its on-shell reference
+        ("loop-selfenergy", "10:10000:24,log", 24),
+        ("loop-selfenergy", None, 1),
+        # 2 mass shifts, 2 wavefunction fits, vertex, polarization and
+        # the 12-cutoff prefactor fit
+        ("report-counterterms", None, 18),
+    ])
+    def test_rule_count(self, tmp_path, monkeypatch, command, grid, rules):
+        calls = []
+        rule = cli.renorm._fixed_rule
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(cli.renorm, "_fixed_rule", counting)
+        argv = [command, "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]
+        if grid is not None:
+            argv += ["--lambda-grid", grid]
+        assert cli.main(argv) == 0
+        assert len(calls) == rules
 
 
 class TestSIBoundary:

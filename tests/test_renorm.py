@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipole_loop import renorm
 from dipole_loop.core import AtomPair, contractions, dipole_from_moment
 from dipole_loop.errors import KinematicDomainError
 from dipole_loop.loops import PREFACTOR, RegScheme
@@ -107,6 +108,94 @@ class TestSelfEnergyDomain:
             self_energy(1, -SPLIT.m1**2 - 1e-3, None, SPLIT, gamma_for(SPLIT), REG)
 
 
+# (path, level, b_order, p^2 offset from -m_level^2 at s = 0): the exact
+# path's heavier level 1 stays above its decay threshold -m2^2
+ARRAY_CASES = [
+    ("expansion", 1, 0, 0.0),
+    ("expansion", 2, 0, 0.0),
+    ("expansion", 1, 1, 0.0),
+    ("expansion", 2, 1, 0.0),
+    ("exact", 1, 0, SPLIT.m1**2 - SPLIT.m2**2),
+    ("exact", 2, 0, 0.0),
+]
+FIELDS = ("sigma_I", "sigma_II_coeff", "sigma_II", "total")
+
+
+def sweep_points(level, shift):
+    s = np.linspace(0.0, 1e-3 * SPLIT.M2, 9)
+    return s - SPLIT.mass(level) ** 2 + shift
+
+
+class TestSelfEnergyArray:
+    REL = 1e-13
+
+    @pytest.mark.parametrize("path, level, b_order, shift", ARRAY_CASES)
+    def test_array_matches_scalar_calls(self, path, level, b_order, shift):
+        gamma = gamma_for(SPLIT)
+        p_sq = sweep_points(level, shift)
+        batch = self_energy(level, p_sq, None, SPLIT, gamma, REG, path=path, b_order=b_order)
+        for i, point in enumerate(p_sq):
+            one = self_energy(level, float(point), None, SPLIT, gamma, REG, path=path, b_order=b_order)
+            for name in FIELDS:
+                assert getattr(batch, name)[i] == pytest.approx(getattr(one, name), rel=self.REL, abs=0.0)
+            assert batch.on_shell_value == pytest.approx(one.on_shell_value, rel=self.REL, abs=0.0, nan_ok=True)
+
+    @pytest.mark.parametrize("path, level, b_order, shift", ARRAY_CASES)
+    def test_shapes(self, path, level, b_order, shift):
+        p_sq = sweep_points(level, shift)
+        grid = self_energy(level, p_sq.reshape(3, 3), None, SPLIT, gamma_for(SPLIT), REG, path=path, b_order=b_order)
+        flat = self_energy(level, p_sq, None, SPLIT, gamma_for(SPLIT), REG, path=path, b_order=b_order)
+        for name in FIELDS:
+            assert getattr(grid, name).shape == (3, 3)
+            np.testing.assert_array_equal(getattr(grid, name).reshape(-1), getattr(flat, name))
+        one = self_energy(level, float(p_sq[1]), None, SPLIT, gamma_for(SPLIT), REG, path=path, b_order=b_order)
+        assert all(np.ndim(getattr(one, name)) == 0 for name in FIELDS + ("on_shell_value",))
+        assert all(isinstance(getattr(one, name), float) for name in FIELDS + ("on_shell_value",))
+
+    @pytest.mark.parametrize("path, level, b_order", [
+        ("expansion", 1, 0), ("expansion", 2, 0), ("expansion", 1, 1), ("expansion", 2, 1), ("exact", 2, 0),
+    ])
+    def test_subtraction_exactly_zero_on_shell(self, path, level, b_order):
+        res = self_energy(level, sweep_points(level, 0.0), None, SPLIT, gamma_for(SPLIT), REG,
+                          path=path, b_order=b_order)
+        subtracted = res.total - res.on_shell_value
+        assert subtracted[0] == 0.0
+        assert np.all(subtracted[1:] != 0.0)
+
+    def test_equal_offsets_share_one_row(self):
+        # two equal rows of one matrix product need not round alike, so
+        # the on-shell point and the reference must be one row
+        widths = []
+
+        def f(x, offsets):
+            widths.append(offsets.size)
+            return np.stack([np.exp(-offsets * x), x * np.exp(-offsets * x)])
+
+        ints = renorm._integrate_offsets(f, np.array([0.5, 0.0, 0.5, 0.25, 0.0]), 1e-12)
+        assert set(widths) == {3}
+        assert ints.shape == (2, 5)
+        np.testing.assert_array_equal(ints[:, [0, 1]], ints[:, [2, 4]])
+        assert ints[0, 1] == pytest.approx(1.0, rel=1e-14)
+
+    def test_exact_heavier_reference_is_nan(self):
+        res = self_energy(1, sweep_points(1, SPLIT.m1**2 - SPLIT.m2**2), None, SPLIT, gamma_for(SPLIT), REG,
+                          path="exact")
+        assert np.all(np.isfinite(res.total))
+        assert np.isnan(res.on_shell_value)
+
+    def test_domain_errors_name_the_lowest_value(self):
+        gamma = gamma_for(SPLIT)
+        low = -SPLIT.m1**2 - 2e-3
+        with pytest.raises(KinematicDomainError, match="branch point") as err:
+            self_energy(1, np.array([-SPLIT.m1**2, low, -SPLIT.m1**2 - 1e-3]), None, SPLIT, gamma, REG)
+        assert f"{low + SPLIT.m1**2}" in str(err.value)
+        low = -SPLIT.m2**2 - 2e-3
+        with pytest.raises(KinematicDomainError, match="decay threshold") as err:
+            self_energy(1, np.array([-SPLIT.m2**2, low, -SPLIT.m2**2 - 1e-3]), None, SPLIT, gamma, REG,
+                        path="exact")
+        assert f"p^2 = {low} " in str(err.value)
+
+
 class TestSelfEnergyTensor:
     def test_onshell_coefficient_structure(self):
         # coefficient of gamma^2_{tau lam} p^tau p^lam on shell:
@@ -154,6 +243,19 @@ class TestMassShiftAndZ:
         # tensor slope -(2/3) pref / M^2 for Lambda >> M
         assert out["f_tensor_coeff"] == pytest.approx(-(2.0 / 3.0) * PREFACTOR / SYM.M2, rel=5e-3)
         assert out["Z_phi_inv"] != 1.0
+
+    @pytest.mark.parametrize("b_order", [0, 1])
+    def test_z_is_one_rule(self, monkeypatch, b_order):
+        calls = []
+        rule = renorm._fixed_rule
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(renorm, "_fixed_rule", counting)
+        wavefunction_Z(2, SPLIT, gamma_for(SPLIT), REG, b_order=b_order)
+        assert len(calls) == 1
 
     def test_z_rejects_curved_grid(self):
         with pytest.raises(ArithmeticError, match="curvature"):
