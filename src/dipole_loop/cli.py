@@ -477,23 +477,11 @@ def _cmd_jc_rabi(cfg: RunConfig, phys: dict):
 def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
     atoms = phys["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
-    ratio = cfg["nr.lambda3_ratio"]
-
-    def one(target: float):
-        k = atoms.m1 * np.sqrt(target)
-        gdotF = ratio * target * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
-        res = nrmod.decoupling_residual(k, gdotF, atoms)
-        blk = nrmod.reduced_block_error(k, gdotF, atoms, transformed=res["transformed"])
-        return (
-            target,
-            res["lambda_max"],
-            res["r_before"],
-            res["r_after"],
-            blk["error"],
-            blk["h_norm"],
-        )
-
-    rows = _pmap(one, targets)
+    k = atoms.m1 * np.sqrt(targets)
+    gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
+    res = nrmod.decoupling_residual(k, gdotF, atoms)
+    blk = nrmod.reduced_block_error(k, gdotF, atoms)
+    rows = list(zip(targets, res["lambda_max"], res["r_before"], res["r_after"], blk["error"], blk["h_norm"]))
     header = [
         "lambda_target[1]",
         "lambda_max[1]",
@@ -502,9 +490,7 @@ def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
         "reduced_block_error[natural]",
         "h_norm[natural]",
     ]
-    lam = np.array([r[1] for r in rows])
-    after = np.array([r[3] for r in rows])
-    slope = float(np.polyfit(np.log(lam), np.log(after), 1)[0])
+    slope = float(np.polyfit(np.log(res["lambda_max"]), np.log(res["r_after"]), 1)[0])
     summary = f"nr-reduce: {len(rows)} points, post-transform residual slope {slope:.4f} (target 2)"
     return header, rows, summary, []
 
@@ -730,16 +716,20 @@ _HANDLERS = {
 def dispatch(command: str, cfg: RunConfig, out_dir: str = ".") -> str:
     """Run one command, write its CSV, print the one-line summary.
 
-    Returns the CSV path. Raises the package error types; exit-code
+    Returns the CSV path. Raises the package error types (an output
+    directory or file that cannot be written is a ConfigError); exit-code
     mapping happens in main().
     """
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
     phys = _physics(cfg)
     header, rows, summary, problems = _HANDLERS[command](cfg, phys)
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, command.replace("-", "_") + ".csv")
-    _write_csv(path, cfg, command, header, rows)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_csv(path, cfg, command, header, rows)
+    except OSError as exc:
+        raise ConfigError([f"cannot write output: {exc}"]) from None
     print(summary)
     if problems:
         raise OracleError("; ".join(problems))

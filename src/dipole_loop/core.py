@@ -120,11 +120,6 @@ class DipoleTensor:
         comp.flags.writeable = False
         object.__setattr__(self, "components", comp)
 
-    @property
-    def electric(self) -> np.ndarray:
-        """gamma^{0i}, the dipole-moment components."""
-        return self.components[0, 1:].copy()
-
 
 def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
     """Build gamma^{mu nu} from an electric dipole moment vector.

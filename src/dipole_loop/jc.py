@@ -31,7 +31,6 @@ __all__ = [
     "build_hamiltonian",
     "parity_sectors",
     "evolve",
-    "rwa_discrepancy",
     "measure_resonant_period",
 ]
 
@@ -58,10 +57,6 @@ class CavityMode:
             raise ValueError(f"Omega must be positive, got {self.Omega}")
         if self.V <= 0:
             raise ValueError(f"V must be positive, got {self.V}")
-
-    @property
-    def K(self) -> float:
-        return self.Omega
 
     @property
     def E_per_photon(self) -> float:
@@ -127,7 +122,7 @@ def rabi_coupling(gamma: DipoleTensor, cavity: CavityMode, atoms: AtomPair) -> f
     polarization (taken as the first spatial axis).
     """
     gamma_x = gamma.components[0, 1]
-    return float(-gamma_x * cavity.E_per_photon * np.sin(cavity.K * cavity.z) / np.sqrt(atoms.m1 * atoms.m2))
+    return float(-gamma_x * cavity.E_per_photon * np.sin(cavity.Omega * cavity.z) / np.sqrt(atoms.m1 * atoms.m2))
 
 
 def build_hamiltonian(p: JCParams) -> np.ndarray:
@@ -253,7 +248,6 @@ def evolve(
     p: JCParams,
     t: float,
     dt_report: float,
-    enforce_truncation: bool = True,
 ) -> EvolutionResult:
     """Evolve exactly and sample every dt_report up to time t.
 
@@ -263,8 +257,8 @@ def evolve(
 
     Raises TruncationError if the top-band population ever exceeds
     p.leak_threshold (a single mode is assumed, not truncation
-    artifacts); set enforce_truncation=False to only record it. Raises
-    DynamicsError when eps*max|E|*t exceeds PHASE_PRECISION_BOUND.
+    artifacts). Raises DynamicsError when eps*max|E|*t exceeds
+    PHASE_PRECISION_BOUND.
     """
     if t < 0 or dt_report <= 0:
         raise ValueError("need t >= 0 and dt_report > 0")
@@ -287,7 +281,7 @@ def evolve(
             p_exc[rows] += pops @ upper
             norms[rows] += pops.sum(axis=1)
             top[rows] += pops[:, at_top]
-    if enforce_truncation and float(top.max()) > p.leak_threshold:
+    if float(top.max()) > p.leak_threshold:
         raise TruncationError(
             f"top-band population {top.max():.3e} exceeds threshold {p.leak_threshold:.3e}; "
             "increase n_max"
@@ -350,19 +344,3 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def rwa_discrepancy(p: JCParams, t_span: float, n_init: int = 0, n_samples: int = 2001) -> float:
-    """Max over t_span of |P_e without RWA - P_e with RWA| from |upper, n_init>.
-
-    Near resonance this is first order in g/(omega12 + Omega).
-    """
-    state = JCState.basis("upper", n_init, p.n_max)
-    times = np.linspace(0.0, t_span, n_samples)
-    nb = p.n_max + 1
-    out = []
-    for rwa in (True, False):
-        H = build_hamiltonian(JCParams(p.g, p.omega12, p.Omega, p.n_max, rwa=rwa))
-        states = _propagate(H, state.amplitudes, times)
-        out.append(np.sum(np.abs(states[:, :nb]) ** 2, axis=1))
-    return float(np.max(np.abs(out[0] - out[1])))

@@ -603,7 +603,6 @@ def counterterm_report(
     atoms: AtomPair,
     gamma: DipoleTensor,
     reg: RegScheme,
-    p_spatial: float = 0.0,
     b_order: int = 0,
 ) -> RenormConstants:
     """Assemble mass shifts, Z factors, and the induced operators.
@@ -618,7 +617,7 @@ def counterterm_report(
     shifts = {}
     zs = {}
     for level in (1, 2):
-        shifts[level] = mass_shift(level, atoms, gamma, reg, p_spatial=p_spatial, b_order=b_order)
+        shifts[level] = mass_shift(level, atoms, gamma, reg, b_order=b_order)
         zs[level] = wavefunction_Z(level, atoms, gamma, reg, b_order=b_order)
 
     m1 = atoms.m1

@@ -153,6 +153,25 @@ class TestDispatchExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_uncreatable_out_dir_is_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = cli.main(["check-dims", "--config", os.devnull, "--out", str(blocker / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write output" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_unwritable_csv_is_2(self, tmp_path, capsys):
+        (tmp_path / "check_dims.csv").mkdir()  # the CSV's name is taken by a directory
+        code = cli.main(["check-dims", "--config", os.devnull, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot write output" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "check_dims.csv").is_dir()
+
     def test_config_error_lists_all(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "atom.m1 = 1\natoms.m2 = abc\n")
         code = cli.main(["check-dims", "--config", conf])
@@ -310,6 +329,27 @@ class TestRuleCount:
             argv += ["--lambda-grid", grid]
         assert cli.main(argv) == 0
         assert len(calls) == rules
+
+
+class TestTransformCount:
+    @pytest.mark.parametrize("grid", [None, "1e-4:1e-2:200,log"])
+    def test_nr_reduce_transforms_whole_grid_once(self, tmp_path, monkeypatch, grid):
+        # decoupling_residual and reduced_block_error each transform the
+        # whole grid in one call, whatever its size
+        calls = []
+        transform = cli.nrmod.similarity_transform
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(cli.nrmod, "similarity_transform", counting)
+        text = "" if grid is None else f"nr.lambda_grid = {grid}\n"
+        argv = ["nr-reduce", "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(calls) == 2
+        _, _, rows = read_csv(str(tmp_path / "nr_reduce.csv"))
+        assert len(rows) == (9 if grid is None else 200)
 
 
 class TestSIBoundary:

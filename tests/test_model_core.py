@@ -66,14 +66,14 @@ class TestDipoleTensor:
 
     def test_electric_magnetic_split(self):
         gamma = DipoleTensor(antisym([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-        assert np.array_equal(gamma.electric, [1.0, 2.0, 3.0])
+        assert np.array_equal(gamma.components[0, 1:], [1.0, 2.0, 3.0])
         assert np.array_equal(gamma.components[1:, 1:], antisym([0, 0, 0, 4.0, 5.0, 6.0])[1:, 1:])
 
     def test_dipole_from_moment(self):
         atoms = AtomPair(m1=4.0, m2=1.0)
         gamma = dipole_from_moment(np.array([0.5, 0.0, -0.25]), atoms)
         # gamma^{0i} = d_i sqrt(m1 m2)
-        assert np.allclose(gamma.electric, [1.0, 0.0, -0.5])
+        assert np.allclose(gamma.components[0, 1:], [1.0, 0.0, -0.5])
         assert np.allclose(gamma.components[1:, 1:], 0.0)
 
     def test_single_component_contraction(self):

@@ -2,81 +2,46 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dipole_loop.core import AtomPair
 from dipole_loop.nr import (
-    BETA,
     EPS_BAR,
-    O_COUPLING,
     SmallParams,
     assemble_mode_hamiltonian,
     build_generator,
     decoupling_residual,
-    psi_chi_decompose,
-    psi_chi_reconstruct,
     reduced_block_error,
     similarity_transform,
 )
 
 ATOMS = AtomPair(m1=1.0, m2=0.95)
 
-cnum = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
-
-
-class TestPsiChi:
-    @given(cnum, cnum, st.floats(0.1, 10.0))
-    @settings(max_examples=60)
-    def test_roundtrip(self, phi, phi_dot, m):
-        psi, chi = psi_chi_decompose(phi, phi_dot, m)
-        phi2, phi_dot2 = psi_chi_reconstruct(psi, chi, m)
-        assert phi2 == pytest.approx(phi, abs=1e-10)
-        assert phi_dot2 == pytest.approx(phi_dot, abs=1e-10)
-
-    def test_static_field_is_pure_psi(self):
-        # phi_dot = -i m phi makes chi vanish (positive-frequency mode)
-        m = 2.0
-        phi = 1.0 + 0.5j
-        psi, chi = psi_chi_decompose(phi, -1j * m * phi, m)
-        assert abs(chi) < 1e-12
-        assert abs(psi) == pytest.approx(np.sqrt(2 * m) * abs(phi) , rel=1e-12)
-
-    def test_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
-            psi_chi_decompose(1.0, 0.0, 0.0)
+# a stack of (k, gamma.F) pairs across the expansion regime
+K_STACK = np.array([0.0, 0.01, 0.03, 0.05, 0.07, 0.1])
+F_STACK = np.array([0.0, 2e-5, -1e-4, 2e-4, 3e-4, -1e-3])
 
 
 class TestAssembly:
     def test_block_structure(self):
-        H = assemble_mode_hamiltonian(0.1, 2e-3, ATOMS)
-        m = H.matrix
-        assert m.shape == (4, 4)
-        # [[B, C], [-C, -B]]
-        assert np.allclose(m[:2, :2], H.B)
-        assert np.allclose(m[:2, 2:], H.C)
-        assert np.allclose(m[2:, :2], -H.C)
-        assert np.allclose(m[2:, 2:], -H.B)
+        H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
+        assert H.shape == (len(K_STACK), 4, 4)
+        # [[B, C], [-C, -B]] at every point
+        assert np.array_equal(H[:, 2:, :2], -H[:, :2, 2:])
+        assert np.array_equal(H[:, 2:, 2:], -H[:, :2, :2])
+        # a scalar point is the matching matrix of the stack
+        assert assemble_mode_hamiltonian(0.1, 2e-3, ATOMS).shape == (4, 4)
+        assert np.array_equal(assemble_mode_hamiltonian(K_STACK[3], F_STACK[3], ATOMS), H[3])
 
     def test_b_and_c_content(self):
         k, gdotF = 0.2, 1e-3
         H = assemble_mode_hamiltonian(k, gdotF, ATOMS)
+        B, C = H[:2, :2], H[:2, 2:]
         coupling = gdotF / (2 * np.sqrt(ATOMS.m1 * ATOMS.m2))
         for i, m_a in enumerate((ATOMS.m1, ATOMS.m2)):
-            assert H.B[i, i] == pytest.approx(k**2 / (2 * m_a) + m_a)
-            assert H.C[i, i] == pytest.approx(k**2 / (2 * m_a))
-        assert H.B[0, 1] == pytest.approx(coupling)
-        assert H.C[0, 1] == pytest.approx(coupling)
-
-    def test_beta_o_decomposition(self):
-        # the 4x4 splits into a beta-diagonal part and an off-diagonal
-        # O-coupling part; together they rebuild the matrix
-        H = assemble_mode_hamiltonian(0.15, 5e-4, ATOMS)
-        assert np.allclose(H.beta_part + H.o_part, H.matrix)
-        # beta part commutes with diag(1,1,-1,-1); O part anticommutes
-        beta4 = np.kron(BETA, np.eye(2))
-        assert np.allclose(beta4 @ H.beta_part, H.beta_part @ beta4)
-        assert np.allclose(beta4 @ H.o_part, -H.o_part @ beta4)
+            assert B[i, i] == pytest.approx(k**2 / (2 * m_a) + m_a)
+            assert C[i, i] == pytest.approx(k**2 / (2 * m_a))
+        for block in (B, C):
+            assert block[0, 1] == block[1, 0] == pytest.approx(coupling)
 
     def test_small_params(self):
         sp = SmallParams.from_inputs(0.1, 1e-3, ATOMS)
@@ -84,43 +49,42 @@ class TestAssembly:
         assert sp.lambda2 == pytest.approx(0.01 / 0.95**2)
         assert sp.lambda3 == pytest.approx(1e-3 / (ATOMS.m_bar * np.sqrt(ATOMS.m1 * ATOMS.m2)))
         assert sp.max == max(sp.lambda1, sp.lambda2, sp.lambda3)
-        assert sp.valid
+
+    def test_small_params_stack(self):
+        lam = SmallParams.from_inputs(K_STACK, F_STACK, ATOMS).max
+        expect = [SmallParams.from_inputs(k, f, ATOMS).max for k, f in zip(K_STACK, F_STACK)]
+        assert np.array_equal(lam, expect)
 
 
 class TestGenerator:
     def test_anticommutator_cancels_odd_part(self):
         # the generator solves {g, m} = -C, removing the O-coupling at
-        # leading order
-        H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
-        gen = build_generator(H)
-        g_block = gen.Lambda[:2, 2:] / 1j
-        m_block = np.diag([ATOMS.m1, ATOMS.m2])
-        anti = g_block @ m_block + m_block @ g_block
-        assert np.allclose(anti, -H.C, atol=1e-14)
+        # leading order, at every point of the stack
+        H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
+        Lam = build_generator(K_STACK, F_STACK, ATOMS)
+        g = Lam[:, :2, 2:] / 1j
+        m = np.diag([ATOMS.m1, ATOMS.m2])
+        assert np.allclose(g @ m + m @ g, -H[:, :2, 2:], rtol=0.0, atol=1e-14)
 
     def test_generator_split(self):
-        H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
-        gen = build_generator(H)
-        block = gen.Lambda[:2, 2:] / 1j
-        assert np.array_equal(gen.Lambda[2:, :2], gen.Lambda[:2, 2:])
+        k, gdotF = 0.05, 2e-4
+        Lam = build_generator(k, gdotF, ATOMS)
+        sp = SmallParams.from_inputs(k, gdotF, ATOMS)
+        block = Lam[:2, 2:] / 1j
+        assert np.array_equal(Lam[2:, :2], Lam[:2, 2:])
+        assert not Lam[:2, :2].any() and not Lam[2:, 2:].any()
         # kinetic part on the level diagonal: -(1/4) k^2/m_a^2, no level mixing
-        assert np.allclose(np.diag(block), -0.25 * np.array([gen.params.lambda1, gen.params.lambda2]))
+        assert np.allclose(np.diag(block), -0.25 * np.array([sp.lambda1, sp.lambda2]))
         # field part purely off-diagonal in the level index: -(1/4) lambda3
-        assert np.allclose([block[0, 1], block[1, 0]], -0.25 * gen.params.lambda3)
-
-    def test_warns_outside_regime(self):
-        H = assemble_mode_hamiltonian(0.9, 0.0, ATOMS)  # lambda ~ 0.9
-        with pytest.warns(UserWarning):
-            build_generator(H)
+        assert np.allclose([block[0, 1], block[1, 0]], -0.25 * sp.lambda3)
 
 
 class TestTransform:
     def test_unitary(self):
         H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
-        gen = build_generator(H)
-        transformed = similarity_transform(H, gen.Lambda)
+        transformed = similarity_transform(H, build_generator(0.05, 2e-4, ATOMS))
         # similarity by a unitary preserves eigenvalues
-        before = np.sort(np.linalg.eigvals(H.matrix).real)
+        before = np.sort(np.linalg.eigvals(H).real)
         after = np.sort(np.linalg.eigvals(transformed).real)
         assert np.allclose(before, after, atol=1e-12)
 
@@ -128,27 +92,41 @@ class TestTransform:
         from scipy.linalg import expm
 
         H = assemble_mode_hamiltonian(0.07, 3e-4, ATOMS)
-        Lam = build_generator(H).Lambda
-        expect = expm(1j * Lam) @ H.matrix @ expm(-1j * Lam)
+        Lam = build_generator(0.07, 3e-4, ATOMS)
+        expect = expm(1j * Lam) @ H @ expm(-1j * Lam)
         assert np.allclose(similarity_transform(H, Lam), expect, rtol=0.0, atol=1e-14)
+
+    def test_stack_matches_matrix_exponential(self):
+        from scipy.linalg import expm
+
+        H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
+        Lam = build_generator(K_STACK, F_STACK, ATOMS)
+        out = similarity_transform(H, Lam)
+        assert out.shape == (len(K_STACK), 4, 4)
+        for h, lam, t in zip(H, Lam, out):
+            expect = expm(1j * lam) @ h @ expm(-1j * lam)
+            assert np.allclose(t, expect, rtol=0.0, atol=1e-14)
 
     def test_rejects_non_hermitian_generator(self):
         H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
-        Lam = build_generator(H).Lambda
+        Lam = build_generator(0.05, 2e-4, ATOMS)
         with pytest.raises(ValueError, match="Hermitian"):
             similarity_transform(H, 1j * Lam)
 
+    def test_rejects_one_non_hermitian_in_stack(self):
+        H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
+        Lam = build_generator(K_STACK, F_STACK, ATOMS)
+        Lam[4] *= 1j
+        with pytest.raises(ValueError, match="Hermitian"):
+            similarity_transform(H, Lam)
+
     def test_residual_drops_quadratically(self):
-        targets = np.geomspace(1e-4, 1e-2, 9)
-        lams, after = [], []
-        for u in targets:
-            k = ATOMS.m1 * np.sqrt(u)
-            gdotF = 0.7 * u * ATOMS.m_bar * np.sqrt(ATOMS.m1 * ATOMS.m2)
-            out = decoupling_residual(k, gdotF, ATOMS)
-            assert out["r_after"] < out["r_before"]
-            lams.append(out["lambda_max"])
-            after.append(out["r_after"])
-        slope = np.polyfit(np.log(lams), np.log(after), 1)[0]
+        u = np.geomspace(1e-4, 1e-2, 9)
+        k = ATOMS.m1 * np.sqrt(u)
+        gdotF = 0.7 * u * ATOMS.m_bar * np.sqrt(ATOMS.m1 * ATOMS.m2)
+        out = decoupling_residual(k, gdotF, ATOMS)
+        assert np.all(out["r_after"] < out["r_before"])
+        slope = np.polyfit(np.log(out["lambda_max"]), np.log(out["r_after"]), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_reduced_block_matches_reference(self):
@@ -163,8 +141,35 @@ class TestTransform:
         assert out["r_after"] == pytest.approx(0.0, abs=1e-15)
 
 
+class TestBatch:
+    """An array call equals the per-point scalar calls."""
+
+    def test_scalar_input_gives_scalars(self):
+        for out in (decoupling_residual(0.05, 2e-4, ATOMS), reduced_block_error(0.05, 2e-4, ATOMS)):
+            assert all(np.ndim(v) == 0 for v in out.values())
+
+    def test_stack_equals_points(self):
+        res = decoupling_residual(K_STACK, F_STACK, ATOMS)
+        blk = reduced_block_error(K_STACK, F_STACK, ATOMS)
+        for name, out in (("res", res), ("blk", blk)):
+            assert all(np.shape(v) == K_STACK.shape for v in out.values()), name
+        for i, (k, f) in enumerate(zip(K_STACK, F_STACK)):
+            r1, b1 = decoupling_residual(k, f, ATOMS), reduced_block_error(k, f, ATOMS)
+            scale = b1["h_norm"]
+            assert blk["h_norm"][i] == pytest.approx(scale, rel=1e-15, abs=0.0)
+            assert res["lambda_max"][i] == pytest.approx(r1["lambda_max"], rel=1e-15, abs=0.0)
+            assert blk["lambda_max"][i] == pytest.approx(b1["lambda_max"], rel=1e-15, abs=0.0)
+            for key in ("r_before", "r_after"):
+                assert abs(res[key][i] - r1[key]) <= 1e-15 * scale, key
+            assert abs(blk["error"][i] - b1["error"]) <= 1e-15 * scale
+
+    def test_broadcasts_scalar_field(self):
+        res = decoupling_residual(K_STACK, 1e-4, ATOMS)
+        expect = decoupling_residual(K_STACK, np.full_like(K_STACK, 1e-4), ATOMS)
+        for key in res:
+            assert np.array_equal(res[key], expect[key]), key
+
+
 class TestConstants:
     def test_pauli_like_blocks(self):
-        assert np.array_equal(BETA, np.diag([1.0, -1.0]))
-        assert np.array_equal(O_COUPLING, np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert np.array_equal(EPS_BAR, np.array([[0.0, 1.0], [1.0, 0.0]]))
