@@ -634,7 +634,7 @@ def _cmd_check_dims(cfg: RunConfig, phys: dict):
 
 
 def _cmd_oracle_verify(cfg: RunConfig, phys: dict):
-    """Closed forms vs adaptive quadrature, plus the measure checks."""
+    """Closed forms vs the tanh-sinh quadrature oracle, plus the measure checks."""
     tol = cfg["regulator.quad_tol"]
     kinds = list(MasterIntegralKind)
     # g(u) such that the master integral is (1/16 pi^2) int u g(u) du,

@@ -9,6 +9,7 @@ __all__ = [
     "ConfigError",
     "KinematicDomainError",
     "QuadratureError",
+    "FitError",
     "OracleError",
     "TruncationError",
     "DynamicsError",
@@ -35,7 +36,11 @@ class KinematicDomainError(DipoleLoopError):
 
 
 class QuadratureError(DipoleLoopError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """A quadrature rule (Gauss-Legendre or tanh-sinh) did not reach the requested tolerance."""
+
+
+class FitError(DipoleLoopError, ArithmeticError):
+    """A fit cannot give the quantity asked of it (vanishing leading coefficient, curved data)."""
 
 
 class OracleError(DipoleLoopError):

@@ -8,9 +8,9 @@ Every loop integral reduces by 4D spherical symmetry to
 the factor 1/(16 pi^2) being 2 pi^2 / (2 pi)^4 from the 3-sphere area
 times 1/2 from u = l^2. The closed forms below are exact antiderivatives
 at finite Lambda (all boundary terms kept) and take arrays of scales;
-radial_quadrature is the independent oracle they are tested against.
-The oracles import scipy when they run, so the closed forms need numpy
-alone.
+radial_quadrature, tanh-sinh quadrature in numpy (Takahasi & Mori, Publ.
+RIMS 9, 721, 1974), is the independent oracle they are tested against:
+it shares no rule with them or with renorm's Gauss-Legendre rules.
 """
 
 from __future__ import annotations
@@ -73,23 +73,46 @@ class MasterIntegralKind(Enum):
     I_E = "I_E"
 
 
+def _tanh_sinh(h: float):
+    """Tanh-sinh rule on [0, 1], step h: x = (1 + tanh w) / 2, w = (pi/2) sinh t, |t| <= 4.
+
+    Returns x, 1 - x (both e^(+-w) / (2 cosh w), so nothing cancels at an end), weights.
+    """
+    t = h * np.arange(-round(4.0 / h), round(4.0 / h) + 1)
+    w = 0.5 * np.pi * np.sinh(t)
+    c = 2.0 * np.cosh(w)
+    return np.exp(w) / c, np.exp(-w) / c, h * 0.5 * np.pi * np.cosh(t) / (c * np.cosh(w))
+
+
+def _tanh_sinh_integral(rule_sum, tol: float, what: str) -> float:
+    """Apply rule_sum(x, 1 - x, weights) at steps h = 1/2, 1/4, ... until two
+    levels agree within tol relative; raise QuadratureError past h = 2^-8."""
+    if tol < np.finfo(float).eps:
+        raise QuadratureError(f"{what} cannot reach {tol:.2e} relative in double precision")
+    h = 0.5
+    prev = rule_sum(*_tanh_sinh(h))
+    while h > 2.0**-8:
+        h /= 2.0
+        value = rule_sum(*_tanh_sinh(h))
+        change = abs(value - prev)
+        if change <= tol * abs(value):
+            return float(value)
+        prev = value
+    raise QuadratureError(f"{what} did not reach {tol:.2e} relative by step 2^-8 (last change {change:.2e})")
+
+
 def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
     """Oracle: integrate f(l^2) over the 4-ball numerically.
 
-    f takes u = l^2 and must be continuous on [0, Lambda^2]. Deterministic
-    for fixed (f, Lambda, tol).
+    f takes an array of u = l^2 and must be continuous on [0, Lambda^2].
+    Deterministic for fixed (f, Lambda, tol).
     """
-    from scipy import integrate
-
     if Lambda < 0:
         raise ValueError("Lambda must be >= 0")
     if Lambda == 0:
         return 0.0
-    value, err = integrate.quad(lambda u: u * f(u), 0.0, Lambda**2, epsabs=0.0, epsrel=tol, limit=300)
-    if value != 0.0 and abs(err / value) > max(tol * 100, 1e-8):
-        raise QuadratureError(
-            f"radial quadrature achieved {abs(err / value):.2e} relative, requested {tol:.2e}"
-        )
+    L2 = Lambda**2
+    value = _tanh_sinh_integral(lambda x, _, w: L2 * (w @ (L2 * x * f(L2 * x))), tol, "radial quadrature")
     return PREFACTOR * value
 
 
@@ -170,23 +193,22 @@ def feynman_identity_check(A: float, B: float, C: float | None = None, tol: floa
     """
     if A <= 0 or B <= 0 or (C is not None and C <= 0):
         raise ValueError("denominators must be positive")
-    from scipy import integrate
-
     if C is None:
-        val, _ = integrate.quad(
-            lambda x: 1.0 / (x * A + (1.0 - x) * B) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=300
-        )
-        return abs(val - 1.0 / (A * B)) * A * B
-    val, _ = integrate.dblquad(
-        lambda y, x: 2.0 * x / (x * y * A + x * (1.0 - y) * B + (1.0 - x) * C) ** 3,
-        0.0,
-        1.0,
-        0.0,
-        1.0,
-        epsabs=0.0,
-        epsrel=tol,
-    )
-    return abs(val - 1.0 / (A * B * C)) * A * B * C
+        prod = A * B
+
+        def rule_sum(x, xb, w):
+            return w @ (x * A + xb * B) ** -2
+
+    else:
+        prod = A * B * C
+
+        def rule_sum(x, xb, w):
+            # product rule, one weight vector per axis: x on axis 0, y on axis 1
+            x, xb, y, yb = x[:, None], xb[:, None], x[None, :], xb[None, :]
+            return w @ (2.0 * x / (x * (y * A + yb * B) + xb * C) ** 3) @ w
+
+    val = _tanh_sinh_integral(rule_sum, tol, "Feynman identity quadrature")
+    return abs(val - 1.0 / prod) * prod
 
 
 def symmetric_integration_check(n_samples: int = 200_000, seed: int = 7) -> dict:
@@ -199,14 +221,16 @@ def symmetric_integration_check(n_samples: int = 200_000, seed: int = 7) -> dict
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n_samples, 4))
     n = v / np.linalg.norm(v, axis=1, keepdims=True)
-    second = np.einsum("ki,kj->kij", n, n)
-    mean = second.mean(axis=0)
-    std_err = second.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    z_off = 0.0
-    z_diag = 0.0
+    z_off = z_diag = 0.0
     for i in range(4):
-        for j in range(4):
-            z = abs(mean[i, j] - (0.25 if i == j else 0.0)) / std_err[i, j]
+        for j in range(i, 4):
+            x = n[:, i] * n[:, j]
+            # cumsum adds in sample order, as the axis-0 mean/std of the
+            # (k, 4, 4) stack did; a pairwise x.sum() would move the z rows
+            mean = np.cumsum(x)[-1] / n_samples
+            d = x - mean
+            std_err = np.sqrt(np.cumsum(d * d)[-1] / (n_samples - 1)) / np.sqrt(n_samples)
+            z = abs(mean - (0.25 if i == j else 0.0)) / std_err
             if i == j:
                 z_diag = max(z_diag, z)
             else:

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import METRIC, AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
-from .errors import KinematicDomainError, QuadratureError
+from .errors import FitError, KinematicDomainError, QuadratureError
 from .loops import (
     PREFACTOR,
     MasterIntegralKind,
@@ -359,7 +359,7 @@ def wavefunction_Z(
     f_tensor, curv_tensor = fit_through_origin(sub_e)
     curvature = max(curv_scalar, curv_tensor)
     if not curvature <= Z_CURVATURE_LIMIT:
-        raise ArithmeticError(
+        raise FitError(
             f"curvature residual {curvature:.3e} exceeds {Z_CURVATURE_LIMIT:.0e} of the slope; "
             "narrow the s grid or reduce the mass splitting"
         )
@@ -533,7 +533,7 @@ class DivergenceFit:
     def normalized(self) -> tuple:
         lead = self.c_quad if self.model == "quad_log_const" else self.c_log
         if lead == 0:
-            raise ArithmeticError("leading coefficient vanishes; cannot normalize")
+            raise FitError("leading coefficient vanishes; cannot normalize")
         return (self.c_quad / lead, self.c_log / lead, self.c_const / lead)
 
 

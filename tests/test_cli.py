@@ -198,6 +198,16 @@ class TestDispatchExitCodes:
         assert code == 4
         assert "oracle check failed" in capsys.readouterr().err
 
+    def test_unreachable_quad_tol_is_3(self, tmp_path, capsys):
+        # below double precision, so no quadrature can certify it
+        conf = write_conf(tmp_path, "regulator.quad_tol = 1e-18\n")
+        code = cli.main(["oracle-verify", "--config", conf, "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: radial quadrature")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_oracle_verify_passes(self, tmp_path):
         conf = write_conf(tmp_path, "")
         assert cli.main(["oracle-verify", "--config", conf, "--out", str(tmp_path)]) == 0
@@ -249,13 +259,13 @@ class TestCsvContract:
 
 class TestImportFloor:
     def test_commands_run_without_scipy(self, tmp_path):
-        # only oracle-verify needs scipy; the other commands run on numpy,
+        # every command runs on numpy alone (scipy is a test dependency),
         # and no command loads a thread pool
         conf = write_conf(tmp_path, "")
         script = (
             "import sys\n"
-            "from dipole_loop.cli import main\n"
-            "for command in ('loop-vertex', 'jc-rabi'):\n"
+            "from dipole_loop.cli import COMMANDS, main\n"
+            "for command in COMMANDS:\n"
             f"    assert main([command, '--config', {conf!r}, '--out', {str(tmp_path)!r}]) == 0\n"
             "print('concurrent.futures' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

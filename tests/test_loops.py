@@ -1,11 +1,14 @@
 """Loop engine: closed forms vs quadrature, kinematics, measure checks."""
 
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from dipole_loop.errors import KinematicDomainError, QuadratureError
 from dipole_loop.loops import (
@@ -109,7 +112,34 @@ class TestClosedForms:
             assert master_integral(kind, s, lam) > 0.0
 
 
+def symmetric_moments_stacked(n_samples, seed):
+    """The (k, 4, 4) second-moment stack the angular check used to build."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n_samples, 4))
+    n = v / np.linalg.norm(v, axis=1, keepdims=True)
+    second = np.einsum("ki,kj->kij", n, n)
+    mean = second.mean(axis=0)
+    std_err = second.std(axis=0, ddof=1) / np.sqrt(n_samples)
+    z = np.abs(mean - 0.25 * np.eye(4)) / std_err
+    off = ~np.eye(4, dtype=bool)
+    return {"max_offdiag_z": float(z[off].max()), "max_diag_z": float(z.diagonal().max()), "n_samples": n_samples}
+
+
 class TestRadialQuadrature:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_independent_quadratures(self, kind):
+        # the 60 oracle-verify cases against scipy quad and 30-digit mpmath
+        g = INTEGRANDS[kind]
+        for ratio in (1e-3, 1e-2, 0.1, 0.3):
+            for lam in (1.0, 10.0, 100.0):
+                s = (ratio * lam) ** 2
+                ours = radial_quadrature(lambda u: g(u, s), lam, 1e-10)
+                ref, _ = integrate.quad(lambda u: u * g(u, s), 0.0, lam**2, epsabs=0.0, epsrel=1e-12, limit=300)
+                assert ours == pytest.approx(PREFACTOR * ref, rel=1e-12, abs=0.0)
+                with mpmath.workdps(30):
+                    ref = mpmath.quad(lambda u: u * g(u, mpmath.mpf(s)), [0, s, lam**2])
+                assert ours == pytest.approx(PREFACTOR * float(ref), rel=1e-12, abs=0.0)
+
     def test_prefactor_normalization(self):
         # int_0^{L^2} u du = L^4 / 2
         lam = 2.0 ** 0.25
@@ -149,6 +179,27 @@ class TestMeasureOracles:
 
     def test_feynman_identity_three_denominators(self):
         assert feynman_identity_check(1.3, 0.7, 2.1) < 1e-11
+
+    @pytest.mark.parametrize("denominators", [
+        (100.0, 0.01), (0.01, 100.0), (0.01, 1.0, 100.0), (1e3, 1.0, 1e-3), (1e-3, 1e3, 1.0), (1.0, 1e3, 1e-3),
+    ])
+    def test_feynman_identity_wide_denominators(self, denominators):
+        # up to 1e6 between denominators, where the parameter integrands peak at an end
+        assert feynman_identity_check(*denominators) <= 1e-13
+
+    @pytest.mark.parametrize("n_samples, seed", [(200_000, 7), (1000, 0), (5000, 3), (20_000, 11), (20_000, 12), (123_457, 99)])
+    def test_angular_check_matches_stacked_moments(self, n_samples, seed):
+        # summed in sample order, so equal to the stack's mean/std bit for bit
+        assert symmetric_integration_check(n_samples, seed) == symmetric_moments_stacked(n_samples, seed)
+
+    def test_angular_check_memory(self):
+        tracemalloc.start()
+        try:
+            symmetric_integration_check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
 
     def test_angular_second_moments_isotropic(self):
         out = symmetric_integration_check(n_samples=100_000, seed=11)

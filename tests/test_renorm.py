@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from dipole_loop import renorm
 from dipole_loop.core import AtomPair, contractions, dipole_from_moment
-from dipole_loop.errors import KinematicDomainError
+from dipole_loop.errors import FitError, KinematicDomainError
 from dipole_loop.loops import PREFACTOR, RegScheme
 from dipole_loop.renorm import (
+    DivergenceFit,
     counterterm_report,
     divergence_fit,
     mass_shift,
@@ -261,6 +262,10 @@ class TestMassShiftAndZ:
         with pytest.raises(ArithmeticError, match="curvature"):
             wavefunction_Z(1, SYM, gamma_for(SYM), REG, s_max_frac=0.5)
 
+    def test_z_curvature_is_fit_error(self):
+        with pytest.raises(FitError, match="curvature"):
+            wavefunction_Z(1, SYM, gamma_for(SYM), REG, s_max_frac=0.5)
+
 
 class TestVertex:
     def setup_method(self):
@@ -364,6 +369,12 @@ class TestDivergenceFit:
             divergence_fit(np.ones(5), np.linspace(100, 150, 5), 1.0)  # narrow span
         with pytest.raises(ValueError, match="rejected grid"):
             divergence_fit(np.ones(5), np.geomspace(2, 4000, 5), 1.0)  # starts below 10 M
+
+    @pytest.mark.parametrize("model", ["quad_log_const", "log_const"])
+    def test_vanishing_lead_is_fit_error(self, model):
+        fit = DivergenceFit(c_quad=0.0, c_log=0.0, c_const=1.0, fit_residual=0.0, model=model)
+        with pytest.raises(FitError, match="leading coefficient"):
+            fit.normalized()
 
     def test_shape_and_model_validation(self):
         lams = np.geomspace(20.0, 4000.0, 6)
