@@ -10,8 +10,9 @@ loop-polarization, report-counterterms, check-dims, oracle-verify.
 Configuration is line-oriented "section.key = value" with '#' comments.
 All config problems are collected and reported together with line
 numbers; unknown keys are rejected, and so is a config asking for more
-work than the MAX_* caps. Exit codes: 0 success, 2 config error,
-3 numeric/domain error, 4 failed internal cross-check.
+work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
+codes: 0 success, 2 config error, 3 numeric/domain error (a NaN or an
+infinity in an output row included), 4 failed internal cross-check.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
@@ -31,7 +32,9 @@ import csv
 import functools
 import os
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,7 +62,7 @@ from .loops import (
 )
 from .units import UnitSystem
 
-__all__ = ["COMMANDS", "RunConfig", "parse_config", "parse_grid", "dispatch", "main"]
+__all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main"]
 
 COMMANDS = (
     "jc-evolve",
@@ -79,14 +82,21 @@ COMMANDS = (
 # ---------------------------------------------------------------------------
 
 
-# Caps on the work one config may ask for, each at least ten times the
-# largest value a workload, test or README example uses. parse_grid
-# checks its count before it allocates the grid.
+# Caps on the work and the magnitudes one config may ask for, each at least
+# ten times the largest value a workload, test or README example uses.
+# parse_grid checks its count before it allocates the grid.
 MAX_GRID_COUNT = 2000
 MAX_N_MAX = 1200
 MAX_N_TIMES = 200_000
 MAX_S_COUNT = 100
 MAX_N_LIST = 100
+# Lambda^4 (T**2 in loops.master_integral_d_scale, the first closed form
+# to overflow) must stay below the largest double, 1.8e308 = (1.16e77)^4
+MAX_LAMBDA = 1e76
+# the SI electric-field scale goes through (base energy)^4: it overflows
+# past about 1.7e74 eV and underflows to zero below about 1e-83 eV
+MIN_BASE_ENERGY_EV = 1e-70
+MAX_BASE_ENERGY_EV = 1e70
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -147,18 +157,21 @@ def _choice(*allowed: str):
     return parse
 
 
-def _grid(what: str):
+def _grid(what: str, hi: float = np.inf):
     """Value parser of a grid spec: checked in full, kept as its text."""
 
     def parse(s: str) -> str:
-        if np.any(parse_grid(s) <= 0):
+        grid = parse_grid(s)
+        if not np.all(grid > 0):
             raise ValueError(f"{what} grid values must be positive")
+        if not np.all(grid <= hi):
+            raise ValueError(f"{what} grid values must be <= {hi}")
         return s.strip()
 
     return parse
 
 
-_CUTOFF_GRID = _grid("cutoff")
+_CUTOFF_GRID = _grid("cutoff", MAX_LAMBDA)
 
 # checks: (predicate, phrase) pairs; a value that fails one is reported
 # as "<key> <phrase>"
@@ -195,7 +208,7 @@ _TABLE = {
     "jc.t_max": (None, _opt(float), ((lambda v: v is None or v > 0, "must be positive when given"),)),
     "jc.n_times": (401, int, (_at_least(2), _at_most(MAX_N_TIMES))),
     "jc.n_list": ((0, 1, 5), _parse_int_list, ((lambda v: len(v) <= MAX_N_LIST, f"must have at most {MAX_N_LIST} entries"),)),
-    "regulator.lambda": (100.0, float, (_POSITIVE,)),
+    "regulator.lambda": (100.0, float, (_POSITIVE, _at_most(MAX_LAMBDA))),
     "regulator.quad_tol": (1e-10, float, ((lambda v: 0 < v < 1e-2, "must be in (0, 1e-2)"),)),
     "regulator.lambda_grid": (None, _opt(_CUTOFF_GRID), ()),
     "selfenergy.level": (1, int, ((lambda v: v in (1, 2), "must be 1 or 2"),)),
@@ -215,28 +228,8 @@ _TABLE = {
     "nr.lambda_grid": ("1e-4:1e-2:9,log", _grid("small-parameter"), ()),
     "nr.lambda3_ratio": (0.7, float, (_POSITIVE,)),
     "units.mode": ("natural", _choice("natural", "SI"), ()),
-    "units.base_energy_ev": (1.0, float, (_POSITIVE,)),
+    "units.base_energy_ev": (1.0, float, (_POSITIVE, _at_least(MIN_BASE_ENERGY_EV), _at_most(MAX_BASE_ENERGY_EV))),
 }
-
-
-class RunConfig:
-    """Resolved, validated configuration (attribute access by key)."""
-
-    def __init__(self, values: dict):
-        self._values = dict(values)
-
-    def __getitem__(self, key: str):
-        return self._values[key]
-
-    def items(self):
-        return self._values.items()
-
-    def echo_lines(self) -> list:
-        """Deterministic '#'-prefixed provenance block."""
-        lines = []
-        for key in sorted(self._values):
-            lines.append(f"# {key} = {_format_value(self._values[key])}")
-        return lines
 
 
 def _format_value(v) -> str:
@@ -283,11 +276,12 @@ def _check(values: dict, where: dict) -> list:
     return problems
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str) -> Mapping:
     """Parse and validate key = value configuration text.
 
     Collects every problem (unknown key, unparsable value, constraint
-    violation) with its line number before raising ConfigError.
+    violation) with its line number before raising ConfigError. Returns
+    a read-only mapping of every table key to its resolved value.
     """
     values = {key: default for key, (default, _, _) in _TABLE.items()}
     where: dict = {}
@@ -317,7 +311,7 @@ def parse_config(text: str) -> RunConfig:
     problems.extend(_check(values, where))
     if problems:
         raise ConfigError(problems)
-    return RunConfig(values)
+    return MappingProxyType(values)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,7 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _physics(cfg: RunConfig) -> dict:
+def _physics(cfg: Mapping) -> dict:
     """Build natural-unit model objects from the resolved config."""
     units = UnitSystem(mode=cfg["units.mode"], base_energy_ev=cfg["units.base_energy_ev"])
     si = cfg["units.mode"] == "SI"
@@ -335,6 +329,9 @@ def _physics(cfg: RunConfig) -> dict:
 
     m1 = conv(cfg["atoms.m1"], "mass")
     m2 = conv(cfg["atoms.m2"], "mass")
+    for key, m in (("atoms.m1", m1), ("atoms.m2", m2)):
+        if not 0.0 < m * m < np.inf:  # every loop scale is built from m^2
+            raise ConfigError([f"{key} is {m!r} in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"])
     atoms = AtomPair(m1=m1, m2=m2)
     d = np.array([
         conv(cfg["dipole.dx"], "dipole_moment"),
@@ -358,7 +355,7 @@ def _physics(cfg: RunConfig) -> dict:
     }
 
 
-def _lambda_values(cfg: RunConfig) -> np.ndarray:
+def _lambda_values(cfg: Mapping) -> np.ndarray:
     spec = cfg["regulator.lambda_grid"]
     if spec is None:
         return np.array([cfg["regulator.lambda"]])
@@ -391,8 +388,8 @@ def _float_row_format(k: int) -> str:
     return ",".join(["%.17e"] * k) + "\n"
 
 
-def _write_csv(path: str, cfg: RunConfig, command: str, header: list, rows: list) -> None:
-    """Write the config echo, the header and the rows.
+def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows: list) -> None:
+    """Write the config echo (sorted by key), the header and the rows.
 
     A row of floats only is formatted with one "%.17e,...\n" string; it
     needs no quoting, so the bytes equal csv.writer's over _cell. Rows
@@ -400,8 +397,8 @@ def _write_csv(path: str, cfg: RunConfig, command: str, header: list, rows: list
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
+        for key in sorted(cfg):
+            fh.write(f"# {key} = {_format_value(cfg[key])}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -416,7 +413,7 @@ def _write_csv(path: str, cfg: RunConfig, command: str, header: list, rows: list
 # ---------------------------------------------------------------------------
 
 
-def _jc_params(cfg: RunConfig, phys: dict, Omega: float | None = None) -> jcmod.JCParams:
+def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None) -> jcmod.JCParams:
     atoms, cavity = phys["atoms"], phys["cavity"]
     g = jcmod.rabi_coupling(phys["gamma"], cavity, atoms)
     return jcmod.JCParams(
@@ -429,7 +426,7 @@ def _jc_params(cfg: RunConfig, phys: dict, Omega: float | None = None) -> jcmod.
     )
 
 
-def _cmd_jc_evolve(cfg: RunConfig, phys: dict):
+def _cmd_jc_evolve(cfg: Mapping, phys: dict):
     params = _jc_params(cfg, phys)
     if abs(params.g) < 1e-300:
         raise ConfigError(["jc-evolve: coupling g vanishes (dipole zero or node of the mode); set jc.t_max"])
@@ -454,7 +451,7 @@ def _cmd_jc_evolve(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_jc_rabi(cfg: RunConfig, phys: dict):
+def _cmd_jc_rabi(cfg: Mapping, phys: dict):
     atoms = phys["atoms"]
     if atoms.omega12 <= 0:
         raise ConfigError(["jc-rabi: needs atoms.m1 > atoms.m2 (resonance tunes the mode to omega12)"])
@@ -474,7 +471,7 @@ def _cmd_jc_rabi(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
+def _cmd_nr_reduce(cfg: Mapping, phys: dict):
     atoms = phys["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
     k = atoms.m1 * np.sqrt(targets)
@@ -495,7 +492,7 @@ def _cmd_nr_reduce(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_loop_selfenergy(cfg: RunConfig, phys: dict):
+def _cmd_loop_selfenergy(cfg: Mapping, phys: dict):
     atoms, gamma = phys["atoms"], phys["gamma"]
     level = cfg["selfenergy.level"]
     path = cfg["selfenergy.path"]
@@ -528,7 +525,7 @@ def _cmd_loop_selfenergy(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_loop_vertex(cfg: RunConfig, phys: dict):
+def _cmd_loop_vertex(cfg: Mapping, phys: dict):
     atoms, gamma = phys["atoms"], phys["gamma"]
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
     m1 = atoms.m1
@@ -558,7 +555,7 @@ def _cmd_loop_vertex(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_loop_polarization(cfg: RunConfig, phys: dict):
+def _cmd_loop_polarization(cfg: Mapping, phys: dict):
     atoms, gamma = phys["atoms"], phys["gamma"]
     q = np.array([
         cfg["polarization.q0"], cfg["polarization.q1"],
@@ -582,26 +579,11 @@ def _cmd_loop_polarization(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_report_counterterms(cfg: RunConfig, phys: dict):
+def _cmd_report_counterterms(cfg: Mapping, phys: dict):
     rep = renorm.counterterm_report(
         phys["atoms"], phys["gamma"], phys["reg"], b_order=cfg["selfenergy.b_order"]
     )
-    rows = []
-    for level in (1, 2):
-        dm = rep.delta_m_sq[level]
-        rows.append((f"delta_m_sq.{level}.total", dm["total"], dm["operator_class"]))
-        rows.append((f"delta_m_sq.{level}.scalar", dm["scalar"], dm["operator_class"]))
-        rows.append((f"delta_m_sq.{level}.tensor", dm["tensor"], dm["operator_class"]))
-        z = rep.Z_phi_inv[level]
-        rows.append((f"Z_phi_inv.{level}.scalar", z["scalar"], z["operator_class"]))
-        rows.append((f"Z_phi_inv.{level}.tensor_coeff", z["tensor_coeff"], z["operator_class"]))
-    rows.append(("Z1_inv.scalar", rep.Z1_inv["scalar"], rep.Z1_inv["operator_class"]))
-    rows.append(("Z1_inv.tensor_contracted", rep.Z1_inv["tensor_contracted"], rep.Z1_inv["operator_class"]))
-    rows.append(("Z1_inv.total", rep.Z1_inv["total"], rep.Z1_inv["operator_class"]))
-    for name, entry in sorted(rep.induced_couplings.items()):
-        rows.append((f"induced.{name}", entry["coefficient"], entry["operator_class"]))
-    rows.append(("prefactor.measured", rep.prefactor_measured, "report"))
-    rows.append(("prefactor.ratio_to_printed", rep.prefactor_ratio_to_printed, "report"))
+    rows = list(rep.rows)
     header = ["quantity[name]", "value[natural]", "operator_class[name]"]
     summary = (
         f"report-counterterms: measured loop prefactor {rep.prefactor_measured:.12e}, "
@@ -610,7 +592,7 @@ def _cmd_report_counterterms(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_check_dims(cfg: RunConfig, phys: dict):
+def _cmd_check_dims(cfg: Mapping, phys: dict):
     rows = []
     for interaction in ("P_tilde", "P"):
         for n in (3, 2):
@@ -633,7 +615,7 @@ def _cmd_check_dims(cfg: RunConfig, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_oracle_verify(cfg: RunConfig, phys: dict):
+def _cmd_oracle_verify(cfg: Mapping, phys: dict):
     """Closed forms vs the tanh-sinh quadrature oracle, plus the measure checks."""
     tol = cfg["regulator.quad_tol"]
     kinds = list(MasterIntegralKind)
@@ -700,6 +682,7 @@ def _cmd_oracle_verify(cfg: RunConfig, phys: dict):
 
 # Each handler returns (header, rows, summary, problems); problems are
 # failed internal cross-checks, raised as OracleError once the CSV is written.
+# A NaN or an infinity in any row is refused before the CSV is opened.
 _HANDLERS = {
     "jc-evolve": _cmd_jc_evolve,
     "jc-rabi": _cmd_jc_rabi,
@@ -713,17 +696,28 @@ _HANDLERS = {
 }
 
 
-def dispatch(command: str, cfg: RunConfig, out_dir: str = ".") -> str:
+def _nonfinite_column(header: list, rows: list):
+    """Header of the first numeric column holding a NaN or an infinity, or None."""
+    for name, column in zip(header, zip(*rows)):
+        if not isinstance(column[0], str) and not np.isfinite(np.array(column, dtype=float)).all():
+            return name
+    return None
+
+
+def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     """Run one command, write its CSV, print the one-line summary.
 
-    Returns the CSV path. Raises the package error types (an output
-    directory or file that cannot be written is a ConfigError); exit-code
-    mapping happens in main().
+    Returns the CSV path. Raises the package error types (an unwritable
+    output is a ConfigError, a non-finite row a DipoleLoopError);
+    exit-code mapping happens in main().
     """
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
     phys = _physics(cfg)
     header, rows, summary, problems = _HANDLERS[command](cfg, phys)
+    bad = _nonfinite_column(header, rows)
+    if bad is not None:
+        raise DipoleLoopError(f"{command}: column {bad} holds a non-finite value; no CSV written")
     path = os.path.join(out_dir, command.replace("-", "_") + ".csv")
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -763,7 +757,7 @@ def main(argv: list | None = None) -> int:
                 spec = _CUTOFF_GRID(args.lambda_grid)
             except ValueError as exc:
                 raise ConfigError([f"--lambda-grid: {exc}"]) from None
-            cfg = RunConfig({**dict(cfg.items()), "regulator.lambda_grid": spec})
+            cfg = MappingProxyType({**cfg, "regulator.lambda_grid": spec})
         dispatch(args.command, cfg, args.out)
         return 0
     except ConfigError as exc:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import KinematicDomainError
+
 __all__ = [
     "METRIC",
     "AtomPair",
@@ -26,24 +28,9 @@ __all__ = [
 ]
 
 
-class Metric:
-    """Minkowski metric diag(-1, +1, +1, +1) in 3+1 spacetime dimensions."""
-
-    @property
-    def g(self) -> np.ndarray:
-        return np.diag([-1.0, 1.0, 1.0, 1.0])
-
-    def lower(self, t: np.ndarray) -> np.ndarray:
-        """Lower every index of a tensor given with all indices up."""
-        g = self.g
-        out = np.asarray(t, dtype=float)
-        for axis in range(out.ndim):
-            out = np.tensordot(g, out, axes=(1, axis))
-            out = np.moveaxis(out, 0, axis)
-        return out
-
-
-METRIC = Metric()
+# Minkowski metric g_{mu nu} = diag(-1, +1, +1, +1), its own inverse
+METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
+METRIC.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -92,7 +79,7 @@ class AtomPair:
 
     def require_small_b(self, limit: float = 1.0) -> None:
         if abs(self.b) >= limit:
-            raise ValueError(f"|b| = |delta|/M^2 = {abs(self.b):.3g} >= {limit}; expansion invalid")
+            raise KinematicDomainError(f"|b| = |delta|/M^2 = {abs(self.b):.3g} >= {limit}; expansion invalid")
 
 
 def _check_antisymmetric(m: np.ndarray, name: str) -> np.ndarray:
@@ -152,12 +139,11 @@ def contractions(gamma: DipoleTensor) -> dict:
             gamma^2_{tau lambda} = gamma^{mu}_{ tau} gamma_{mu lambda},
             symmetric, both indices down.
     """
-    g = METRIC.g
     up = gamma.components
-    down = METRIC.lower(up)
+    down = METRIC @ up @ METRIC
     gamma_sq = float(np.sum(down * up))
     # gamma^mu_tau = g_{tau nu} gamma^{mu nu}; then contract with gamma_{mu lambda}
-    mixed = up @ g  # gamma^{mu}_{ tau}
+    mixed = up @ METRIC  # gamma^{mu}_{ tau}
     tensor = mixed.T @ down  # sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
     tensor = 0.5 * (tensor + tensor.T)  # symmetric up to round-off; enforce exactly
     return {"gamma_sq": gamma_sq, "gamma_sq_tensor": tensor}

@@ -32,7 +32,7 @@ class ConfigError(DipoleLoopError):
 
 
 class KinematicDomainError(DipoleLoopError):
-    """A Feynman-parameter scale (a^2, b^2, M^2(x)) left the positive domain."""
+    """A Feynman-parameter scale (a^2, b^2, M^2(x)) left the positive domain, or |b| >= 1."""
 
 
 class QuadratureError(DipoleLoopError):

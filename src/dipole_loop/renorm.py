@@ -56,7 +56,6 @@ __all__ = [
     "DivergenceFit",
     "RenormConstants",
     "self_energy",
-    "mass_shift",
     "wavefunction_Z",
     "vertex_one_loop",
     "photon_polarization",
@@ -122,8 +121,11 @@ def _fixed_rule(f, tol: float, at: float = 0.0) -> np.ndarray:
     integrand); nodes are graded towards x = at. Each row is accepted
     when the rules of n and 2n nodes agree within tol times its L1 norm
     sum w |f|, which keeps integrands that change sign from failing on a
-    small net value.
+    small net value. A tol below double-precision epsilon is refused
+    before f is called.
     """
+    if tol < np.finfo(float).eps:
+        raise QuadratureError(f"Feynman-parameter rule cannot reach requested {tol:.2e} relative in double precision")
     x, w = _rule(_RULE_START, at)
     prev = f(x) @ w
     n = _RULE_START
@@ -230,9 +232,9 @@ def _sigma_integrals_expansion(s, level: int, atoms: AtomPair, reg: RegScheme, o
     return ints
 
 
-def _onshell_momentum(level: int, atoms: AtomPair, p_spatial: float = 0.0) -> np.ndarray:
-    m = atoms.mass(level)
-    return np.array([np.sqrt(p_spatial**2 + m**2), p_spatial, 0.0, 0.0])
+def _onshell_momentum(level: int, atoms: AtomPair) -> np.ndarray:
+    """Rest-frame on-shell momentum (m, 0, 0, 0) of the level."""
+    return np.array([atoms.mass(level), 0.0, 0.0, 0.0])
 
 
 def self_energy(
@@ -291,30 +293,6 @@ def self_energy(
         total=at_points(total),
         on_shell_value=float(total[-1]),
     )
-
-
-def mass_shift(
-    level: int,
-    atoms: AtomPair,
-    gamma: DipoleTensor,
-    reg: RegScheme,
-    p_spatial: float = 0.0,
-    path: str = "expansion",
-    b_order: int = 0,
-) -> dict:
-    """Delta m^2 = Sigma(-m^2) with the tensor part on the on-shell family.
-
-    Returns the scalar part, the tensor coefficient, the contracted
-    value at p = (E(|p|), |p|, 0, 0), and the total.
-    """
-    p = _onshell_momentum(level, atoms, p_spatial)
-    res = self_energy(level, -atoms.mass(level) ** 2, p, atoms, gamma, reg, path=path, b_order=b_order)
-    return {
-        "scalar": res.sigma_I,
-        "tensor_coeff": res.sigma_II_coeff,
-        "tensor_contracted": res.sigma_II,
-        "total": res.total,
-    }
 
 
 # wavefunction_Z's s grid size and the largest curvature residual of its
@@ -496,7 +474,7 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
         return master_integral(I_E, m1_sq * (1.0 - x) + m2_sq * x + q_sq * x * (1.0 - x), reg.Lambda)
 
     P = float(_fixed_rule(f, reg.quad_tol, at=x_min))
-    q_low = METRIC.g @ q  # q with the index down equals g q for this metric
+    q_low = METRIC @ q  # q with the index down equals g q for this metric
     w = gamma.components.T @ q_low  # w^nu = gamma^{alpha nu} q_alpha
     Pi = 4.0 * P * np.outer(w, w)
     trans = np.max(np.abs(q_low @ Pi))
@@ -589,12 +567,10 @@ def divergence_fit(
 
 @dataclass(frozen=True)
 class RenormConstants:
-    """Collected one-loop renormalization data."""
+    """The report's (quantity, value, operator_class) rows in output order,
+    and the measured loop prefactor, which also closes the rows."""
 
-    delta_m_sq: dict
-    Z_phi_inv: dict
-    Z1_inv: dict
-    induced_couplings: dict
+    rows: tuple
     prefactor_measured: float
     prefactor_ratio_to_printed: float
 
@@ -607,18 +583,28 @@ def counterterm_report(
 ) -> RenormConstants:
     """Assemble mass shifts, Z factors, and the induced operators.
 
-    The mass shift and scalar Z terms renormalize operators already in
-    the action. Two genuinely new structures are induced at one loop:
-    gamma^2_{mu nu} d^mu phi d^nu phi (from the self-energy tensor part)
-    and (1/4) gamma^{lam mu} gamma^{tau nu} F_{lam mu} F_{tau nu} (from
-    the polarization); their coefficients are the corresponding
-    divergent integrals.
+    The mass shifts Delta m^2 = Sigma(-m^2) (contracted at rest on the
+    mass shell) and the Z factors renormalize operators already in the
+    action ("original"). Two genuinely new structures are induced at one
+    loop ("induced"): F_F, (1/4) gamma^{lam mu} gamma^{tau nu} F_{lam mu}
+    F_{tau nu} (from the polarization), and dphi_dphi, gamma^2_{mu nu}
+    d^mu phi d^nu phi (from the self-energy tensor part); their
+    coefficients are the corresponding divergent integrals.
     """
-    shifts = {}
-    zs = {}
+    rows = []
     for level in (1, 2):
-        shifts[level] = mass_shift(level, atoms, gamma, reg, b_order=b_order)
-        zs[level] = wavefunction_Z(level, atoms, gamma, reg, b_order=b_order)
+        shift = self_energy(level, -atoms.mass(level) ** 2, None, atoms, gamma, reg, b_order=b_order)
+        if level == 1:
+            # induced d phi d phi operator: divergent coefficient of gamma^2_{mu nu} p^mu p^nu
+            induced_phi = shift.sigma_II_coeff
+        z = wavefunction_Z(level, atoms, gamma, reg, b_order=b_order)
+        rows += [
+            (f"delta_m_sq.{level}.total", shift.total, "original"),
+            (f"delta_m_sq.{level}.scalar", shift.sigma_I, "original"),
+            (f"delta_m_sq.{level}.tensor", shift.sigma_II, "original"),
+            (f"Z_phi_inv.{level}.scalar", 1.0 + z["f_scalar"], "original"),
+            (f"Z_phi_inv.{level}.tensor_coeff", z["f_tensor_coeff"], "original"),
+        ]
 
     m1 = atoms.m1
     p_prime = _onshell_momentum(1, atoms)
@@ -626,13 +612,10 @@ def counterterm_report(
     p_in = p_prime - q
     vert = vertex_one_loop(p_in, p_prime, q, atoms, gamma, reg)
 
-    # induced d phi d phi operator: divergent coefficient of gamma^2_{mu nu} p^mu p^nu
-    induced_phi = shifts[1]["tensor_coeff"]
     # induced F F operator: 4 P(q^2 = 0) multiplies the
     # (1/4) gamma gamma F F structure; probe with a lightlike q
     q_probe = np.array([0.1 * m1, 0.1 * m1, 0.0, 0.0])
     pol = photon_polarization(q_probe, atoms, gamma, reg)
-    induced_F = 4.0 * pol["P_coeff"]
 
     # measure the overall prefactor from the quadratic divergence of
     # Sigma^I / gamma^2 on a cutoff grid, and compare with 1/(2 pi)^3
@@ -653,28 +636,16 @@ def counterterm_report(
         ]
     )
     fit = divergence_fit(vals, lam_grid, atoms.M2)
-    printed = 1.0 / (2.0 * np.pi) ** 3
     measured = fit.c_quad
+    ratio = measured / (1.0 / (2.0 * np.pi) ** 3)
 
-    return RenormConstants(
-        delta_m_sq={
-            1: {"total": shifts[1]["total"], "scalar": shifts[1]["scalar"], "tensor": shifts[1]["tensor_contracted"], "operator_class": "original"},
-            2: {"total": shifts[2]["total"], "scalar": shifts[2]["scalar"], "tensor": shifts[2]["tensor_contracted"], "operator_class": "original"},
-        },
-        Z_phi_inv={
-            1: {"scalar": 1.0 + zs[1]["f_scalar"], "tensor_coeff": zs[1]["f_tensor_coeff"], "operator_class": "original"},
-            2: {"scalar": 1.0 + zs[2]["f_scalar"], "tensor_coeff": zs[2]["f_tensor_coeff"], "operator_class": "original"},
-        },
-        Z1_inv={
-            "scalar": 1.0 - 2.0 * gsq * vert["J"],
-            "tensor_contracted": -8.0 * vert["tensor_contracted"],
-            "total": vert["Z1_inv"],
-            "operator_class": "original",
-        },
-        induced_couplings={
-            "dphi_dphi": {"coefficient": induced_phi, "structure": "gamma^2_{mu nu} d^mu phi d^nu phi", "operator_class": "induced"},
-            "F_F": {"coefficient": induced_F, "structure": "(1/4) gamma^{lam mu} gamma^{tau nu} F_{lam mu} F_{tau nu}", "operator_class": "induced"},
-        },
-        prefactor_measured=measured,
-        prefactor_ratio_to_printed=measured / printed,
-    )
+    rows += [
+        ("Z1_inv.scalar", 1.0 - 2.0 * gsq * vert["J"], "original"),
+        ("Z1_inv.tensor_contracted", -8.0 * vert["tensor_contracted"], "original"),
+        ("Z1_inv.total", vert["Z1_inv"], "original"),
+        ("induced.F_F", 4.0 * pol["P_coeff"], "induced"),
+        ("induced.dphi_dphi", induced_phi, "induced"),
+        ("prefactor.measured", measured, "report"),
+        ("prefactor.ratio_to_printed", ratio, "report"),
+    ]
+    return RenormConstants(rows=tuple(rows), prefactor_measured=measured, prefactor_ratio_to_printed=ratio)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dipole_loop import cli
-from dipole_loop.errors import ConfigError
+from dipole_loop.errors import ConfigError, DipoleLoopError
 
 
 def write_conf(tmp_path, text, name="run.conf"):
@@ -126,13 +126,21 @@ class TestParseConfig:
             cli.parse_config(f"# a cap\njc.n_list = {at_cap},0\n")
         assert err.value.problems == [f"line 2: jc.n_list must have at most {cap} entries"]
 
-    def test_echo_sorted_and_stable(self):
+    def test_echo_sorted_and_stable(self, tmp_path):
         cfg = cli.parse_config("atoms.m1 = 2.0\n")
-        lines = cfg.echo_lines()
-        keys = [ln.split("=", 1)[0] for ln in lines]
+        echoes = []
+        for name in ("a.csv", "b.csv"):
+            cli._write_csv(str(tmp_path / name), cfg, "check-dims", ["h"], [])
+            echoes.append(read_csv(str(tmp_path / name))[0][1:])
+        keys = [ln.split("=", 1)[0] for ln in echoes[0]]
         assert keys == sorted(keys)
-        assert "# atoms.m1 = 2.00000000000000000e+00" in lines
-        assert cfg.echo_lines() == lines
+        assert "# atoms.m1 = 2.00000000000000000e+00" in echoes[0]
+        assert echoes[1] == echoes[0]
+
+    def test_config_is_read_only(self):
+        cfg = cli.parse_config("")
+        with pytest.raises(TypeError):
+            cfg["atoms.m1"] = 2.0
 
 
 class TestDispatchExitCodes:
@@ -423,8 +431,8 @@ def _reference_csv(path, cfg, command, header, rows):
     """Every row through csv.writer and _cell: the fast row writer's oracle."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
+        for key in sorted(cfg):
+            fh.write(f"# {key} = {cli._format_value(cfg[key])}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -455,3 +463,145 @@ class TestFastRowWriter:
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "slow.csv").read_bytes()
         assert b'\n3,2.50000000000000000e-01,"x,y"\n' in fast
+
+
+class TestMagnitudeBounds:
+    @pytest.mark.parametrize("key, cap", [
+        ("regulator.lambda", cli.MAX_LAMBDA),
+        ("units.base_energy_ev", cli.MAX_BASE_ENERGY_EV),
+    ])
+    def test_upper_caps(self, key, cap):
+        assert cli.parse_config(f"{key} = {cap!r}\n")[key] == cap
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"{key} = {10 * cap!r}\n")
+        assert err.value.problems == [f"line 1: {key} must be <= {cap}"]
+
+    def test_base_energy_floor(self):
+        floor = cli.MIN_BASE_ENERGY_EV
+        assert cli.parse_config(f"units.base_energy_ev = {floor!r}\n")["units.base_energy_ev"] == floor
+        with pytest.raises(ConfigError, match=f"units.base_energy_ev must be >= {floor}"):
+            cli.parse_config(f"units.base_energy_ev = {floor / 10!r}\n")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_cutoff_grid_cap(self, tmp_path, capsys, flag):
+        spec = f"10:{10 * cli.MAX_LAMBDA!r}:3,log"
+        text, argv = (("", ["--lambda-grid", spec]) if flag else (f"regulator.lambda_grid = {spec}\n", []))
+        code = cli.main(["loop-vertex", "--config", write_conf(tmp_path, text), "--out", str(tmp_path), *argv])
+        assert code == 2
+        assert f"cutoff grid values must be <= {cli.MAX_LAMBDA}" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("mass", ["1e200", "1e-200"])
+    def test_mass_square_must_be_a_double(self, tmp_path, capsys, mass):
+        conf = write_conf(tmp_path, f"atoms.m1 = {mass}\natoms.m2 = {mass}\n")
+        code = cli.main(["check-dims", "--config", conf, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: atoms.m1 is {float(mass)!r} in natural units")
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_si_mass_checked_after_conversion(self, tmp_path, capsys):
+        # 1e120 kg is 5.6e155 natural units, whose square overflows
+        conf = write_conf(tmp_path, "units.mode = SI\natoms.m1 = 1e120\natoms.m2 = 1e120\n")
+        code = cli.main(["check-dims", "--config", conf, "--out", str(tmp_path)])
+        assert code == 2
+        assert "in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)" in capsys.readouterr().err
+
+
+class TestNonFiniteRefused:
+    def test_nonfinite_column(self):
+        header = ["name", "a", "b"]
+        assert cli._nonfinite_column(header, [("x", 1.0, 2), ("y", 3.0, 4)]) is None
+        assert cli._nonfinite_column(header, [("x", 1.0, 2.0), ("y", 3.0, float("inf"))]) == "b"
+        assert cli._nonfinite_column(header, []) is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_row_exits_3(self, tmp_path, capsys, monkeypatch, bad):
+        def handler(cfg, phys):
+            rows = [("a", 1, 0.5), ("b", 2, bad)]
+            return ["name[name]", "n[1]", "x[natural]"], rows, "never printed", []
+
+        monkeypatch.setitem(cli._HANDLERS, "check-dims", handler)
+        code = cli.main(["check-dims", "--config", os.devnull, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: check-dims: column x[natural] holds a non-finite value; no CSV written\n"
+        assert captured.out == ""
+        assert not any(tmp_path.glob("*.csv"))
+
+
+# Exit-code probe table: every command on configs at the edges of the
+# double range, run once through main(). parse_config and dispatch are
+# watched on the way: each either lets a CSV of finite floats be written
+# or raises a package error, never a builtin one. main() exits 0, 2, 3 or
+# 4 without a traceback and leaves no CSV on 2 or 3. Cases marked
+# OVERFLOWS overflow a double inside the computation by design.
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+PROBES = [
+    pytest.param("dipole.dx = 1e300", id="dx-1e300", marks=OVERFLOWS),
+    pytest.param("dipole.dx = 1e160", id="dx-1e160", marks=OVERFLOWS),
+    pytest.param("atoms.m1 = 1e200\natoms.m2 = 1e200", id="masses-1e200"),
+    pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", id="masses-1e-200"),
+    pytest.param("atoms.m2 = 0.1", id="m2-0.1"),
+    pytest.param("regulator.lambda = 1e300", id="lambda-1e300"),
+    pytest.param("regulator.lambda = 1e-300", id="lambda-1e-300"),
+    pytest.param("cavity.omega = 1e300", id="omega-1e300"),
+    pytest.param("cavity.omega = 1e-300", id="omega-1e-300"),
+    pytest.param("cavity.volume = 1e-300", id="volume-1e-300"),
+    pytest.param("cavity.z = 1e300", id="z-1e300"),
+    pytest.param("vertex.q0 = 1e300\nvertex.q1 = 1e300\nvertex.q2 = 1e300\nvertex.q3 = 1e300",
+                 id="vertex-q-1e300", marks=OVERFLOWS),
+    pytest.param("polarization.q0 = 1e300\npolarization.q1 = 1e300\n"
+                 "polarization.q2 = 1e300\npolarization.q3 = 1e300", id="polarization-q-1e300", marks=OVERFLOWS),
+    pytest.param("polarization.q0 = 5", id="polarization-q0-5"),
+    pytest.param("selfenergy.s_max = -1", id="s_max--1"),
+    pytest.param("selfenergy.s_max = 1e300", id="s_max-1e300", marks=OVERFLOWS),
+    pytest.param("jc.t_max = 1e300", id="t_max-1e300"),
+    pytest.param("units.mode = SI", id="SI"),
+    pytest.param("units.mode = SI\nunits.base_energy_ev = 1e300", id="SI-base-1e300"),
+    pytest.param("nr.lambda3_ratio = 1e300", id="lambda3_ratio-1e300", marks=OVERFLOWS),
+    pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", id="cutoff-grid-1e-300:1e300"),
+    pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", id="nr-grid-1e-300:1e300", marks=OVERFLOWS),
+    pytest.param("regulator.quad_tol = 1e-18", id="quad_tol-1e-18"),
+]
+
+
+def _numbers(rows):
+    """Every cell that parses as a float ('nan' and 'inf' included)."""
+    out = []
+    for row in rows:
+        for cell in row:
+            try:
+                out.append(float(cell))
+            except ValueError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("text", PROBES)
+def test_exit_code_probe(tmp_path, capsys, monkeypatch, text, command):
+    raised = []
+
+    def watched(fn):
+        def call(*args):
+            try:
+                return fn(*args)
+            except BaseException as exc:
+                raised.append(exc)
+                raise
+
+        return call
+
+    monkeypatch.setattr(cli, "parse_config", watched(cli.parse_config))
+    monkeypatch.setattr(cli, "dispatch", watched(cli.dispatch))
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", write_conf(tmp_path, text + "\n"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert [exc for exc in raised if not isinstance(exc, DipoleLoopError)] == []
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    csv_path = out / (command.replace("-", "_") + ".csv")
+    if code in (2, 3):
+        assert not csv_path.exists()
+    else:
+        assert np.isfinite(_numbers(read_csv(str(csv_path))[2])).all()

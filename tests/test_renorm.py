@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from dipole_loop import renorm
 from dipole_loop.core import AtomPair, contractions, dipole_from_moment
-from dipole_loop.errors import FitError, KinematicDomainError
+from dipole_loop.errors import FitError, KinematicDomainError, QuadratureError
 from dipole_loop.loops import PREFACTOR, RegScheme
 from dipole_loop.renorm import (
     DivergenceFit,
     counterterm_report,
     divergence_fit,
-    mass_shift,
     photon_polarization,
     self_energy,
     vertex_one_loop,
@@ -216,27 +215,50 @@ class TestSelfEnergyTensor:
         assert res.sigma_II == pytest.approx(res.sigma_II_coeff * t00 * SYM.m1**2, rel=1e-12)
 
 
+# level 1 of SPLIT on its mass shell, boosted along x to |p| = 0.3
+BOOSTED = np.array([np.sqrt(0.3**2 + SPLIT.m1**2), 0.3, 0.0, 0.0])
+
+
+def level1_on_shell(gamma, p=None):
+    """Delta m^2 = Sigma(-m^2) of level 1, tensor part contracted with p (rest frame by default)."""
+    return self_energy(1, -SPLIT.m1**2, p, SPLIT, gamma, REG)
+
+
+class TestFixedRule:
+    def test_sub_epsilon_tol_refused_before_any_call(self):
+        calls = []
+
+        def integrand(x):
+            calls.append(None)
+            return x
+
+        with pytest.raises(QuadratureError, match=r"^Feynman-parameter rule .*requested 1\.00e-18"):
+            renorm._fixed_rule(integrand, 1e-18)
+        assert calls == []
+
+
 class TestMassShiftAndZ:
     def test_mass_shift_composition(self):
-        out = mass_shift(1, SPLIT, gamma_for(SPLIT), REG)
-        assert out["total"] == pytest.approx(out["scalar"] + out["tensor_contracted"], rel=1e-12)
+        out = level1_on_shell(gamma_for(SPLIT))
+        assert out.total == pytest.approx(out.sigma_I + out.sigma_II, rel=1e-12)
+        assert out.total == out.on_shell_value  # the point shares the reference's row
 
     def test_tensor_part_tracks_momentum(self):
         # a dipole along y is not invariant under boosts along x, so the
         # tensor part moves with |p| while the scalar part stays put
         gamma = dipole_from_moment(np.array([0.0, 0.01, 0.0]), SPLIT)
-        rest = mass_shift(1, SPLIT, gamma, REG, p_spatial=0.0)
-        moving = mass_shift(1, SPLIT, gamma, REG, p_spatial=0.3)
-        assert moving["scalar"] == pytest.approx(rest["scalar"], rel=1e-12)
-        assert moving["tensor_contracted"] != pytest.approx(rest["tensor_contracted"], rel=1e-3)
+        rest = level1_on_shell(gamma)
+        moving = level1_on_shell(gamma, BOOSTED)
+        assert moving.sigma_I == pytest.approx(rest.sigma_I, rel=1e-12)
+        assert moving.sigma_II != pytest.approx(rest.sigma_II, rel=1e-3)
 
     def test_x_dipole_onshell_family_invariant(self):
         # for a dipole along x the contraction p^tau p^lam gamma^2 is
         # E^2 - p_x^2 = m^2 on the x-boosted mass shell, an exact identity
         gamma = gamma_for(SPLIT)
-        rest = mass_shift(1, SPLIT, gamma, REG, p_spatial=0.0)
-        moving = mass_shift(1, SPLIT, gamma, REG, p_spatial=0.3)
-        assert moving["tensor_contracted"] == pytest.approx(rest["tensor_contracted"], rel=1e-12)
+        rest = level1_on_shell(gamma)
+        moving = level1_on_shell(gamma, BOOSTED)
+        assert moving.sigma_II == pytest.approx(rest.sigma_II, rel=1e-12)
 
     def test_z_slope_values(self):
         out = wavefunction_Z(1, SYM, gamma_for(SYM), REG)
@@ -389,24 +411,53 @@ def report():
     return counterterm_report(SPLIT, gamma_for(SPLIT), REG)
 
 
+@pytest.fixture(scope="module")
+def table(report):
+    """quantity -> (value, operator_class) from the report's rows."""
+    return {name: (value, cls) for name, value, cls in report.rows}
+
+
 class TestCounterterms:
 
-    def test_prefactor_ratio(self, report):
+    def test_prefactor_ratio(self, report, table):
         assert report.prefactor_measured == pytest.approx(1.0 / (16.0 * np.pi**2), rel=1e-9)
         assert report.prefactor_ratio_to_printed == pytest.approx(np.pi / 2.0, rel=1e-9)
+        assert table["prefactor.measured"] == (report.prefactor_measured, "report")
+        assert table["prefactor.ratio_to_printed"] == (report.prefactor_ratio_to_printed, "report")
 
-    def test_operator_classes(self, report):
-        assert report.delta_m_sq[1]["operator_class"] == "original"
-        assert report.Z1_inv["operator_class"] == "original"
-        assert report.induced_couplings["dphi_dphi"]["operator_class"] == "induced"
-        assert report.induced_couplings["F_F"]["operator_class"] == "induced"
+    def test_row_order(self, report):
+        per_level = [
+            "delta_m_sq.{}.total", "delta_m_sq.{}.scalar", "delta_m_sq.{}.tensor",
+            "Z_phi_inv.{}.scalar", "Z_phi_inv.{}.tensor_coeff",
+        ]
+        assert [row[0] for row in report.rows] == [
+            *(name.format(level) for level in (1, 2) for name in per_level),
+            "Z1_inv.scalar", "Z1_inv.tensor_contracted", "Z1_inv.total",
+            "induced.F_F", "induced.dphi_dphi",
+            "prefactor.measured", "prefactor.ratio_to_printed",
+        ]
 
-    def test_induced_coefficients_positive(self, report):
+    def test_operator_classes(self, table):
+        assert table["delta_m_sq.1.total"][1] == "original"
+        assert table["Z1_inv.total"][1] == "original"
+        assert table["induced.dphi_dphi"][1] == "induced"
+        assert table["induced.F_F"][1] == "induced"
+
+    def test_induced_coefficients_positive(self, table):
         # both induced operators come from manifestly positive integrals
-        assert report.induced_couplings["dphi_dphi"]["coefficient"] > 0
-        assert report.induced_couplings["F_F"]["coefficient"] > 0
+        assert table["induced.dphi_dphi"][0] > 0
+        assert table["induced.F_F"][0] > 0
 
-    def test_mass_shifts_negative(self, report):
+    def test_mass_shifts_negative(self, table):
         # attractive at this kinematic point: gamma_sq < 0 dominates
-        assert report.delta_m_sq[1]["total"] < 0
-        assert report.delta_m_sq[2]["total"] < 0
+        assert table["delta_m_sq.1.total"][0] < 0
+        assert table["delta_m_sq.2.total"][0] < 0
+
+    def test_mass_shift_rows_are_onshell_self_energy(self, table):
+        gamma = gamma_for(SPLIT)
+        for level in (1, 2):
+            res = self_energy(level, -SPLIT.mass(level) ** 2, None, SPLIT, gamma, REG)
+            assert table[f"delta_m_sq.{level}.total"][0] == res.total
+            assert table[f"delta_m_sq.{level}.scalar"][0] == res.sigma_I
+            assert table[f"delta_m_sq.{level}.tensor"][0] == res.sigma_II
+        assert table["induced.dphi_dphi"][0] == level1_on_shell(gamma).sigma_II_coeff
