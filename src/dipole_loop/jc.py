@@ -8,6 +8,12 @@ approximation is the Fock truncation, which is monitored. H is real and
 conserves excitation parity with or without the RWA, so each parity
 sector is diagonalised and evolved on its own in real arithmetic.
 
+The sample grid is uniform, so evolve steps the phases,
+e^{-iE(t0 + tau)} = e^{-iE t0} e^{-iE tau}: one cos/sin table of E tau per
+sector, and e^{-iE t0} computed directly once per chunk. Neither factor
+is rounded from a product larger than E t, so the phase-precision check
+bounds the stepped phases as it bounds direct ones.
+
 Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 (excited) state and level 1 the lower state.
 """
@@ -201,14 +207,14 @@ def _check_phase_precision(evals: np.ndarray, t_span: float) -> None:
         )
 
 
-def _sector_parts(evals, vecs, coeff, ts):
-    """Real and imaginary parts of the sector amplitudes at times ts.
+def _sector_parts(vecs, cos, sin, coeff):
+    """Real and imaginary parts of sector amplitudes from a phase table.
 
-    e^{-iEt} c = (cos Et - i sin Et)(c_r + i c_i), so two real products
-    with the real eigenvectors give psi(t) = re + i im, rows over ts.
+    cos and sin hold cos(E tau) and sin(E tau), rows over the offsets
+    tau; coeff is the (complex) eigen-coefficient vector at tau = 0.
+    e^{-iE tau} c = (cos - i sin)(c_r + i c_i), so two real products
+    with the real eigenvectors give psi(tau) = re + i im.
     """
-    phase = np.multiply.outer(ts, evals)
-    cos, sin = np.cos(phase), np.sin(phase)
     c_r, c_i = coeff.real, coeff.imag
     re = (cos * c_r + sin * c_i) @ vecs.T
     im = (cos * c_i - sin * c_r) @ vecs.T
@@ -230,7 +236,9 @@ class EvolutionResult:
         """Amplitudes at every sample time, shape (len(times), dim), built on demand."""
         states = np.zeros((len(self.times), self.params.dim), dtype=complex)
         for idx, evals, vecs, coeff in self.sectors:
-            re, im = _sector_parts(evals, vecs, coeff, self.times)
+            # direct phases E t at every sample: the oracle of evolve's stepping
+            phase = np.multiply.outer(self.times, evals)
+            re, im = _sector_parts(vecs, np.cos(phase), np.sin(phase), coeff)
             states[:, idx] = re + 1j * im
         return states
 
@@ -253,7 +261,13 @@ def evolve(
 
     Works per parity sector in real arithmetic and accumulates the
     populations in chunks of samples, so the full state array is only
-    built if EvolutionResult.states is read.
+    built if EvolutionResult.states is read. Phases are stepped: cos/sin
+    of E tau for the offsets tau of one chunk are tabulated once per
+    sector, and each chunk starting at t0 folds e^{-iE t0}, computed
+    directly from t0, into the coefficients, so a chunk costs O(k) trig
+    calls instead of O(chunk k). Each phase is rounded from E t0 and
+    E tau, both at most E t, so its error stays within the
+    eps*max|E|*t that the phase-precision check bounds.
 
     Raises TruncationError if the top-band population ever exceeds
     p.leak_threshold (a single mode is assumed, not truncation
@@ -274,9 +288,15 @@ def evolve(
     for idx, evals, vecs, coeff in sectors:
         upper = (idx < nb).astype(float)
         (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
+        # times[:_CHUNK] are also the offsets tau = j dt within every chunk
+        phase = np.multiply.outer(times[:_CHUNK], evals)
+        cos, sin = np.cos(phase), np.sin(phase)
         for start in range(0, len(times), _CHUNK):
             rows = slice(start, start + _CHUNK)
-            re, im = _sector_parts(evals, vecs, coeff, times[rows])
+            n = len(times[rows])
+            e_t0 = evals * times[start]
+            c0 = coeff * (np.cos(e_t0) - 1j * np.sin(e_t0))
+            re, im = _sector_parts(vecs, cos[:n], sin[:n], c0)
             pops = re * re + im * im
             p_exc[rows] += pops @ upper
             norms[rows] += pops.sum(axis=1)
@@ -322,15 +342,11 @@ def measure_resonant_period(p: JCParams, n: int) -> float:
     ts = np.linspace(0.0, 1.5 * guess, 600)
     pe = p_excited(ts)
     mid = 0.5 * (pe.max() + pe.min())
-    crossings = []
-    for i in range(len(ts) - 1):
-        if (pe[i] - mid) * (pe[i + 1] - mid) < 0:
-            crossings.append(_bisect(lambda t: p_excited(t) - mid, ts[i], ts[i + 1]))
-            if len(crossings) == 2:
-                break
-    if len(crossings) < 2:
+    brackets = np.flatnonzero((pe[:-1] - mid) * (pe[1:] - mid) < 0)[:2]
+    if len(brackets) < 2:
         raise DynamicsError("no oscillation detected; is g zero?")
-    return 2.0 * (crossings[1] - crossings[0])
+    first, second = (_bisect(lambda t: p_excited(t) - mid, ts[i], ts[i + 1]) for i in brackets)
+    return 2.0 * (second - first)
 
 
 def _bisect(f, lo: float, hi: float) -> float:

@@ -122,18 +122,18 @@ def _fixed_rule(f, tol: float, at: float = 0.0) -> np.ndarray:
     when the rules of n and 2n nodes agree within tol times its L1 norm
     sum w |f|, which keeps integrands that change sign from failing on a
     small net value. A tol below double-precision epsilon is refused
-    before f is called.
+    before f is called, and a non-finite rule value as soon as it appears.
     """
     if tol < np.finfo(float).eps:
         raise QuadratureError(f"Feynman-parameter rule cannot reach requested {tol:.2e} relative in double precision")
     x, w = _rule(_RULE_START, at)
-    prev = f(x) @ w
+    prev = _finite_rule_value(f(x) @ w, _RULE_START)
     n = _RULE_START
     while n < _RULE_CAP:
         n *= 2
         x, w = _rule(n, at)
         vals = f(x)
-        cur = vals @ w
+        cur = _finite_rule_value(vals @ w, n)
         change = np.abs(cur - prev) / np.maximum(np.abs(vals) @ w, np.finfo(float).tiny)
         if np.all(change <= tol):
             return cur
@@ -142,6 +142,14 @@ def _fixed_rule(f, tol: float, at: float = 0.0) -> np.ndarray:
         f"Feynman-parameter rule reached {float(np.max(change)):.2e} relative at {_RULE_CAP} "
         f"nodes, requested {tol:.2e}"
     )
+
+
+def _finite_rule_value(value: np.ndarray, n: int) -> np.ndarray:
+    """value, or QuadratureError naming its first non-finite entry."""
+    bad = np.extract(~np.isfinite(value), value)
+    if bad.size:
+        raise QuadratureError(f"Feynman-parameter rule value is {float(bad[0])} at {n} nodes per side")
+    return value
 
 
 def _quadratic_min(c0: float, c1: float, c2: float) -> tuple:

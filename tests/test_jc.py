@@ -220,6 +220,63 @@ class TestSectorEvolutionOracle:
             evolve(state, p, 2 * np.pi / p.g, np.pi / p.g)
 
 
+# the cavity-scale benchmark's Hamiltonian (seed 0, rounded) and initial state |upper, 40>
+CAVITY = JCParams(g=-0.00256, omega12=0.0542, Omega=0.0484, n_max=120, rwa=False)
+CAVITY_T = 2 * np.pi / (0.00256 * np.sqrt(41.0))
+
+
+class TestPhaseStepping:
+    """evolve's phases e^{-iE(t0 + tau)} from one table per sector."""
+
+    def _cavity(self, t):
+        state = JCState.basis("upper", 40, CAVITY.n_max)
+        out = evolve(state, CAVITY, t, t / 19999)
+        rows = [0, jc._CHUNK - 1, jc._CHUNK, len(out.times) - 1]
+        pops = np.abs(jc._propagate(build_hamiltonian(CAVITY), state.amplitudes, out.times[rows])) ** 2
+        nb = CAVITY.n_max + 1
+        p_excited = pops[:, :nb].sum(axis=1)
+        assert len(out.times) == 20000
+        assert np.max(np.abs(out.norms[rows] - np.sqrt(pops.sum(axis=1)))) <= FAST_ABS
+        assert np.max(np.abs(out.top_band[rows] - (pops[:, nb - 1] + pops[:, 2 * nb - 1]))) <= FAST_ABS
+        return out.p_excited[rows] - p_excited, out.inversion[rows] - (2 * p_excited - pops.sum(axis=1))
+
+    def test_cavity_scale_matches_dense_propagation(self):
+        # 20,000 samples: nine full chunks and a ragged last one
+        d_excited, d_inversion = self._cavity(CAVITY_T)
+        assert np.max(np.abs(d_excited)) <= FAST_ABS
+        assert np.max(np.abs(d_inversion)) <= FAST_ABS
+
+    def test_span_just_under_the_phase_bound(self):
+        (_, evals, _, _), = jc._sector_eigen(CAVITY, JCState.basis("upper", 40, CAVITY.n_max).amplitudes)
+        t = 0.99 * jc.PHASE_PRECISION_BOUND / (np.finfo(float).eps * np.max(np.abs(evals)))
+        d_excited, d_inversion = self._cavity(t)
+        # the dense oracle diagonalises the whole H, so its eigenvalues and
+        # with them its phases E t differ from the sector's by up to the
+        # estimate eps*max|E|*t: populations can agree only to that, while
+        # the norms above, which no phase touches, hold to FAST_ABS
+        bound = 0.99 * jc.PHASE_PRECISION_BOUND
+        assert np.max(np.abs(d_excited)) <= bound
+        assert np.max(np.abs(d_inversion)) <= 2 * bound
+
+    def test_trig_per_chunk_is_per_eigenvalue(self, monkeypatch):
+        # per-sample phases would pass every sample's E t through cos and sin
+        counted = {}
+        for name in ("cos", "sin"):
+            def counting(x, *args, _name=name, _fn=getattr(np, name), **kwargs):
+                counted[_name] = counted.get(_name, 0) + np.size(x)
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        p = JCParams(g=0.004, omega12=0.05, Omega=0.05, n_max=14, rwa=False)
+        n_samples = 2 * jc._CHUNK + 300
+        out = evolve(_superposition(p.n_max), p, (n_samples - 1) * 0.5, 0.5)
+        assert len(out.times) == n_samples and len(out.sectors) == 2
+        chunks = -(-n_samples // jc._CHUNK)
+        limit = sum((jc._CHUNK + chunks) * len(evals) for _, evals, _, _ in out.sectors)
+        assert counted["cos"] <= limit
+        assert counted["sin"] <= limit
+
+
 def _dense_period(p, n):
     """The period search on the full space in complex arithmetic."""
     nb = p.n_max + 1

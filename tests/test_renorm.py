@@ -236,6 +236,18 @@ class TestFixedRule:
             renorm._fixed_rule(integrand, 1e-18)
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rule_refused_at_once(self, bad):
+        calls = []
+
+        def integrand(x):
+            calls.append(None)
+            return np.vstack([x, np.full_like(x, bad)])
+
+        with pytest.raises(QuadratureError, match=rf"^Feynman-parameter rule value is {bad} at 32 nodes"):
+            renorm._fixed_rule(integrand, 1e-10)
+        assert len(calls) == 1
+
 
 class TestMassShiftAndZ:
     def test_mass_shift_composition(self):
