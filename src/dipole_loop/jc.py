@@ -207,18 +207,29 @@ def _check_phase_precision(evals: np.ndarray, t_span: float) -> None:
         )
 
 
-def _sector_parts(vecs, cos, sin, coeff):
-    """Real and imaginary parts of sector amplitudes from a phase table.
+def _stepped_amplitudes(times, evals, vecs, coeff):
+    """Yield (rows, re, im) of one sector's amplitudes, chunk by chunk.
 
-    cos and sin hold cos(E tau) and sin(E tau), rows over the offsets
-    tau; coeff is the (complex) eigen-coefficient vector at tau = 0.
-    e^{-iE tau} c = (cos - i sin)(c_r + i c_i), so two real products
-    with the real eigenvectors give psi(tau) = re + i im.
+    times is the uniform grid j dt from 0, so e^{-iE(t0 + tau)} =
+    e^{-iE t0} e^{-iE tau}: cos/sin of E tau are tabulated once for the
+    offsets tau of one chunk, and each chunk starting at t0 folds
+    e^{-iE t0}, computed directly from t0 (never by repeated
+    multiplication, so nothing drifts), into the coefficient c. Then
+    e^{-iE tau} c0 = (cos - i sin)(c_r + i c_i), so two real products with
+    the real eigenvectors give psi(t0 + tau) = re + i im.
     """
-    c_r, c_i = coeff.real, coeff.imag
-    re = (cos * c_r + sin * c_i) @ vecs.T
-    im = (cos * c_i - sin * c_r) @ vecs.T
-    return re, im
+    # times[:_CHUNK] are also the offsets tau = j dt within every chunk
+    phase = np.multiply.outer(times[:_CHUNK], evals)
+    cos, sin = np.cos(phase), np.sin(phase)
+    for start in range(0, len(times), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        n = len(times[rows])
+        e_t0 = evals * times[start]
+        c0 = coeff * (np.cos(e_t0) - 1j * np.sin(e_t0))
+        c_r, c_i = c0.real, c0.imag
+        re = (cos[:n] * c_r + sin[:n] * c_i) @ vecs.T
+        im = (cos[:n] * c_i - sin[:n] * c_r) @ vecs.T
+        yield rows, re, im
 
 
 @dataclass(frozen=True)
@@ -236,10 +247,8 @@ class EvolutionResult:
         """Amplitudes at every sample time, shape (len(times), dim), built on demand."""
         states = np.zeros((len(self.times), self.params.dim), dtype=complex)
         for idx, evals, vecs, coeff in self.sectors:
-            # direct phases E t at every sample: the oracle of evolve's stepping
-            phase = np.multiply.outer(self.times, evals)
-            re, im = _sector_parts(vecs, np.cos(phase), np.sin(phase), coeff)
-            states[:, idx] = re + 1j * im
+            for rows, re, im in _stepped_amplitudes(self.times, evals, vecs, coeff):
+                states[rows, idx] = re + 1j * im
         return states
 
 
@@ -261,11 +270,10 @@ def evolve(
 
     Works per parity sector in real arithmetic and accumulates the
     populations in chunks of samples, so the full state array is only
-    built if EvolutionResult.states is read. Phases are stepped: cos/sin
-    of E tau for the offsets tau of one chunk are tabulated once per
-    sector, and each chunk starting at t0 folds e^{-iE t0}, computed
-    directly from t0, into the coefficients, so a chunk costs O(k) trig
-    calls instead of O(chunk k). Each phase is rounded from E t0 and
+    built if EvolutionResult.states is read; both take their amplitudes
+    from _stepped_amplitudes. Phases are stepped, one cos/sin table of
+    E tau per sector and e^{-iE t0} per chunk, so a chunk costs O(k)
+    trig calls instead of O(chunk k). Each phase is rounded from E t0 and
     E tau, both at most E t, so its error stays within the
     eps*max|E|*t that the phase-precision check bounds.
 
@@ -288,15 +296,7 @@ def evolve(
     for idx, evals, vecs, coeff in sectors:
         upper = (idx < nb).astype(float)
         (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
-        # times[:_CHUNK] are also the offsets tau = j dt within every chunk
-        phase = np.multiply.outer(times[:_CHUNK], evals)
-        cos, sin = np.cos(phase), np.sin(phase)
-        for start in range(0, len(times), _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            n = len(times[rows])
-            e_t0 = evals * times[start]
-            c0 = coeff * (np.cos(e_t0) - 1j * np.sin(e_t0))
-            re, im = _sector_parts(vecs, cos[:n], sin[:n], c0)
+        for rows, re, im in _stepped_amplitudes(times, evals, vecs, coeff):
             pops = re * re + im * im
             p_exc[rows] += pops @ upper
             norms[rows] += pops.sum(axis=1)
