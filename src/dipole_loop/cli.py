@@ -19,9 +19,10 @@ Every CSV starts with the full resolved configuration echoed as
 data rows with floats printed to 17 significant digits. Identical
 config and command produce byte-identical CSVs.
 
-With units.mode = SI the apparatus keys (atoms.*, dipole.*, cavity.*)
-are read as SI values (kg, C m, rad/s, m^3, m, s) and converted to
-natural units once at this boundary; regulator and sweep keys are
+With units.mode = SI the apparatus keys (atoms.*, dipole.*, cavity.*,
+jc.t_max) are read as SI values (kg, C m, rad/s, m^3, m, s) and
+converted to natural units once at this boundary, where the converted
+values pass the table's checks again; regulator and sweep keys are
 always natural-unit numbers, and all outputs are in natural units.
 """
 
@@ -60,7 +61,6 @@ from .loops import (
     radial_quadrature,
     symmetric_integration_check,
 )
-from .units import UnitSystem
 
 __all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main"]
 
@@ -318,40 +318,75 @@ def parse_config(text: str) -> Mapping:
 # physics assembly (single unit-conversion boundary)
 # ---------------------------------------------------------------------------
 
+# CODATA 2018 (Tiesinga et al., Rev. Mod. Phys. 93, 025010 (2021))
+HBAR_SI = 1.054571817e-34  # J s
+C_SI = 299792458.0  # m / s
+EPS0_SI = 8.8541878128e-12  # F / m
+EV_SI = 1.602176634e-19  # J
+
+# apparatus key -> the quantity its value is read as when units.mode = SI
+_SI_QUANTITY = {
+    "atoms.m1": "mass", "atoms.m2": "mass",
+    "dipole.dx": "dipole_moment", "dipole.dy": "dipole_moment", "dipole.dz": "dipole_moment",
+    "cavity.omega": "angular_frequency", "cavity.volume": "volume", "cavity.z": "length",
+    "jc.t_max": "time",
+}
+
+
+def _si_scales(base_energy_ev: float) -> dict:
+    """SI value of one natural unit of each quantity (hbar = c = eps0 = 1)."""
+    energy = base_energy_ev * EV_SI  # J
+    length = HBAR_SI * C_SI / energy  # m
+    # the field scale is fixed by the energy density eps0 E^2, and d E is
+    # an energy in both systems
+    field = (energy / (EPS0_SI * length**3)) ** 0.5
+    return {
+        "mass": energy / C_SI**2,
+        "dipole_moment": energy / field,
+        "angular_frequency": energy / HBAR_SI,
+        "volume": length**3,
+        "length": length,
+        "time": HBAR_SI / energy,
+    }
+
 
 def _physics(cfg: Mapping) -> dict:
-    """Build natural-unit model objects from the resolved config."""
-    units = UnitSystem(mode=cfg["units.mode"], base_energy_ev=cfg["units.base_energy_ev"])
-    si = cfg["units.mode"] == "SI"
+    """Build natural-unit model objects from the resolved config.
 
-    def conv(value, quantity):
-        return units.to_natural(value, quantity) if si and value is not None else value
-
-    m1 = conv(cfg["atoms.m1"], "mass")
-    m2 = conv(cfg["atoms.m2"], "mass")
+    With units.mode = SI the apparatus keys are divided by their scales
+    here, and the converted values must pass the table's checks again.
+    """
+    if cfg["units.mode"] == "SI":
+        scales = _si_scales(cfg["units.base_energy_ev"])
+        natural = dict(cfg)
+        for key, quantity in _SI_QUANTITY.items():
+            if natural[key] is not None:
+                natural[key] = natural[key] / scales[quantity]
+        problems = _check(natural, {})  # without line numbers each problem starts with its key
+        if problems:
+            raise ConfigError([
+                f"after SI conversion: {p} (natural-unit value {natural[p.split(' ', 1)[0]]!r})"
+                for p in problems
+            ])
+        cfg = natural
+    m1, m2 = cfg["atoms.m1"], cfg["atoms.m2"]
     for key, m in (("atoms.m1", m1), ("atoms.m2", m2)):
         if not 0.0 < m * m < np.inf:  # every loop scale is built from m^2
             raise ConfigError([f"{key} is {m!r} in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"])
     atoms = AtomPair(m1=m1, m2=m2)
-    d = np.array([
-        conv(cfg["dipole.dx"], "dipole_moment"),
-        conv(cfg["dipole.dy"], "dipole_moment"),
-        conv(cfg["dipole.dz"], "dipole_moment"),
-    ])
+    d = np.array([cfg["dipole.dx"], cfg["dipole.dy"], cfg["dipole.dz"]])
     gamma = dipole_from_moment(d, atoms)
-    omega = conv(cfg["cavity.omega"], "angular_frequency")
-    volume = conv(cfg["cavity.volume"], "volume")
-    z = conv(cfg["cavity.z"], "length")
+    omega, z = cfg["cavity.omega"], cfg["cavity.z"]
     if z is None:
         z = np.pi / (2.0 * omega)  # antinode of sin(K z) with K = Omega
-    cavity = jcmod.CavityMode(Omega=omega, V=volume, z=z)
+    cavity = jcmod.CavityMode(Omega=omega, V=cfg["cavity.volume"], z=z)
     reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
     return {
         "atoms": atoms,
         "gamma": gamma,
         "cavity": cavity,
         "reg": reg,
-        "t_max": conv(cfg["jc.t_max"], "time"),
+        "t_max": cfg["jc.t_max"],
     }
 
 
@@ -415,7 +450,13 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows: list) 
 
 def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None) -> jcmod.JCParams:
     atoms, cavity = phys["atoms"], phys["cavity"]
-    g = jcmod.rabi_coupling(phys["gamma"], cavity, atoms)
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = jcmod.rabi_coupling(phys["gamma"], cavity, atoms)
+    if not np.isfinite(g):
+        raise ConfigError([
+            f"coupling g is {g!r} in natural units; it is built from dipole.dx, atoms.m1, atoms.m2, "
+            "cavity.omega, cavity.volume and cavity.z"
+        ])
     return jcmod.JCParams(
         g=g,
         omega12=atoms.omega12,
@@ -428,11 +469,12 @@ def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None) -> jcmod.JC
 
 def _cmd_jc_evolve(cfg: Mapping, phys: dict):
     params = _jc_params(cfg, phys)
-    if abs(params.g) < 1e-300:
-        raise ConfigError(["jc-evolve: coupling g vanishes (dipole zero or node of the mode); set jc.t_max"])
     state = jcmod.JCState.basis(cfg["jc.level_init"], cfg["jc.n_init"], cfg["jc.n_max"])
     t_max = phys["t_max"]
     if t_max is None:
+        # the default span is one vacuum Rabi period: it needs g
+        if abs(params.g) < 1e-300:
+            raise ConfigError(["jc-evolve: coupling g vanishes (dipole zero or node of the mode); set jc.t_max"])
         t_max = 2.0 * np.pi / (abs(params.g) * np.sqrt(cfg["jc.n_init"] + 1.0))
     dt = t_max / (cfg["jc.n_times"] - 1)
     result = jcmod.evolve(state, params, t_max, dt)

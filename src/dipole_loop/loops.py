@@ -219,20 +219,14 @@ def symmetric_integration_check(n_samples: int = 200_000, seed: int = 7) -> dict
     Returns the worst off-diagonal and diagonal z-scores.
     """
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n_samples, 4))
-    n = v / np.linalg.norm(v, axis=1, keepdims=True)
-    z_off = z_diag = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            x = n[:, i] * n[:, j]
-            # cumsum adds in sample order, as the axis-0 mean/std of the
-            # (k, 4, 4) stack did; a pairwise x.sum() would move the z rows
-            mean = np.cumsum(x)[-1] / n_samples
-            d = x - mean
-            std_err = np.sqrt(np.cumsum(d * d)[-1] / (n_samples - 1)) / np.sqrt(n_samples)
-            z = abs(mean - (0.25 if i == j else 0.0)) / std_err
-            if i == j:
-                z_diag = max(z_diag, z)
-            else:
-                z_off = max(z_off, z)
+    n = rng.normal(size=(n_samples, 4))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    # all ten second moments, then the variances of their samples from
+    # the squares' products, in place
+    mean = n.T @ n / n_samples
+    n *= n
+    var = (n.T @ n / n_samples - mean * mean) * (n_samples / (n_samples - 1))
+    z = np.abs(mean - 0.25 * np.eye(4)) / np.sqrt(var / n_samples)
+    z_off = z[~np.eye(4, dtype=bool)].max()
+    z_diag = z.diagonal().max()
     return {"max_offdiag_z": float(z_off), "max_diag_z": float(z_diag), "n_samples": n_samples}

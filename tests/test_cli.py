@@ -372,18 +372,16 @@ class TestTransformCount:
 
 class TestSIBoundary:
     def test_si_config_matches_natural(self, tmp_path):
-        from dipole_loop.units import UnitSystem
-
-        us = UnitSystem("SI", 1.0)
+        scale = cli._si_scales(1.0)
         si = "\n".join([
             "units.mode = SI",
-            f"atoms.m1 = {us.to_si(1.0, 'mass'):.17e}",
-            f"atoms.m2 = {us.to_si(0.95, 'mass'):.17e}",
-            f"dipole.dx = {us.to_si(0.01, 'dipole_moment'):.17e}",
+            f"atoms.m1 = {1.0 * scale['mass']:.17e}",
+            f"atoms.m2 = {0.95 * scale['mass']:.17e}",
+            f"dipole.dx = {0.01 * scale['dipole_moment']:.17e}",
             "dipole.dy = 0.0",
             "dipole.dz = 0.0",
-            f"cavity.omega = {us.to_si(0.05, 'angular_frequency'):.17e}",
-            f"cavity.volume = {us.to_si(1.0, 'volume'):.17e}",
+            f"cavity.omega = {0.05 * scale['angular_frequency']:.17e}",
+            f"cavity.volume = {1.0 * scale['volume']:.17e}",
         ]) + "\n"
         conf_si = write_conf(tmp_path, si, "si.conf")
         conf_nat = write_conf(tmp_path, "", "nat.conf")
@@ -393,6 +391,21 @@ class TestSIBoundary:
         _, _, rows_nat = read_csv(str(tmp_path / "nat" / "jc_rabi.csv"))
         for a, b in zip(rows_si, rows_nat):
             assert float(a[1]) == pytest.approx(float(b[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("text, problem", [
+        # 1e-310 rad/s is 6.6e-326 natural units: it underflows to zero
+        ("cavity.omega = 1e-310", "cavity.omega must be a positive finite number (natural-unit value 0.0)"),
+        # 1e300 C m is past the largest double in natural units
+        ("dipole.dx = 1e300", "dipole.dx must be finite (natural-unit value inf)"),
+        # one natural time unit is 6.6e54 s at 1e-70 eV
+        ("units.base_energy_ev = 1e-70\njc.t_max = 1e-300",
+         "jc.t_max must be positive when given (natural-unit value 0.0)"),
+    ])
+    def test_converted_values_rechecked(self, tmp_path, capsys, text, problem):
+        conf = write_conf(tmp_path, f"units.mode = SI\n{text}\n")
+        assert cli.main(["check-dims", "--config", conf, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: after SI conversion: {problem}\n"
+        assert not any(tmp_path.glob("*.csv"))
 
 
 class TestJcEvolveCommand:
@@ -407,6 +420,37 @@ class TestJcEvolveCommand:
         assert min(pe) < 1e-6  # reaches the lower level twice over two periods
         norms = [float(r[3]) for r in rows]
         assert max(abs(n - 1.0) for n in norms) < 1e-12
+
+
+class TestCoupling:
+    def test_zero_coupling_with_span_evolves_freely(self, tmp_path):
+        conf = write_conf(tmp_path, "dipole.dx = 0\njc.t_max = 10\njc.n_times = 11\n")
+        assert cli.main(["jc-evolve", "--config", conf, "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(str(tmp_path / "jc_evolve.csv"))
+        assert [float(r[0]) for r in rows] == pytest.approx(np.linspace(0.0, 10.0, 11))
+        # no coupling: the upper level stays populated, up to round-off in |e^{-iEt}|^2
+        assert [float(r[1]) for r in rows] == pytest.approx([1.0] * 11, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("command, message", [
+        ("jc-evolve", "jc-evolve: coupling g vanishes (dipole zero or node of the mode); set jc.t_max"),
+        ("jc-rabi", "jc-rabi: coupling g vanishes (dipole zero or node of the mode)"),
+    ])
+    def test_zero_coupling_refused_where_g_sets_the_span(self, tmp_path, capsys, command, message):
+        text = "dipole.dx = 0\n" + ("jc.t_max = 10\n" if command == "jc-rabi" else "")
+        assert cli.main([command, "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["jc-evolve", "jc-rabi"])
+    @pytest.mark.parametrize("text, g", [
+        ("cavity.omega = 1e-310", "nan"),  # z = pi / (2 Omega) is infinite
+        ("cavity.volume = 1e-320", "-inf"),  # E per photon is infinite
+    ])
+    def test_non_finite_coupling_is_config_error(self, tmp_path, capsys, command, text, g):
+        conf = write_conf(tmp_path, text + "\n")
+        assert cli.main([command, "--config", conf, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: coupling g is {g} in natural units; it is built from dipole.dx")
+        assert not any(tmp_path.glob("*.csv"))
 
 
 class TestPhasePrecisionRefusal:
@@ -562,6 +606,10 @@ PROBES = [
     pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", id="cutoff-grid-1e-300:1e300"),
     pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", id="nr-grid-1e-300:1e300", marks=OVERFLOWS),
     pytest.param("regulator.quad_tol = 1e-18", id="quad_tol-1e-18"),
+    pytest.param("units.mode = SI\ncavity.omega = 1e-310", id="SI-omega-1e-310"),
+    pytest.param("units.mode = SI\ndipole.dx = 1e300", id="SI-dx-1e300"),
+    pytest.param("cavity.omega = 1e-310", id="omega-1e-310"),
+    pytest.param("cavity.volume = 1e-320", id="volume-1e-320"),
 ]
 
 

@@ -17,8 +17,9 @@ from dipole_loop.core import (
     gamma_sq_dot,
     minkowski_dot,
 )
-from dipole_loop.errors import KinematicDomainError
-from dipole_loop.units import EV_SI, HBAR_SI, C_SI, UnitSystem
+from dipole_loop import cli
+from dipole_loop.cli import C_SI, EPS0_SI, EV_SI, HBAR_SI, _SI_QUANTITY, _si_scales, parse_config
+from dipole_loop.errors import ConfigError, KinematicDomainError
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
@@ -178,39 +179,54 @@ class TestPowerCounting:
 class TestUnits:
     def test_natural_mode_trivial(self):
         # natural mode (the default) passes apparatus values through unconverted
-        from dipole_loop import cli
-
         phys = cli._physics(cli.parse_config("atoms.m1 = 2.0\natoms.m2 = 1.5\ncavity.omega = 0.07\n"))
         assert (phys["atoms"].m1, phys["atoms"].m2, phys["cavity"].Omega) == (2.0, 1.5, 0.07)
 
     def test_known_scales_at_1ev(self):
-        us = UnitSystem("SI", base_energy_ev=1.0)
+        scales = _si_scales(1.0)
         # hbar c / (1 eV) = 197.327 nm
-        assert us.to_si(1.0, "length") == pytest.approx(HBAR_SI * C_SI / EV_SI, rel=1e-12)
-        assert us.to_si(1.0, "length") == pytest.approx(1.9732698e-7, rel=1e-6)
-        assert us.to_si(1.0, "time") == pytest.approx(6.582120e-16, rel=1e-6)
+        assert scales["length"] == pytest.approx(HBAR_SI * C_SI / EV_SI, rel=1e-12)
+        assert scales["length"] == pytest.approx(1.9732698e-7, rel=1e-6)
+        assert scales["time"] == pytest.approx(6.582120e-16, rel=1e-6)
         # mass of one natural unit: 1 eV / c^2
-        assert us.to_si(1.0, "mass") == pytest.approx(EV_SI / C_SI**2, rel=1e-12)
+        assert scales["mass"] == pytest.approx(EV_SI / C_SI**2, rel=1e-12)
 
-    @given(st.floats(1e-6, 1e6), st.sampled_from(("mass", "length", "volume", "time",
-                                                  "angular_frequency", "energy",
-                                                  "electric_field", "dipole_moment")))
-    def test_roundtrip(self, v, q):
-        us = UnitSystem("SI", base_energy_ev=2.5)
-        assert us.to_natural(us.to_si(v, q), q) == pytest.approx(v, rel=1e-12)
+    @given(st.floats(1e-6, 1e6), st.sampled_from(("atoms.m1", "cavity.omega", "cavity.volume", "cavity.z", "jc.t_max")))
+    @settings(max_examples=30, deadline=None)
+    def test_roundtrip(self, v, key):
+        # v natural units, given in SI, leave the boundary as v
+        si = v * _si_scales(2.5)[_SI_QUANTITY[key]]
+        text = f"units.mode = SI\nunits.base_energy_ev = 2.5\n{key} = {si!r}\n"
+        if key == "atoms.m1":
+            text += f"atoms.m2 = {si!r}\n"
+        phys = cli._physics(parse_config(text))
+        back = {
+            "atoms.m1": phys["atoms"].m1,
+            "cavity.omega": phys["cavity"].Omega,
+            "cavity.volume": phys["cavity"].V,
+            "cavity.z": phys["cavity"].z,
+            "jc.t_max": phys["t_max"],
+        }[key]
+        assert back == pytest.approx(v, rel=1e-12)
 
     def test_dipole_times_field_is_energy(self):
-        us = UnitSystem("SI", base_energy_ev=1.0)
-        d = us.to_si(1.0, "dipole_moment")
-        e = us.to_si(1.0, "electric_field")
-        assert d * e == pytest.approx(us.to_si(1.0, "energy"), rel=1e-12)
+        # one natural unit of field has energy density eps0 E^2 = E* / L*^3,
+        # and d E is an energy: with E* = 1 eV and L* = hbar c / e, one
+        # natural dipole moment is sqrt(e eps0 L*^3)
+        energy, length = EV_SI, HBAR_SI * C_SI / EV_SI
+        field = (energy / (EPS0_SI * length**3)) ** 0.5
+        d = _si_scales(1.0)["dipole_moment"]
+        assert d * field == pytest.approx(energy, rel=1e-12)
+        assert d == pytest.approx((EV_SI * EPS0_SI * (HBAR_SI * C_SI / EV_SI) ** 3) ** 0.5, rel=1e-12)
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            UnitSystem("imperial")
-        with pytest.raises(ValueError):
-            UnitSystem("SI", base_energy_ev=-1.0)
+        # the config table owns the unit keys' checks
+        with pytest.raises(ConfigError, match="units.mode: expected one of"):
+            parse_config("units.mode = imperial\n")
+        with pytest.raises(ConfigError, match="units.base_energy_ev must be a positive finite number"):
+            parse_config("units.base_energy_ev = -1.0\n")
 
     def test_unknown_quantity(self):
-        with pytest.raises(ValueError, match="unknown quantity"):
-            UnitSystem("SI").to_si(1.0, "charge")
+        # every SI key is a table key, and its quantity has a scale
+        assert set(_SI_QUANTITY) <= set(cli._TABLE)
+        assert set(_SI_QUANTITY.values()) == set(_si_scales(1.0))
