@@ -37,7 +37,19 @@ from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-import numpy as np
+# One BLAS thread unless the caller chose a count: every matrix here is at
+# most a few hundred wide, where a second thread shortens nothing and its
+# idle worker spin-waits on a core. numpy's OpenBLAS reads the count once,
+# when it loads, so the variable is removed again and no child process
+# inherits it; OPENBLAS_NUM_THREADS and the like still take precedence.
+if "OMP_NUM_THREADS" in os.environ:
+    import numpy as np
+else:
+    os.environ["OMP_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OMP_NUM_THREADS"]
 
 from . import jc as jcmod
 from . import nr as nrmod
@@ -478,17 +490,15 @@ def _cmd_jc_evolve(cfg: Mapping, phys: dict):
         t_max = 2.0 * np.pi / (abs(params.g) * np.sqrt(cfg["jc.n_init"] + 1.0))
     dt = t_max / (cfg["jc.n_times"] - 1)
     result = jcmod.evolve(state, params, t_max, dt)
-    rows = [
-        (t, pe, inv, nrm, top)
-        for t, pe, inv, nrm, top in zip(
-            result.times, result.p_excited, result.inversion, result.norms, result.top_band
-        )
-    ]
+    rows = np.column_stack(
+        (result.times, result.p_excited, result.inversion, result.norms, result.top_band)
+    ).tolist()
     header = ["time[natural]", "p_excited[1]", "inversion[1]", "norm[1]", "top_band[1]"]
     drift = float(np.max(np.abs(result.norms - 1.0)))
     summary = (
         f"jc-evolve: {len(rows)} samples to t = {t_max:.6g}, "
-        f"norm drift {drift:.3e}, max top-band {float(result.top_band.max()):.3e}"
+        f"norm drift {drift:.3e}, max top-band {float(result.top_band.max()):.3e}, "
+        f"phase estimate {result.phase_estimate:.3e} (bound {jcmod.PHASE_PRECISION_BOUND:.0e})"
     )
     return header, rows, summary, []
 
@@ -520,7 +530,9 @@ def _cmd_nr_reduce(cfg: Mapping, phys: dict):
     gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
     res = nrmod.decoupling_residual(k, gdotF, atoms)
     blk = nrmod.reduced_block_error(k, gdotF, atoms)
-    rows = list(zip(targets, res["lambda_max"], res["r_before"], res["r_after"], blk["error"], blk["h_norm"]))
+    rows = np.column_stack(
+        (targets, res["lambda_max"], res["r_before"], res["r_after"], blk["error"], blk["h_norm"])
+    ).tolist()
     header = [
         "lambda_target[1]",
         "lambda_max[1]",

@@ -265,6 +265,19 @@ class TestCsvContract:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
+def _fresh_python(script, **env_vars):
+    """Stdout lines of script in a new interpreter, src on the path, no BLAS thread variable but env_vars."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 class TestImportFloor:
     def test_commands_run_without_scipy(self, tmp_path):
         # every command runs on numpy alone (scipy is a test dependency),
@@ -278,13 +291,31 @@ class TestImportFloor:
             "print('concurrent.futures' in sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-2:] == ["False", "[]"]
+        assert _fresh_python(script)[-2:] == ["False", "[]"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+class TestBlasThreads:
+    THREADS = (
+        "import os\n"
+        "import dipole_loop.cli\n"
+        "status = open('/proc/self/status').read().split('\\n')\n"
+        "print(next(line.split()[1] for line in status if line.startswith('Threads:')))\n"
+        "print('OMP_NUM_THREADS' in os.environ)\n"
+    )
+
+    def test_one_thread_by_default(self):
+        # the process runs BLAS on its main thread alone, and the default is
+        # not left in the environment for child processes
+        assert _fresh_python(self.THREADS) == ["1", "False"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the core count")
+    def test_caller_setting_wins(self):
+        assert _fresh_python(self.THREADS, OPENBLAS_NUM_THREADS="2") == ["2", "False"]
+
+    def test_package_root_does_not_load_numpy(self):
+        # the default is set before numpy loads only if nothing imported it first
+        assert _fresh_python("import sys, dipole_loop\nprint('numpy' in sys.modules)") == ["False"]
 
 
 class TestLambdaGridFlag:
@@ -420,6 +451,14 @@ class TestJcEvolveCommand:
         assert min(pe) < 1e-6  # reaches the lower level twice over two periods
         norms = [float(r[3]) for r in rows]
         assert max(abs(n - 1.0) for n in norms) < 1e-12
+
+    def test_summary_reports_phase_estimate(self, tmp_path, capsys):
+        # g = 0 leaves H diagonal, and the sector of |upper, 0> tops out at
+        # |upper, 8>: max|E| = 8 Omega + omega12/2 with the default n_max and masses
+        conf = write_conf(tmp_path, "dipole.dx = 0\njc.t_max = 500\njc.n_times = 11\n")
+        assert cli.main(["jc-evolve", "--config", conf, "--out", str(tmp_path)]) == 0
+        estimate = np.finfo(float).eps * (8 * 0.05 + 0.5 * (1.0 - 0.95)) * 500.0
+        assert capsys.readouterr().out.endswith(f", phase estimate {estimate:.3e} (bound 1e-06)\n")
 
 
 class TestCoupling:

@@ -204,8 +204,9 @@ def _oracle_case(case):
             (_, evals, _, _), = jc._sector_eigen(CAVITY, state.amplitudes)
             phase_abs = 0.99 * jc.PHASE_PRECISION_BOUND
             t = phase_abs / (np.finfo(float).eps * np.max(np.abs(evals)))
-        # nine full chunks and a ragged last one; dense rows at the chunk edges
-        return CAVITY, state, t, 20000, [0, jc._CHUNK - 1, jc._CHUNK, 19999], phase_abs
+        # full chunks and a ragged last one; dense rows at the first chunk
+        # edge and at 2047/2048, the edge of the earlier 2,048-sample chunk
+        return CAVITY, state, t, 20000, [0, jc._CHUNK - 1, jc._CHUNK, 2047, 2048, 19999], phase_abs
     p = JCParams(
         g=0.004,
         omega12=0.05 if case != "detuned" else 0.062,
@@ -243,6 +244,13 @@ class TestSectorEvolutionOracle:
         out = evolve(_superposition(p.n_max), p, 100.0, 10.0)
         assert len(out.sectors) == 2
         assert len(evolve(JCState.basis("lower", 0, p.n_max), p, 100.0, 10.0).sectors) == 1
+
+    def test_phase_estimate_recorded(self):
+        # g = 0 leaves H diagonal; the sector of |upper, 0> (odd excitation
+        # number) holds |upper, 8> at the top, E = 8 Omega + omega12/2
+        p = resonant(g=0.0)
+        out = evolve(JCState.basis("upper", 0, p.n_max), p, 1000.0, 10.0)
+        assert out.phase_estimate == pytest.approx(np.finfo(float).eps * (8 * 0.05 + 0.5 * 0.05) * 1000.0, rel=1e-15)
 
     def test_refuses_unresolvable_phases(self):
         p = resonant(g=1e-13)
