@@ -34,7 +34,6 @@ import functools
 import os
 import sys
 from collections.abc import Mapping
-from fractions import Fraction
 from types import MappingProxyType
 
 # One BLAS thread unless the caller chose a count: every matrix here is at
@@ -51,9 +50,9 @@ else:
     finally:
         del os.environ["OMP_NUM_THREADS"]
 
-from . import jc as jcmod
-from . import nr as nrmod
-from . import renorm
+# jc, nr and renorm are imported by the handlers that call them, so a
+# command process loads only its own module; handlers call them as module
+# attributes, so wrappers installed there (bench/tracing.py) still apply
 from .core import (
     AtomPair,
     classify_renormalizability,
@@ -363,7 +362,8 @@ def _si_scales(base_energy_ev: float) -> dict:
 
 
 def _physics(cfg: Mapping) -> dict:
-    """Build natural-unit model objects from the resolved config.
+    """Build the natural-unit atoms, dipole tensor and regulator, and pass
+    on the cavity mode's Omega, V and z, from the resolved config.
 
     With units.mode = SI the apparatus keys are divided by their scales
     here, and the converted values must pass the table's checks again.
@@ -391,12 +391,13 @@ def _physics(cfg: Mapping) -> dict:
     omega, z = cfg["cavity.omega"], cfg["cavity.z"]
     if z is None:
         z = np.pi / (2.0 * omega)  # antinode of sin(K z) with K = Omega
-    cavity = jcmod.CavityMode(Omega=omega, V=cfg["cavity.volume"], z=z)
     reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
     return {
         "atoms": atoms,
         "gamma": gamma,
-        "cavity": cavity,
+        "Omega": omega,
+        "V": cfg["cavity.volume"],
+        "z": z,
         "reg": reg,
         "t_max": cfg["jc.t_max"],
     }
@@ -460,8 +461,11 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows: list) 
 # ---------------------------------------------------------------------------
 
 
-def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None) -> jcmod.JCParams:
-    atoms, cavity = phys["atoms"], phys["cavity"]
+def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None):
+    """The jc.JCParams of the config's cavity mode and atoms."""
+    from . import jc as jcmod
+    atoms = phys["atoms"]
+    cavity = jcmod.CavityMode(Omega=phys["Omega"], V=phys["V"], z=phys["z"])
     with np.errstate(invalid="ignore", over="ignore"):
         g = jcmod.rabi_coupling(phys["gamma"], cavity, atoms)
     if not np.isfinite(g):
@@ -480,6 +484,7 @@ def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None) -> jcmod.JC
 
 
 def _cmd_jc_evolve(cfg: Mapping, phys: dict):
+    from . import jc as jcmod
     params = _jc_params(cfg, phys)
     state = jcmod.JCState.basis(cfg["jc.level_init"], cfg["jc.n_init"], cfg["jc.n_max"])
     t_max = phys["t_max"]
@@ -504,6 +509,7 @@ def _cmd_jc_evolve(cfg: Mapping, phys: dict):
 
 
 def _cmd_jc_rabi(cfg: Mapping, phys: dict):
+    from . import jc as jcmod
     atoms = phys["atoms"]
     if atoms.omega12 <= 0:
         raise ConfigError(["jc-rabi: needs atoms.m1 > atoms.m2 (resonance tunes the mode to omega12)"])
@@ -524,6 +530,7 @@ def _cmd_jc_rabi(cfg: Mapping, phys: dict):
 
 
 def _cmd_nr_reduce(cfg: Mapping, phys: dict):
+    from . import nr as nrmod
     atoms = phys["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
     k = atoms.m1 * np.sqrt(targets)
@@ -547,6 +554,7 @@ def _cmd_nr_reduce(cfg: Mapping, phys: dict):
 
 
 def _cmd_loop_selfenergy(cfg: Mapping, phys: dict):
+    from . import renorm
     atoms, gamma = phys["atoms"], phys["gamma"]
     level = cfg["selfenergy.level"]
     path = cfg["selfenergy.path"]
@@ -580,6 +588,7 @@ def _cmd_loop_selfenergy(cfg: Mapping, phys: dict):
 
 
 def _cmd_loop_vertex(cfg: Mapping, phys: dict):
+    from . import renorm
     atoms, gamma = phys["atoms"], phys["gamma"]
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
     m1 = atoms.m1
@@ -610,6 +619,7 @@ def _cmd_loop_vertex(cfg: Mapping, phys: dict):
 
 
 def _cmd_loop_polarization(cfg: Mapping, phys: dict):
+    from . import renorm
     atoms, gamma = phys["atoms"], phys["gamma"]
     q = np.array([
         cfg["polarization.q0"], cfg["polarization.q1"],
@@ -634,6 +644,7 @@ def _cmd_loop_polarization(cfg: Mapping, phys: dict):
 
 
 def _cmd_report_counterterms(cfg: Mapping, phys: dict):
+    from . import renorm
     rep = renorm.counterterm_report(
         phys["atoms"], phys["gamma"], phys["reg"], b_order=cfg["selfenergy.b_order"]
     )
@@ -647,6 +658,7 @@ def _cmd_report_counterterms(cfg: Mapping, phys: dict):
 
 
 def _cmd_check_dims(cfg: Mapping, phys: dict):
+    from fractions import Fraction
     rows = []
     for interaction in ("P_tilde", "P"):
         for n in (3, 2):

@@ -9,7 +9,6 @@ atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -169,13 +168,15 @@ def minkowski_dot(p: np.ndarray, q: np.ndarray) -> float:
 _INTERACTIONS = ("P", "P_tilde")
 
 
-def engineering_dimension(interaction: str, n: int) -> Fraction:
-    """Length dimension of the coupling for the two interaction choices.
+def engineering_dimension(interaction: str, n: int):
+    """Length dimension of the coupling for the two interaction choices,
+    as an exact fractions.Fraction.
 
     The derivative-free coupling P carries L^{(n-3)/2}; the
     time-derivative coupling P_tilde carries L^{(n-1)/2}, with n the
     number of spatial dimensions.
     """
+    from fractions import Fraction
     if interaction not in _INTERACTIONS:
         raise ValueError(f"interaction must be one of {_INTERACTIONS}, got {interaction!r}")
     if n not in (2, 3):

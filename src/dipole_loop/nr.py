@@ -21,7 +21,7 @@ gives scalar results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ __all__ = [
 EPS_BAR = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-@dataclass(frozen=True)
-class SmallParams:
+class SmallParams(NamedTuple):
     """Magnitudes of the three expansion parameters at wavenumber k."""
 
     lambda1: float | np.ndarray

@@ -33,8 +33,7 @@ scipy is not imported here; the adaptive oracles live in the tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -165,8 +164,7 @@ def _quadratic_min(c0: float, c1: float, c2: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SelfEnergyResult:
+class SelfEnergyResult(NamedTuple):
     """Scalar and tensor parts of Sigma at the evaluation points.
 
     sigma_II_coeff is the coefficient of gamma^2_{tau lambda} p^tau
@@ -403,6 +401,7 @@ def vertex_one_loop(
         # quadratic loses to cancellation the digits the rule needs. The
         # vertex form beta_min + (-q^2) (y - y*)^2, with beta_min and y*
         # rounded once from exact rationals, keeps full relative precision.
+        from fractions import Fraction
         q_frac, d_frac = Fraction(q_sq), Fraction(delta)
         beta_min = float(Fraction(m2_sq) + d_frac + (q_frac - d_frac) ** 2 / (4 * q_frac))
         y_min = float((q_frac - d_frac) / (2 * q_frac))
@@ -500,8 +499,7 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivergenceFit:
+class DivergenceFit(NamedTuple):
     """Least-squares coefficients of a regulated quantity on a Lambda grid.
 
     Model "quad_log_const": c_quad Lambda^2 + c_log M^2 ln(Lambda^2/M^2)
@@ -573,8 +571,7 @@ def divergence_fit(
     )
 
 
-@dataclass(frozen=True)
-class RenormConstants:
+class RenormConstants(NamedTuple):
     """The report's (quantity, value, operator_class) rows in output order,
     and the measured loop prefactor, which also closes the rows."""
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dipole_loop import cli
+from dipole_loop import cli, jc, nr, renorm
 from dipole_loop.errors import ConfigError, DipoleLoopError
 
 
@@ -293,6 +293,78 @@ class TestImportFloor:
         )
         assert _fresh_python(script)[-2:] == ["False", "[]"]
 
+    # of these five modules, a command loads only the one it runs
+    # (renorm brings numpy.polynomial for leggauss), and importing cli
+    # loads none
+    WATCHED = ("dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions")
+    LOOP = ["dipole_loop.renorm", "numpy.polynomial"]
+    LOADS = {
+        "jc-evolve": ["dipole_loop.jc"],
+        "jc-rabi": ["dipole_loop.jc"],
+        "nr-reduce": ["dipole_loop.nr"],
+        "loop-selfenergy": LOOP,
+        "loop-vertex": LOOP,
+        "loop-polarization": LOOP,
+        "report-counterterms": LOOP,
+        "check-dims": ["fractions"],
+        "oracle-verify": [],
+    }
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_command_loads_only_its_module(self, tmp_path, command):
+        conf = write_conf(tmp_path, "")
+        script = (
+            "import sys\n"
+            "from dipole_loop.cli import main\n"
+            f"assert main([{command!r}, '--config', {conf!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"print([m for m in {self.WATCHED!r} if m in sys.modules])\n"
+        )
+        assert _fresh_python(script)[-1] == repr(self.LOADS[command])
+
+    def test_cli_import_loads_none(self):
+        script = f"import sys, dipole_loop.cli\nprint([m for m in {self.WATCHED!r} if m in sys.modules])"
+        assert _fresh_python(script) == ["[]"]
+
+
+class TestHarnessPatchPoints:
+    # every attribute that bench/tracing.py's `patched` replaces, by owner:
+    # keep this list in step with it, so that an import change cannot
+    # silently break bench/run.py --trace 1
+    PATCHED = {
+        cli: ("parse_config", "_physics", "_write_csv", "_pmap", "_HANDLERS", "master_integral",
+              "radial_quadrature", "feynman_identity_check", "symmetric_integration_check"),
+        renorm: ("self_energy", "wavefunction_Z", "vertex_one_loop", "photon_polarization",
+                 "counterterm_report", "integrate", "master_integral", "master_integral_d_scale"),
+        jc: ("build_hamiltonian", "evolve", "measure_resonant_period"),
+        nr: ("decoupling_residual", "reduced_block_error", "similarity_transform"),
+    }
+
+    @pytest.mark.parametrize("owner", list(PATCHED), ids=lambda m: m.__name__)
+    def test_patched_names_exist(self, owner):
+        assert [a for a in self.PATCHED[owner] if not hasattr(owner, a)] == []
+
+    @pytest.mark.parametrize("owner, attr, command", [
+        (jc, "evolve", "jc-evolve"),
+        (jc, "measure_resonant_period", "jc-rabi"),
+        (nr, "decoupling_residual", "nr-reduce"),
+        (renorm, "self_energy", "loop-selfenergy"),
+        (renorm, "counterterm_report", "report-counterterms"),
+        (cli, "symmetric_integration_check", "oracle-verify"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_handler_calls_the_patched_name(self, tmp_path, monkeypatch, owner, attr, command):
+        # a handler looks the function up on its module when it runs, so
+        # a replacement installed after cli was imported is the one called
+        calls = []
+        fn = getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+        assert cli.main([command, "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]) == 0
+        assert calls
+
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 class TestBlasThreads:
@@ -366,13 +438,13 @@ class TestRuleCount:
     ])
     def test_rule_count(self, tmp_path, monkeypatch, command, grid, rules):
         calls = []
-        rule = cli.renorm._fixed_rule
+        rule = renorm._fixed_rule
 
         def counting(*args, **kwargs):
             calls.append(None)
             return rule(*args, **kwargs)
 
-        monkeypatch.setattr(cli.renorm, "_fixed_rule", counting)
+        monkeypatch.setattr(renorm, "_fixed_rule", counting)
         argv = [command, "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]
         if grid is not None:
             argv += ["--lambda-grid", grid]
@@ -386,13 +458,13 @@ class TestTransformCount:
         # decoupling_residual and reduced_block_error each transform the
         # whole grid in one call, whatever its size
         calls = []
-        transform = cli.nrmod.similarity_transform
+        transform = nr.similarity_transform
 
         def counting(*args, **kwargs):
             calls.append(None)
             return transform(*args, **kwargs)
 
-        monkeypatch.setattr(cli.nrmod, "similarity_transform", counting)
+        monkeypatch.setattr(nr, "similarity_transform", counting)
         text = "" if grid is None else f"nr.lambda_grid = {grid}\n"
         argv = ["nr-reduce", "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
