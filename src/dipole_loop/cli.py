@@ -16,8 +16,8 @@ infinity in an output row included), 4 failed internal cross-check.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
-data rows with floats printed to 17 significant digits. Identical
-config and command produce byte-identical CSVs.
+data rows with floats printed as %.17e. Identical config and command
+produce byte-identical CSVs.
 
 With units.mode = SI the apparatus keys (atoms.*, dipole.*, cavity.*,
 jc.t_max) are read as SI values (kg, C m, rad/s, m^3, m, s) and
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import os
 import sys
 from collections.abc import Mapping
@@ -75,18 +74,6 @@ from .loops import (
 
 __all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main"]
 
-COMMANDS = (
-    "jc-evolve",
-    "jc-rabi",
-    "nr-reduce",
-    "loop-selfenergy",
-    "loop-vertex",
-    "loop-polarization",
-    "report-counterterms",
-    "check-dims",
-    "oracle-verify",
-)
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -108,6 +95,8 @@ MAX_LAMBDA = 1e76
 # past about 1.7e74 eV and underflows to zero below about 1e-83 eV
 MIN_BASE_ENERGY_EV = 1e-70
 MAX_BASE_ENERGY_EV = 1e70
+# every float a CSV holds, config echo included
+_FLOAT_FORMAT = "%.17e"
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -216,7 +205,7 @@ _TABLE = {
     "jc.n_max": (8, int, (_at_most(MAX_N_MAX),)),
     "jc.rwa": (True, _parse_bool, ()),
     "jc.leak_threshold": (1e-8, float, ((lambda v: 0 < v < 1, "must be in (0, 1)"),)),
-    "jc.t_max": (None, _opt(float), ((lambda v: v is None or v > 0, "must be positive when given"),)),
+    "jc.t_max": (None, _opt(float), ((lambda v: v is None or v > 0, "must be positive when given"), _FINITE_WHEN_GIVEN)),
     "jc.n_times": (401, int, (_at_least(2), _at_most(MAX_N_TIMES))),
     "jc.n_list": ((0, 1, 5), _parse_int_list, ((lambda v: len(v) <= MAX_N_LIST, f"must have at most {MAX_N_LIST} entries"),)),
     "regulator.lambda": (100.0, float, (_POSITIVE, _at_most(MAX_LAMBDA))),
@@ -249,7 +238,7 @@ def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return "%.17e" % v
+        return _FLOAT_FORMAT % v
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
     return str(v)
@@ -362,15 +351,16 @@ def _si_scales(base_energy_ev: float) -> dict:
 
 
 def _physics(cfg: Mapping) -> dict:
-    """Build the natural-unit atoms, dipole tensor and regulator, and pass
-    on the cavity mode's Omega, V and z, from the resolved config.
+    """The resolved config in natural units, the one mapping a handler reads.
 
     With units.mode = SI the apparatus keys are divided by their scales
     here, and the converted values must pass the table's checks again.
+    cavity.z defaults to the mode's antinode, and "atoms" (AtomPair) and
+    "gamma" (DipoleTensor) are built from the converted values.
     """
+    natural = dict(cfg)
     if cfg["units.mode"] == "SI":
         scales = _si_scales(cfg["units.base_energy_ev"])
-        natural = dict(cfg)
         for key, quantity in _SI_QUANTITY.items():
             if natural[key] is not None:
                 natural[key] = natural[key] / scales[quantity]
@@ -380,27 +370,16 @@ def _physics(cfg: Mapping) -> dict:
                 f"after SI conversion: {p} (natural-unit value {natural[p.split(' ', 1)[0]]!r})"
                 for p in problems
             ])
-        cfg = natural
-    m1, m2 = cfg["atoms.m1"], cfg["atoms.m2"]
+    m1, m2 = natural["atoms.m1"], natural["atoms.m2"]
     for key, m in (("atoms.m1", m1), ("atoms.m2", m2)):
         if not 0.0 < m * m < np.inf:  # every loop scale is built from m^2
             raise ConfigError([f"{key} is {m!r} in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"])
     atoms = AtomPair(m1=m1, m2=m2)
-    d = np.array([cfg["dipole.dx"], cfg["dipole.dy"], cfg["dipole.dz"]])
-    gamma = dipole_from_moment(d, atoms)
-    omega, z = cfg["cavity.omega"], cfg["cavity.z"]
-    if z is None:
-        z = np.pi / (2.0 * omega)  # antinode of sin(K z) with K = Omega
-    reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
-    return {
-        "atoms": atoms,
-        "gamma": gamma,
-        "Omega": omega,
-        "V": cfg["cavity.volume"],
-        "z": z,
-        "reg": reg,
-        "t_max": cfg["jc.t_max"],
-    }
+    d = np.array([natural["dipole.dx"], natural["dipole.dy"], natural["dipole.dz"]])
+    if natural["cavity.z"] is None:
+        natural["cavity.z"] = np.pi / (2.0 * natural["cavity.omega"])  # antinode of sin(K z) with K = Omega
+    natural.update(atoms=atoms, gamma=dipole_from_moment(d, atoms))
+    return natural
 
 
 def _lambda_values(cfg: Mapping) -> np.ndarray:
@@ -422,26 +401,18 @@ def _pmap(fn, items):
 
 def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
-        return "%.17e" % float(v)
+        return _FLOAT_FORMAT % float(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)
 
 
-_FLOAT_TYPES = frozenset((float, np.float64))
-
-
-@functools.lru_cache(maxsize=None)
-def _float_row_format(k: int) -> str:
-    return ",".join(["%.17e"] * k) + "\n"
-
-
-def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows: list) -> None:
+def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> None:
     """Write the config echo (sorted by key), the header and the rows.
 
-    A row of floats only is formatted with one "%.17e,...\n" string; it
-    needs no quoting, so the bytes equal csv.writer's over _cell. Rows
-    holding ints or strings go through csv.writer.
+    A float array is formatted with one "%.17e,...\n" string per row; it
+    needs no quoting, so the bytes equal csv.writer's over _cell. A list
+    of rows, which may hold ints or strings, goes through csv.writer.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
@@ -449,11 +420,12 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows: list) 
             fh.write(f"# {key} = {_format_value(cfg[key])}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            if _FLOAT_TYPES.issuperset(map(type, row)):
-                fh.write(_float_row_format(len(row)) % tuple(row))
-            else:
-                writer.writerow([_cell(v) for v in row])
+        if isinstance(rows, np.ndarray):
+            line = ",".join([_FLOAT_FORMAT] * rows.shape[1]) + "\n"
+            for row in rows.tolist():
+                fh.write(line % tuple(row))
+        else:
+            writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +433,13 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows: list) 
 # ---------------------------------------------------------------------------
 
 
-def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None):
+def _jc_params(cfg: Mapping, Omega: float | None = None):
     """The jc.JCParams of the config's cavity mode and atoms."""
     from . import jc as jcmod
-    atoms = phys["atoms"]
-    cavity = jcmod.CavityMode(Omega=phys["Omega"], V=phys["V"], z=phys["z"])
+    atoms = cfg["atoms"]
+    cavity = jcmod.CavityMode(Omega=cfg["cavity.omega"], V=cfg["cavity.volume"], z=cfg["cavity.z"])
     with np.errstate(invalid="ignore", over="ignore"):
-        g = jcmod.rabi_coupling(phys["gamma"], cavity, atoms)
+        g = jcmod.rabi_coupling(cfg["gamma"], cavity, atoms)
     if not np.isfinite(g):
         raise ConfigError([
             f"coupling g is {g!r} in natural units; it is built from dipole.dx, atoms.m1, atoms.m2, "
@@ -483,11 +455,11 @@ def _jc_params(cfg: Mapping, phys: dict, Omega: float | None = None):
     )
 
 
-def _cmd_jc_evolve(cfg: Mapping, phys: dict):
+def _cmd_jc_evolve(cfg: Mapping):
     from . import jc as jcmod
-    params = _jc_params(cfg, phys)
+    params = _jc_params(cfg)
     state = jcmod.JCState.basis(cfg["jc.level_init"], cfg["jc.n_init"], cfg["jc.n_max"])
-    t_max = phys["t_max"]
+    t_max = cfg["jc.t_max"]
     if t_max is None:
         # the default span is one vacuum Rabi period: it needs g
         if abs(params.g) < 1e-300:
@@ -497,7 +469,7 @@ def _cmd_jc_evolve(cfg: Mapping, phys: dict):
     result = jcmod.evolve(state, params, t_max, dt)
     rows = np.column_stack(
         (result.times, result.p_excited, result.inversion, result.norms, result.top_band)
-    ).tolist()
+    )
     header = ["time[natural]", "p_excited[1]", "inversion[1]", "norm[1]", "top_band[1]"]
     drift = float(np.max(np.abs(result.norms - 1.0)))
     summary = (
@@ -508,12 +480,12 @@ def _cmd_jc_evolve(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_jc_rabi(cfg: Mapping, phys: dict):
+def _cmd_jc_rabi(cfg: Mapping):
     from . import jc as jcmod
-    atoms = phys["atoms"]
+    atoms = cfg["atoms"]
     if atoms.omega12 <= 0:
         raise ConfigError(["jc-rabi: needs atoms.m1 > atoms.m2 (resonance tunes the mode to omega12)"])
-    params = _jc_params(cfg, phys, Omega=atoms.omega12)  # exact resonance
+    params = _jc_params(cfg, Omega=atoms.omega12)  # exact resonance
     if abs(params.g) < 1e-300:
         raise ConfigError(["jc-rabi: coupling g vanishes (dipole zero or node of the mode)"])
 
@@ -529,17 +501,20 @@ def _cmd_jc_rabi(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_nr_reduce(cfg: Mapping, phys: dict):
+def _cmd_nr_reduce(cfg: Mapping):
     from . import nr as nrmod
-    atoms = phys["atoms"]
+    atoms = cfg["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
     k = atoms.m1 * np.sqrt(targets)
-    gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
+    with np.errstate(over="ignore"):
+        gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
+    if not np.isfinite(gdotF).all():
+        raise ConfigError(["nr-reduce: gamma.F is not finite in natural units; it is built from nr.lambda3_ratio, nr.lambda_grid, atoms.m1 and atoms.m2"])
     res = nrmod.decoupling_residual(k, gdotF, atoms)
     blk = nrmod.reduced_block_error(k, gdotF, atoms)
     rows = np.column_stack(
         (targets, res["lambda_max"], res["r_before"], res["r_after"], blk["error"], blk["h_norm"])
-    ).tolist()
+    )
     header = [
         "lambda_target[1]",
         "lambda_max[1]",
@@ -553,9 +528,9 @@ def _cmd_nr_reduce(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_loop_selfenergy(cfg: Mapping, phys: dict):
+def _cmd_loop_selfenergy(cfg: Mapping):
     from . import renorm
-    atoms, gamma = phys["atoms"], phys["gamma"]
+    atoms, gamma = cfg["atoms"], cfg["gamma"]
     level = cfg["selfenergy.level"]
     path = cfg["selfenergy.path"]
     b_order = cfg["selfenergy.b_order"]
@@ -565,12 +540,13 @@ def _cmd_loop_selfenergy(cfg: Mapping, phys: dict):
         s_max = 1e-3 * atoms.M2
     s_grid = np.linspace(0.0, s_max, cfg["selfenergy.s_count"])
     p_sq = s_grid - atoms.mass(level) ** 2
-    rows = []
+    blocks = []
     for lam in lambdas:
         reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
         res = renorm.self_energy(level, p_sq, None, atoms, gamma, reg, path=path, b_order=b_order)
-        subtracted = res.total - res.on_shell_value
-        rows.extend((lam, *row) for row in zip(s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, subtracted))
+        columns = (s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, res.total - res.on_shell_value)
+        blocks.append(np.column_stack((np.full_like(s_grid, lam), *columns)))
+    rows = np.concatenate(blocks)
     header = [
         "lambda[natural]",
         "s[natural^2]",
@@ -587,9 +563,9 @@ def _cmd_loop_selfenergy(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_loop_vertex(cfg: Mapping, phys: dict):
+def _cmd_loop_vertex(cfg: Mapping):
     from . import renorm
-    atoms, gamma = phys["atoms"], phys["gamma"]
+    atoms, gamma = cfg["atoms"], cfg["gamma"]
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
     m1 = atoms.m1
     p_prime = np.array([m1, 0.0, 0.0, 0.0])
@@ -603,7 +579,7 @@ def _cmd_loop_vertex(cfg: Mapping, phys: dict):
         )
         return (lam, v["q_sq"], v["J"], v["K0"], v["K1"], v["K2"], v["Gamma_I_coeff"], v["Z1_inv"])
 
-    rows = _pmap(one, _lambda_values(cfg))
+    rows = np.array(_pmap(one, _lambda_values(cfg)))
     header = [
         "lambda[natural]",
         "q_sq[natural^2]",
@@ -618,9 +594,9 @@ def _cmd_loop_vertex(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_loop_polarization(cfg: Mapping, phys: dict):
+def _cmd_loop_polarization(cfg: Mapping):
     from . import renorm
-    atoms, gamma = phys["atoms"], phys["gamma"]
+    atoms, gamma = cfg["atoms"], cfg["gamma"]
     q = np.array([
         cfg["polarization.q0"], cfg["polarization.q1"],
         cfg["polarization.q2"], cfg["polarization.q3"],
@@ -633,7 +609,7 @@ def _cmd_loop_polarization(cfg: Mapping, phys: dict):
         row.extend(pol["Pi"].reshape(-1))
         return tuple(row)
 
-    rows = _pmap(one, _lambda_values(cfg))
+    rows = np.array(_pmap(one, _lambda_values(cfg)))
     header = ["lambda[natural]", "q_sq[natural^2]", "P_coeff[1]", "transversality[1]"]
     header.extend(f"Pi_{mu}{nu}[natural^2]" for mu in range(4) for nu in range(4))
     summary = (
@@ -643,11 +619,10 @@ def _cmd_loop_polarization(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_report_counterterms(cfg: Mapping, phys: dict):
+def _cmd_report_counterterms(cfg: Mapping):
     from . import renorm
-    rep = renorm.counterterm_report(
-        phys["atoms"], phys["gamma"], phys["reg"], b_order=cfg["selfenergy.b_order"]
-    )
+    reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
+    rep = renorm.counterterm_report(cfg["atoms"], cfg["gamma"], reg, b_order=cfg["selfenergy.b_order"])
     rows = list(rep.rows)
     header = ["quantity[name]", "value[natural]", "operator_class[name]"]
     summary = (
@@ -657,7 +632,7 @@ def _cmd_report_counterterms(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_check_dims(cfg: Mapping, phys: dict):
+def _cmd_check_dims(cfg: Mapping):
     from fractions import Fraction
     rows = []
     for interaction in ("P_tilde", "P"):
@@ -681,7 +656,7 @@ def _cmd_check_dims(cfg: Mapping, phys: dict):
     return header, rows, summary, []
 
 
-def _cmd_oracle_verify(cfg: Mapping, phys: dict):
+def _cmd_oracle_verify(cfg: Mapping):
     """Closed forms vs the tanh-sinh quadrature oracle, plus the measure checks."""
     tol = cfg["regulator.quad_tol"]
     kinds = list(MasterIntegralKind)
@@ -746,9 +721,11 @@ def _cmd_oracle_verify(cfg: Mapping, phys: dict):
 # dispatch and entry point
 # ---------------------------------------------------------------------------
 
-# Each handler returns (header, rows, summary, problems); problems are
-# failed internal cross-checks, raised as OracleError once the CSV is written.
-# A NaN or an infinity in any row is refused before the CSV is opened.
+# Each handler takes _physics' mapping and returns (header, rows, summary,
+# problems): rows are a 2-d float array, or a list of row tuples when a column
+# holds ints or text; problems are failed internal cross-checks, raised as
+# OracleError once the CSV is written. A NaN or an infinity in any row is
+# refused before the CSV is opened.
 _HANDLERS = {
     "jc-evolve": _cmd_jc_evolve,
     "jc-rabi": _cmd_jc_rabi,
@@ -760,11 +737,12 @@ _HANDLERS = {
     "check-dims": _cmd_check_dims,
     "oracle-verify": _cmd_oracle_verify,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
-def _nonfinite_column(header: list, rows: list):
+def _nonfinite_column(header: list, rows):
     """Header of the first numeric column holding a NaN or an infinity, or None."""
-    for name, column in zip(header, zip(*rows)):
+    for name, column in zip(header, rows.T if isinstance(rows, np.ndarray) else zip(*rows)):
         if not isinstance(column[0], str) and not np.isfinite(np.array(column, dtype=float)).all():
             return name
     return None
@@ -779,8 +757,7 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     """
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
-    phys = _physics(cfg)
-    header, rows, summary, problems = _HANDLERS[command](cfg, phys)
+    header, rows, summary, problems = _HANDLERS[command](_physics(cfg))
     bad = _nonfinite_column(header, rows)
     if bad is not None:
         raise DipoleLoopError(f"{command}: column {bad} holds a non-finite value; no CSV written")

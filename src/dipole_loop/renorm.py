@@ -321,8 +321,8 @@ def wavefunction_Z(
     Z_GRID_POINTS offsets s = p^2 + m^2 in [0, s_max_frac * M^2]. The scalar
     part of f comes from the I_A integrals, the tensor part (coefficient
     of gamma^2_{tau lambda} p^tau p^lambda) from the I_E integrals. The
-    fit is rejected if the curvature residual exceeds Z_CURVATURE_LIMIT
-    times the slope magnitude.
+    fit is rejected if the rounding of the integrals, or the curvature
+    residual, exceeds Z_CURVATURE_LIMIT of the spread or of the slope.
     """
     atoms.require_small_b()
     gsq = contractions(gamma)["gamma_sq"]
@@ -330,6 +330,16 @@ def wavefunction_Z(
     int_a, int_e = _sigma_integrals_expansion(s_grid, level, atoms, reg, b_order)
     sub_a = gsq * (int_a - int_a[0])
     sub_e = 4.0 * (int_e - int_e[0])
+    # each difference carries about eps |int| of rounding; int_a grows as
+    # Lambda^2 while its spread over the s grid does not
+    for ints in (int_a, int_e):
+        spread = float(np.max(np.abs(ints - ints[0])))
+        rounding = np.finfo(float).eps * float(np.max(np.abs(ints))) / spread if spread > 0 else np.inf
+        if not rounding <= Z_CURVATURE_LIMIT:
+            raise FitError(
+                f"Sigma(s) - Sigma(-m^2) over the s grid is lost to rounding ({rounding:.3e} of its spread); "
+                f"the cutoff Lambda = {reg.Lambda:.6g} is too large for this fit"
+            )
 
     def fit_through_origin(y):
         denom = float(s_grid @ s_grid)

@@ -511,6 +511,46 @@ class TestSIBoundary:
         assert not any(tmp_path.glob("*.csv"))
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("text, problem", [
+        ("jc.t_max = inf", "line 1: jc.t_max must be finite when given"),
+        ("units.mode = SI\njc.t_max = 1e300",
+         "after SI conversion: jc.t_max must be finite when given (natural-unit value inf)"),
+    ])
+    @pytest.mark.parametrize("command", ["jc-evolve", "check-dims"])
+    def test_infinite_t_max_is_config_error(self, tmp_path, capsys, command, text, problem):
+        conf = write_conf(tmp_path, text + "\n")
+        assert cli.main([command, "--config", conf, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_overflowing_nr_field_is_config_error(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "units.mode = SI\nnr.lambda3_ratio = 1e250\n")
+        assert cli.main(["nr-reduce", "--config", conf, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: nr-reduce: gamma.F is not finite in natural units")
+        assert "nr.lambda3_ratio, nr.lambda_grid, atoms.m1 and atoms.m2" in err
+        assert not any(tmp_path.glob("*.csv"))
+
+
+class TestCountertermCutoff:
+    def test_z_lost_to_rounding_is_3(self, tmp_path, capsys):
+        # at Lambda = 1e7 Sigma(s) - Sigma(-m^2) rounds to zero on the whole s grid
+        conf = write_conf(tmp_path, "regulator.lambda = 1e7\n")
+        assert cli.main(["report-counterterms", "--config", conf, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: Sigma(s) - Sigma(-m^2) over the s grid is lost to rounding")
+        assert "the cutoff Lambda = 1e+07 is too large for this fit" in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_large_cutoff_still_runs(self, tmp_path):
+        conf = write_conf(tmp_path, "regulator.lambda = 1e5\n")
+        assert cli.main(["report-counterterms", "--config", conf, "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(str(tmp_path / "report_counterterms.csv"))
+        z = {r[0]: float(r[1]) for r in rows}
+        assert z["Z_phi_inv.1.scalar"] != 1.0 and z["Z_phi_inv.2.scalar"] != 1.0
+
+
 class TestJcEvolveCommand:
     def test_full_oscillation_recorded(self, tmp_path):
         conf = write_conf(tmp_path, "jc.n_times = 101\n")
@@ -598,7 +638,7 @@ class TestFastRowWriter:
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_bytes_match_csv_writer(self, tmp_path, command):
         cfg = cli.parse_config("")
-        result = cli._HANDLERS[command](cfg, cli._physics(cfg))
+        result = cli._HANDLERS[command](cli._physics(cfg))
         header, rows = result[0], result[1]
         cli._write_csv(str(tmp_path / "fast.csv"), cfg, command, header, rows)
         _reference_csv(str(tmp_path / "slow.csv"), cfg, command, header, rows)
@@ -618,6 +658,15 @@ class TestFastRowWriter:
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "slow.csv").read_bytes()
         assert b'\n3,2.50000000000000000e-01,"x,y"\n' in fast
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_one_table_type_per_handler(self, command):
+        cfg = cli.parse_config("")
+        rows = cli._HANDLERS[command](cli._physics(cfg))[1]
+        if command in ("jc-evolve", "nr-reduce", "loop-selfenergy", "loop-vertex", "loop-polarization"):
+            assert isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+        else:
+            assert isinstance(rows, list)
 
 
 class TestMagnitudeBounds:
@@ -668,10 +717,13 @@ class TestNonFiniteRefused:
         assert cli._nonfinite_column(header, [("x", 1.0, 2), ("y", 3.0, 4)]) is None
         assert cli._nonfinite_column(header, [("x", 1.0, 2.0), ("y", 3.0, float("inf"))]) == "b"
         assert cli._nonfinite_column(header, []) is None
+        table = np.array([[1.0, 2.0, 3.0], [4.0, -np.inf, np.nan]])
+        assert cli._nonfinite_column(header, table) == "a"
+        assert cli._nonfinite_column(header, table[:1]) is None
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_row_exits_3(self, tmp_path, capsys, monkeypatch, bad):
-        def handler(cfg, phys):
+        def handler(cfg):
             rows = [("a", 1, 0.5), ("b", 2, bad)]
             return ["name[name]", "n[1]", "x[natural]"], rows, "never printed", []
 
@@ -711,6 +763,9 @@ PROBES = [
     pytest.param("selfenergy.s_max = -1", id="s_max--1"),
     pytest.param("selfenergy.s_max = 1e300", id="s_max-1e300", marks=OVERFLOWS),
     pytest.param("jc.t_max = 1e300", id="t_max-1e300"),
+    pytest.param("jc.t_max = inf", id="t_max-inf"),
+    pytest.param("units.mode = SI\njc.t_max = 1e300", id="SI-t_max-1e300"),
+    pytest.param("units.mode = SI\nnr.lambda3_ratio = 1e250", id="SI-lambda3_ratio-1e250"),
     pytest.param("units.mode = SI", id="SI"),
     pytest.param("units.mode = SI\nunits.base_energy_ev = 1e300", id="SI-base-1e300"),
     pytest.param("nr.lambda3_ratio = 1e300", id="lambda3_ratio-1e300", marks=OVERFLOWS),

@@ -180,7 +180,7 @@ class TestUnits:
     def test_natural_mode_trivial(self):
         # natural mode (the default) passes apparatus values through unconverted
         phys = cli._physics(cli.parse_config("atoms.m1 = 2.0\natoms.m2 = 1.5\ncavity.omega = 0.07\n"))
-        assert (phys["atoms"].m1, phys["atoms"].m2, phys["Omega"]) == (2.0, 1.5, 0.07)
+        assert (phys["atoms"].m1, phys["atoms"].m2, phys["cavity.omega"]) == (2.0, 1.5, 0.07)
 
     def test_known_scales_at_1ev(self):
         scales = _si_scales(1.0)
@@ -202,10 +202,10 @@ class TestUnits:
         phys = cli._physics(parse_config(text))
         back = {
             "atoms.m1": phys["atoms"].m1,
-            "cavity.omega": phys["Omega"],
-            "cavity.volume": phys["V"],
-            "cavity.z": phys["z"],
-            "jc.t_max": phys["t_max"],
+            "cavity.omega": phys["cavity.omega"],
+            "cavity.volume": phys["cavity.volume"],
+            "cavity.z": phys["cavity.z"],
+            "jc.t_max": phys["jc.t_max"],
         }[key]
         assert back == pytest.approx(v, rel=1e-12)
 

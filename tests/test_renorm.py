@@ -300,6 +300,12 @@ class TestMassShiftAndZ:
         with pytest.raises(FitError, match="curvature"):
             wavefunction_Z(1, SYM, gamma_for(SYM), REG, s_max_frac=0.5)
 
+    @pytest.mark.parametrize("lam", [2e5, 1e7])
+    def test_z_lost_to_rounding_is_fit_error(self, lam):
+        # Sigma grows as Lambda^2 while its spread over the s grid does not
+        with pytest.raises(FitError, match="lost to rounding"):
+            wavefunction_Z(1, SYM, gamma_for(SYM), RegScheme(Lambda=lam))
+
 
 class TestVertex:
     def setup_method(self):
