@@ -232,18 +232,6 @@ _TABLE = {
 }
 
 
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _FLOAT_FORMAT % v
-    if isinstance(v, tuple):
-        return ",".join(str(x) for x in v)
-    return str(v)
-
-
 def _check(values: dict, where: dict) -> list:
     """The table's checks, then the cross-field rules; returns the problems."""
 
@@ -400,10 +388,15 @@ def _pmap(fn, items):
 
 
 def _cell(v) -> str:
+    """The text of one CSV value: a config echo's or a row cell's."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return _FLOAT_FORMAT % float(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+        return _FLOAT_FORMAT % v
+    if isinstance(v, tuple):
+        return ",".join(str(x) for x in v)
     return str(v)
 
 
@@ -417,7 +410,7 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> Non
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
         for key in sorted(cfg):
-            fh.write(f"# {key} = {_format_value(cfg[key])}\n")
+            fh.write(f"# {key} = {_cell(cfg[key])}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
@@ -437,9 +430,8 @@ def _jc_params(cfg: Mapping, Omega: float | None = None):
     """The jc.JCParams of the config's cavity mode and atoms."""
     from . import jc as jcmod
     atoms = cfg["atoms"]
-    cavity = jcmod.CavityMode(Omega=cfg["cavity.omega"], V=cfg["cavity.volume"], z=cfg["cavity.z"])
     with np.errstate(invalid="ignore", over="ignore"):
-        g = jcmod.rabi_coupling(cfg["gamma"], cavity, atoms)
+        g = jcmod.rabi_coupling(cfg["gamma"], cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
     if not np.isfinite(g):
         raise ConfigError([
             f"coupling g is {g!r} in natural units; it is built from dipole.dx, atoms.m1, atoms.m2, "
@@ -448,7 +440,7 @@ def _jc_params(cfg: Mapping, Omega: float | None = None):
     return jcmod.JCParams(
         g=g,
         omega12=atoms.omega12,
-        Omega=cavity.Omega if Omega is None else Omega,
+        Omega=cfg["cavity.omega"] if Omega is None else Omega,
         n_max=cfg["jc.n_max"],
         rwa=cfg["jc.rwa"],
         leak_threshold=cfg["jc.leak_threshold"],
@@ -464,8 +456,10 @@ def _cmd_jc_evolve(cfg: Mapping):
         # the default span is one vacuum Rabi period: it needs g
         if abs(params.g) < 1e-300:
             raise ConfigError(["jc-evolve: coupling g vanishes (dipole zero or node of the mode); set jc.t_max"])
-        t_max = 2.0 * np.pi / (abs(params.g) * np.sqrt(cfg["jc.n_init"] + 1.0))
+        t_max = 2.0 * jcmod.rabi_period(params.g, cfg["jc.n_init"])
     dt = t_max / (cfg["jc.n_times"] - 1)
+    if dt == 0.0:
+        raise ConfigError([f"jc-evolve: sample step jc.t_max / (jc.n_times - 1) = {t_max!r} / {cfg['jc.n_times'] - 1} rounds to zero"])
     result = jcmod.evolve(state, params, t_max, dt)
     rows = np.column_stack(
         (result.times, result.p_excited, result.inversion, result.norms, result.top_band)
@@ -491,7 +485,7 @@ def _cmd_jc_rabi(cfg: Mapping):
 
     def one(n: int):
         measured = jcmod.measure_resonant_period(params, n)
-        predicted = np.pi / (abs(params.g) * np.sqrt(n + 1.0))
+        predicted = jcmod.rabi_period(params.g, n)
         return (n, measured, predicted, abs(measured - predicted) / predicted)
 
     rows = _pmap(one, cfg["jc.n_list"])
@@ -633,7 +627,6 @@ def _cmd_report_counterterms(cfg: Mapping):
 
 
 def _cmd_check_dims(cfg: Mapping):
-    from fractions import Fraction
     rows = []
     for interaction in ("P_tilde", "P"):
         for n in (3, 2):
@@ -641,7 +634,7 @@ def _cmd_check_dims(cfg: Mapping):
             rows.append((
                 interaction,
                 n,
-                f"{Fraction(dim)}",
+                str(dim),
                 float(dim),
                 classify_renormalizability(interaction, n),
             ))

@@ -25,8 +25,6 @@ class ConfigError(DipoleLoopError):
 
     def __init__(self, problems):
         # problems: list of strings, each "line N: message" or "key: message"
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 

@@ -29,11 +29,11 @@ from .core import AtomPair, DipoleTensor
 from .errors import DynamicsError, TruncationError
 
 __all__ = [
-    "CavityMode",
     "JCParams",
     "JCState",
     "EvolutionResult",
     "rabi_coupling",
+    "rabi_period",
     "build_hamiltonian",
     "parity_sectors",
     "evolve",
@@ -47,29 +47,6 @@ PHASE_PRECISION_BOUND = 1e-6
 # so a chunk's few temporaries stay near one core's L2; on one thread 512
 # measured faster than 256, 1024 and 2048
 _CHUNK = 512
-
-
-@dataclass(frozen=True)
-class CavityMode:
-    """Single standing-wave mode of frequency Omega in volume V.
-
-    K = Omega (c = 1) and E_per_photon = sqrt(Omega / V) is the electric
-    field per photon; z is the longitudinal position of the atom.
-    """
-
-    Omega: float
-    V: float
-    z: float
-
-    def __post_init__(self):
-        if self.Omega <= 0:
-            raise ValueError(f"Omega must be positive, got {self.Omega}")
-        if self.V <= 0:
-            raise ValueError(f"V must be positive, got {self.V}")
-
-    @property
-    def E_per_photon(self) -> float:
-        return np.sqrt(self.Omega / self.V)
 
 
 @dataclass(frozen=True)
@@ -124,14 +101,20 @@ class JCState:
         return cls(amp, n_max)
 
 
-def rabi_coupling(gamma: DipoleTensor, cavity: CavityMode, atoms: AtomPair) -> float:
-    """Rabi coupling g = -gamma_x E_per_photon sin(K z) / sqrt(m1 m2).
+def rabi_coupling(gamma: DipoleTensor, Omega: float, V: float, z: float, atoms: AtomPair) -> float:
+    """Rabi coupling g = -gamma_x sqrt(Omega / V) sin(K z) / sqrt(m1 m2).
 
-    gamma_x is the electric dipole-tensor component along the field
-    polarization (taken as the first spatial axis).
+    The mode has K = Omega (c = 1) and field per photon sqrt(Omega / V) in
+    volume V; z is the atom's position. gamma_x is the electric dipole
+    component along the polarization (taken as the first spatial axis).
     """
     gamma_x = gamma.components[0, 1]
-    return float(-gamma_x * cavity.E_per_photon * np.sin(cavity.Omega * cavity.z) / np.sqrt(atoms.m1 * atoms.m2))
+    return float(-gamma_x * np.sqrt(Omega / V) * np.sin(Omega * z) / np.sqrt(atoms.m1 * atoms.m2))
+
+
+def rabi_period(g: float, n: int) -> float:
+    """Resonant RWA period pi/(|g| sqrt(n+1)) of P_e from |upper, n> (Jaynes-Cummings)."""
+    return np.pi / (abs(g) * np.sqrt(n + 1.0))
 
 
 def build_hamiltonian(p: JCParams) -> np.ndarray:
@@ -209,6 +192,15 @@ def _check_phase_precision(evals: np.ndarray, t_span: float) -> float:
             "the dynamics over this time span"
         )
     return estimate
+
+
+def _check_leakage(top: np.ndarray, p: JCParams) -> None:
+    """Refuse dynamics whose top-band population passes p.leak_threshold."""
+    if float(top.max()) > p.leak_threshold:
+        raise TruncationError(
+            f"top-band population {top.max():.3e} exceeds threshold {p.leak_threshold:.3e}; "
+            "increase n_max"
+        )
 
 
 def _stepped_amplitudes(times, evals, vecs, coeff):
@@ -308,11 +300,7 @@ def evolve(
             p_exc[rows] += pops @ upper
             norms[rows] += pops.sum(axis=1)
             top[rows] += pops[:, at_top]
-    if float(top.max()) > p.leak_threshold:
-        raise TruncationError(
-            f"top-band population {top.max():.3e} exceeds threshold {p.leak_threshold:.3e}; "
-            "increase n_max"
-        )
+    _check_leakage(top, p)
     return EvolutionResult(
         times=times,
         p_excited=p_exc,
@@ -331,7 +319,8 @@ def measure_resonant_period(p: JCParams, n: int) -> float:
     Locates two consecutive crossings of the mid-population level and
     bisects each on the exact evolution to machine precision; the period
     is twice their separation. For resonant RWA dynamics this equals
-    pi/(g sqrt(n+1)). Only the parity sector of |upper, n> is evolved.
+    rabi_period(g, n). Only the parity sector of |upper, n> is evolved, and
+    its top band raises TruncationError past p.leak_threshold as in evolve.
     """
     if n + 2 > p.n_max:
         raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
@@ -339,21 +328,25 @@ def measure_resonant_period(p: JCParams, n: int) -> float:
     nb = p.n_max + 1
     ((idx, evals, vecs, coeff),) = _sector_eigen(p, state.amplitudes)
     upper = vecs[idx < nb] * coeff.real
+    top = vecs[(idx == nb - 1) | (idx == 2 * nb - 1)] * coeff.real  # one row per sector
 
-    def p_excited(ts) -> np.ndarray:
+    def populations(rows, ts) -> np.ndarray:
         phase = np.multiply.outer(evals, ts)
-        re, im = upper @ np.cos(phase), upper @ np.sin(phase)
-        return np.sum(re * re + im * im, axis=0)
+        re, im = rows @ np.cos(phase), rows @ np.sin(phase)
+        return re * re + im * im
 
-    guess = np.pi / (abs(p.g) * np.sqrt(n + 1.0))
+    guess = rabi_period(p.g, n)
     _check_phase_precision(evals, 1.5 * guess)
     ts = np.linspace(0.0, 1.5 * guess, 600)
-    pe = p_excited(ts)
+    # the top band rides on the upper rows' cos/sin table
+    pops = populations(np.vstack([upper, top]), ts)
+    _check_leakage(pops[-1], p)
+    pe = np.sum(pops[:-1], axis=0)
     mid = 0.5 * (pe.max() + pe.min())
     brackets = np.flatnonzero((pe[:-1] - mid) * (pe[1:] - mid) < 0)[:2]
     if len(brackets) < 2:
         raise DynamicsError("no oscillation detected; is g zero?")
-    first, second = (_bisect(lambda t: p_excited(t) - mid, ts[i], ts[i + 1]) for i in brackets)
+    first, second = (_bisect(lambda t: np.sum(populations(upper, t)) - mid, ts[i], ts[i + 1]) for i in brackets)
     return 2.0 * (second - first)
 
 

@@ -63,8 +63,6 @@ __all__ = [
 ]
 
 I_A = MasterIntegralKind.I_A
-I_C = MasterIntegralKind.I_C
-I_D = MasterIntegralKind.I_D
 I_E = MasterIntegralKind.I_E
 
 

@@ -137,6 +137,13 @@ class TestParseConfig:
         assert "# atoms.m1 = 2.00000000000000000e+00" in echoes[0]
         assert echoes[1] == echoes[0]
 
+    @pytest.mark.parametrize("text", ["cavity.omega = 0", "cavity.omega = -1", "cavity.volume = 0"])
+    def test_cavity_mode_positive(self, text):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(f"# a mode\n{text}\n")
+        key = text.split(" ", 1)[0]
+        assert err.value.problems == [f"line 2: {key} must be a positive finite number"]
+
     def test_config_is_read_only(self):
         cfg = cli.parse_config("")
         with pytest.raises(TypeError):
@@ -573,6 +580,27 @@ class TestJcEvolveCommand:
         assert capsys.readouterr().out.endswith(f", phase estimate {estimate:.3e} (bound 1e-06)\n")
 
 
+class TestJcTruncation:
+    def test_rabi_refuses_leakage(self, tmp_path, capsys):
+        # without the RWA, n = 5 of the default n_list leaks about 5e-5 into
+        # the top band of the default n_max 8
+        conf = write_conf(tmp_path, "jc.rwa = false\n")
+        assert cli.main(["jc-rabi", "--config", conf, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: top-band population ")
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_rabi_with_headroom_runs(self, tmp_path):
+        conf = write_conf(tmp_path, "jc.rwa = false\njc.n_max = 12\n")
+        assert cli.main(["jc-rabi", "--config", conf, "--out", str(tmp_path)]) == 0
+
+    def test_evolve_zero_step_is_config_error(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "jc.t_max = 5e-324\n")
+        assert cli.main(["jc-evolve", "--config", conf, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: jc-evolve: sample step jc.t_max / (jc.n_times - 1) = 5e-324 / 400 rounds to zero\n"
+        assert not any(tmp_path.glob("*.csv"))
+
+
 class TestCoupling:
     def test_zero_coupling_with_span_evolves_freely(self, tmp_path):
         conf = write_conf(tmp_path, "dipole.dx = 0\njc.t_max = 10\njc.n_times = 11\n")
@@ -627,7 +655,7 @@ def _reference_csv(path, cfg, command, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
         for key in sorted(cfg):
-            fh.write(f"# {key} = {cli._format_value(cfg[key])}\n")
+            fh.write(f"# {key} = {cli._cell(cfg[key])}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -764,6 +792,7 @@ PROBES = [
     pytest.param("selfenergy.s_max = 1e300", id="s_max-1e300", marks=OVERFLOWS),
     pytest.param("jc.t_max = 1e300", id="t_max-1e300"),
     pytest.param("jc.t_max = inf", id="t_max-inf"),
+    pytest.param("jc.t_max = 5e-324", id="t_max-5e-324"),
     pytest.param("units.mode = SI\njc.t_max = 1e300", id="SI-t_max-1e300"),
     pytest.param("units.mode = SI\nnr.lambda3_ratio = 1e250", id="SI-lambda3_ratio-1e250"),
     pytest.param("units.mode = SI", id="SI"),

@@ -9,7 +9,6 @@ from dipole_loop import jc
 from dipole_loop.core import AtomPair, dipole_from_moment
 from dipole_loop.errors import DynamicsError, TruncationError
 from dipole_loop.jc import (
-    CavityMode,
     JCParams,
     JCState,
     build_hamiltonian,
@@ -17,14 +16,15 @@ from dipole_loop.jc import (
     measure_resonant_period,
     parity_sectors,
     rabi_coupling,
+    rabi_period,
 )
 
 # sector path against the dense complex propagation, fixed beforehand
 FAST_ABS = 1e-11
 
 
-def resonant(g=0.002, omega12=0.05, n_max=8, rwa=True):
-    return JCParams(g=g, omega12=omega12, Omega=omega12, n_max=n_max, rwa=rwa)
+def resonant(g=0.002, omega12=0.05, n_max=8, rwa=True, leak_threshold=1e-8):
+    return JCParams(g=g, omega12=omega12, Omega=omega12, n_max=n_max, rwa=rwa, leak_threshold=leak_threshold)
 
 
 class TestCoupling:
@@ -32,8 +32,7 @@ class TestCoupling:
         atoms = AtomPair(m1=1.0, m2=0.95)
         gamma = dipole_from_moment(np.array([0.01, 0.0, 0.0]), atoms)
         omega = 0.05
-        cavity = CavityMode(Omega=omega, V=2.0, z=np.pi / (2 * omega))
-        g = rabi_coupling(gamma, cavity, atoms)
+        g = rabi_coupling(gamma, omega, 2.0, np.pi / (2 * omega), atoms)
         # g = -gamma_x sqrt(Omega/V) sin(K z) / sqrt(m1 m2), K = Omega
         expect = -0.01 * np.sqrt(atoms.m1 * atoms.m2) * np.sqrt(omega / 2.0) / np.sqrt(atoms.m1 * atoms.m2)
         assert g == pytest.approx(expect, rel=1e-12)
@@ -42,14 +41,7 @@ class TestCoupling:
         atoms = AtomPair(m1=1.0, m2=0.95)
         gamma = dipole_from_moment(np.array([0.01, 0.0, 0.0]), atoms)
         omega = 0.05
-        cavity = CavityMode(Omega=omega, V=1.0, z=np.pi / omega)  # sin(pi) = 0
-        assert rabi_coupling(gamma, cavity, atoms) == pytest.approx(0.0, abs=1e-15)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            CavityMode(Omega=-1.0, V=1.0, z=0.0)
-        with pytest.raises(ValueError):
-            CavityMode(Omega=1.0, V=0.0, z=0.0)
+        assert rabi_coupling(gamma, omega, 1.0, np.pi / omega, atoms) == pytest.approx(0.0, abs=1e-15)  # sin(pi) = 0
 
 
 class TestHamiltonian:
@@ -305,7 +297,7 @@ def _dense_period(p, n):
 class TestRabiPeriod:
     @pytest.mark.parametrize("n", [0, 3, 7, 10])
     def test_sector_search_matches_dense(self, n):
-        p = resonant(g=0.004, n_max=12, rwa=False)
+        p = resonant(g=0.004, n_max=12, rwa=False, leak_threshold=1.0)
         assert measure_resonant_period(p, n) == pytest.approx(_dense_period(p, n), rel=1e-12)
 
     def test_refuses_unresolvable_phases(self):
@@ -326,6 +318,17 @@ class TestRabiPeriod:
         measured = measure_resonant_period(p, n)
         assert measured == pytest.approx(np.pi / (g * np.sqrt(n + 1)), rel=1e-6)
 
+    def test_refuses_truncation_leakage(self):
+        # without the RWA, n = 5 at n_max 8 puts about 4.9e-4 in the top band
+        p = resonant(g=0.004, n_max=8, rwa=False)
+        with pytest.raises(TruncationError, match="top-band population .* exceeds threshold 1.000e-08"):
+            measure_resonant_period(p, 5)
+        assert measure_resonant_period(resonant(g=0.004, n_max=8, rwa=False, leak_threshold=1e-3), 5) > 0
+        assert measure_resonant_period(resonant(g=0.004, n_max=14, rwa=False), 5) > 0
+
+    def test_rabi_period(self):
+        assert rabi_period(-0.002, 3) == np.pi / (0.002 * 2.0)
+
     def test_needs_headroom(self):
         with pytest.raises(ValueError, match="n_max"):
             measure_resonant_period(resonant(n_max=4), 3)
@@ -335,7 +338,7 @@ class TestRabiPeriod:
         # on the same periods, here without the RWA so they are not exact
         from scipy.optimize import brentq
 
-        p = resonant(g=0.004, n_max=12, rwa=False)
+        p = resonant(g=0.004, n_max=12, rwa=False, leak_threshold=1.0)
         fast = [measure_resonant_period(p, n) for n in (0, 3, 7)]
         monkeypatch.setattr(jc, "_bisect", lambda f, lo, hi: brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
         slow = [measure_resonant_period(p, n) for n in (0, 3, 7)]
