@@ -767,44 +767,48 @@ class TestNonFiniteRefused:
 # Exit-code probe table: every command on configs at the edges of the
 # double range, run once through main(). parse_config and dispatch are
 # watched on the way: each either lets a CSV of finite floats be written
-# or raises a package error, never a builtin one. main() exits 0, 2, 3 or
-# 4 without a traceback and leaves no CSV on 2 or 3. Cases marked
-# OVERFLOWS overflow a double inside the computation by design.
+# or raises a package error, never a builtin one. main() exits with the
+# code pinned in the row for that command (in cli.COMMANDS order: jc-evolve,
+# jc-rabi, nr-reduce, loop-selfenergy, loop-vertex, loop-polarization,
+# report-counterterms, check-dims, oracle-verify), without a traceback,
+# and leaves no CSV on 2 or 3. Cases marked OVERFLOWS overflow a double
+# inside the computation by design.
 OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 PROBES = [
-    pytest.param("dipole.dx = 1e300", id="dx-1e300", marks=OVERFLOWS),
-    pytest.param("dipole.dx = 1e160", id="dx-1e160", marks=OVERFLOWS),
-    pytest.param("atoms.m1 = 1e200\natoms.m2 = 1e200", id="masses-1e200"),
-    pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", id="masses-1e-200"),
-    pytest.param("atoms.m2 = 0.1", id="m2-0.1"),
-    pytest.param("regulator.lambda = 1e300", id="lambda-1e300"),
-    pytest.param("regulator.lambda = 1e-300", id="lambda-1e-300"),
-    pytest.param("cavity.omega = 1e300", id="omega-1e300"),
-    pytest.param("cavity.omega = 1e-300", id="omega-1e-300"),
-    pytest.param("cavity.volume = 1e-300", id="volume-1e-300"),
-    pytest.param("cavity.z = 1e300", id="z-1e300"),
+    pytest.param("dipole.dx = 1e300", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e300", marks=OVERFLOWS),
+    pytest.param("dipole.dx = 1e160", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e160", marks=OVERFLOWS),
+    pytest.param("atoms.m1 = 1e200\natoms.m2 = 1e200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e200"),
+    pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e-200"),
+    pytest.param("atoms.m2 = 0.1", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="m2-0.1"),
+    pytest.param("regulator.lambda = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="lambda-1e300"),
+    pytest.param("regulator.lambda = 1e-300", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="lambda-1e-300"),
+    pytest.param("cavity.omega = 1e300", (3, 0, 0, 0, 0, 0, 0, 0, 0), id="omega-1e300"),
+    pytest.param("cavity.omega = 1e-300", (3, 3, 0, 0, 0, 0, 0, 0, 0), id="omega-1e-300"),
+    pytest.param("cavity.volume = 1e-300", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="volume-1e-300"),
+    pytest.param("cavity.z = 1e300", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="z-1e300"),
     pytest.param("vertex.q0 = 1e300\nvertex.q1 = 1e300\nvertex.q2 = 1e300\nvertex.q3 = 1e300",
-                 id="vertex-q-1e300", marks=OVERFLOWS),
+                 (0, 0, 0, 0, 3, 0, 0, 0, 0), id="vertex-q-1e300", marks=OVERFLOWS),
     pytest.param("polarization.q0 = 1e300\npolarization.q1 = 1e300\n"
-                 "polarization.q2 = 1e300\npolarization.q3 = 1e300", id="polarization-q-1e300", marks=OVERFLOWS),
-    pytest.param("polarization.q0 = 5", id="polarization-q0-5"),
-    pytest.param("selfenergy.s_max = -1", id="s_max--1"),
-    pytest.param("selfenergy.s_max = 1e300", id="s_max-1e300", marks=OVERFLOWS),
-    pytest.param("jc.t_max = 1e300", id="t_max-1e300"),
-    pytest.param("jc.t_max = inf", id="t_max-inf"),
-    pytest.param("jc.t_max = 5e-324", id="t_max-5e-324"),
-    pytest.param("units.mode = SI\njc.t_max = 1e300", id="SI-t_max-1e300"),
-    pytest.param("units.mode = SI\nnr.lambda3_ratio = 1e250", id="SI-lambda3_ratio-1e250"),
-    pytest.param("units.mode = SI", id="SI"),
-    pytest.param("units.mode = SI\nunits.base_energy_ev = 1e300", id="SI-base-1e300"),
-    pytest.param("nr.lambda3_ratio = 1e300", id="lambda3_ratio-1e300", marks=OVERFLOWS),
-    pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", id="cutoff-grid-1e-300:1e300"),
-    pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", id="nr-grid-1e-300:1e300", marks=OVERFLOWS),
-    pytest.param("regulator.quad_tol = 1e-18", id="quad_tol-1e-18"),
-    pytest.param("units.mode = SI\ncavity.omega = 1e-310", id="SI-omega-1e-310"),
-    pytest.param("units.mode = SI\ndipole.dx = 1e300", id="SI-dx-1e300"),
-    pytest.param("cavity.omega = 1e-310", id="omega-1e-310"),
-    pytest.param("cavity.volume = 1e-320", id="volume-1e-320"),
+                 "polarization.q2 = 1e300\npolarization.q3 = 1e300",
+                 (0, 0, 0, 0, 0, 3, 0, 0, 0), id="polarization-q-1e300", marks=OVERFLOWS),
+    pytest.param("polarization.q0 = 5", (0, 0, 0, 0, 0, 3, 0, 0, 0), id="polarization-q0-5"),
+    pytest.param("selfenergy.s_max = -1", (0, 0, 0, 3, 0, 0, 0, 0, 0), id="s_max--1"),
+    pytest.param("selfenergy.s_max = 1e300", (0, 0, 0, 3, 0, 0, 0, 0, 0), id="s_max-1e300", marks=OVERFLOWS),
+    pytest.param("jc.t_max = 1e300", (3, 0, 0, 0, 0, 0, 0, 0, 0), id="t_max-1e300"),
+    pytest.param("jc.t_max = inf", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="t_max-inf"),
+    pytest.param("jc.t_max = 5e-324", (2, 0, 0, 0, 0, 0, 0, 0, 0), id="t_max-5e-324"),
+    pytest.param("units.mode = SI\njc.t_max = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-t_max-1e300"),
+    pytest.param("units.mode = SI\nnr.lambda3_ratio = 1e250", (3, 3, 2, 3, 0, 0, 3, 0, 0), id="SI-lambda3_ratio-1e250"),
+    pytest.param("units.mode = SI", (3, 3, 0, 3, 0, 0, 3, 0, 0), id="SI"),
+    pytest.param("units.mode = SI\nunits.base_energy_ev = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-base-1e300"),
+    pytest.param("nr.lambda3_ratio = 1e300", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="lambda3_ratio-1e300", marks=OVERFLOWS),
+    pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="cutoff-grid-1e-300:1e300"),
+    pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-1e-300:1e300", marks=OVERFLOWS),
+    pytest.param("regulator.quad_tol = 1e-18", (0, 0, 0, 3, 3, 3, 3, 0, 3), id="quad_tol-1e-18"),
+    pytest.param("units.mode = SI\ncavity.omega = 1e-310", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-omega-1e-310"),
+    pytest.param("units.mode = SI\ndipole.dx = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-dx-1e300"),
+    pytest.param("cavity.omega = 1e-310", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="omega-1e-310"),
+    pytest.param("cavity.volume = 1e-320", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="volume-1e-320"),
 ]
 
 
@@ -821,8 +825,8 @@ def _numbers(rows):
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
-@pytest.mark.parametrize("text", PROBES)
-def test_exit_code_probe(tmp_path, capsys, monkeypatch, text, command):
+@pytest.mark.parametrize("text, codes", PROBES)
+def test_exit_code_probe(tmp_path, capsys, monkeypatch, text, codes, command):
     raised = []
 
     def watched(fn):
@@ -841,7 +845,7 @@ def test_exit_code_probe(tmp_path, capsys, monkeypatch, text, command):
     code = cli.main([command, "--config", write_conf(tmp_path, text + "\n"), "--out", str(out)])
     err = capsys.readouterr().err
     assert [exc for exc in raised if not isinstance(exc, DipoleLoopError)] == []
-    assert code in (0, 2, 3, 4)
+    assert code == codes[cli.COMMANDS.index(command)]
     assert "Traceback" not in err
     csv_path = out / (command.replace("-", "_") + ".csv")
     if code in (2, 3):
