@@ -13,6 +13,9 @@ numbers; unknown keys are rejected, and so is a config asking for more
 work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
 codes: 0 success, 2 config error, 3 numeric/domain error (a NaN or an
 infinity in an output row included), 4 failed internal cross-check.
+numpy loads only to parse a grid key or to run a command that computes
+with arrays, with one BLAS thread unless the caller set a count, so
+check-dims and a config refused for any other reason run without it.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
@@ -30,24 +33,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from collections.abc import Mapping
 from types import MappingProxyType
-
-# One BLAS thread unless the caller chose a count: every matrix here is at
-# most a few hundred wide, where a second thread shortens nothing and its
-# idle worker spin-waits on a core. numpy's OpenBLAS reads the count once,
-# when it loads, so the variable is removed again and no child process
-# inherits it; OPENBLAS_NUM_THREADS and the like still take precedence.
-if "OMP_NUM_THREADS" in os.environ:
-    import numpy as np
-else:
-    os.environ["OMP_NUM_THREADS"] = "1"
-    try:
-        import numpy as np
-    finally:
-        del os.environ["OMP_NUM_THREADS"]
 
 # jc, nr and renorm are imported by the handlers that call them, so a
 # command process loads only its own module; handlers call them as module
@@ -75,6 +65,25 @@ from .loops import (
 __all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main"]
 
 
+def _numpy():
+    """numpy, loaded with one BLAS thread unless the caller chose a count.
+
+    Every matrix here is at most a few hundred wide, where a second thread
+    shortens nothing and its idle worker spin-waits on a core. OpenBLAS
+    reads the count once, when numpy loads, so the variable is removed
+    again and no child process inherits it; OPENBLAS_NUM_THREADS and the
+    like still take precedence. parse_grid and every handler that computes
+    with arrays call this first."""
+    if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
+        os.environ["OMP_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OMP_NUM_THREADS"]
+    import numpy
+    return numpy
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -99,8 +108,8 @@ MAX_BASE_ENERGY_EV = 1e70
 _FLOAT_FORMAT = "%.17e"
 
 
-def parse_grid(spec: str) -> np.ndarray:
-    """Parse "start:stop:count,log|lin" into a 1-d grid."""
+def parse_grid(spec: str):
+    """Parse "start:stop:count,log|lin" into a 1-d float array."""
     spec = spec.strip()
     parts = spec.rsplit(",", 1)
     if len(parts) != 2 or parts[1] not in ("log", "lin"):
@@ -117,6 +126,7 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid {spec!r} needs count >= 2")
     if count > MAX_GRID_COUNT:
         raise ValueError(f"grid {spec!r} needs count <= {MAX_GRID_COUNT}")
+    np = _numpy()
     if parts[1] == "log":
         if start <= 0 or stop <= 0:
             raise ValueError(f"log grid {spec!r} needs positive endpoints")
@@ -157,14 +167,14 @@ def _choice(*allowed: str):
     return parse
 
 
-def _grid(what: str, hi: float = np.inf):
+def _grid(what: str, hi: float = math.inf):
     """Value parser of a grid spec: checked in full, kept as its text."""
 
     def parse(s: str) -> str:
         grid = parse_grid(s)
-        if not np.all(grid > 0):
+        if not (grid > 0).all():
             raise ValueError(f"{what} grid values must be positive")
-        if not np.all(grid <= hi):
+        if not (grid <= hi).all():
             raise ValueError(f"{what} grid values must be <= {hi}")
         return s.strip()
 
@@ -175,9 +185,9 @@ _CUTOFF_GRID = _grid("cutoff", MAX_LAMBDA)
 
 # checks: (predicate, phrase) pairs; a value that fails one is reported
 # as "<key> <phrase>"
-_POSITIVE = (lambda v: np.isfinite(v) and v > 0, "must be a positive finite number")
-_FINITE = (np.isfinite, "must be finite")
-_FINITE_WHEN_GIVEN = (lambda v: v is None or np.isfinite(v), "must be finite when given")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be a positive finite number")
+_FINITE = (math.isfinite, "must be finite")
+_FINITE_WHEN_GIVEN = (lambda v: v is None or math.isfinite(v), "must be finite when given")
 
 
 def _at_least(lo):
@@ -319,6 +329,7 @@ _SI_QUANTITY = {
     "cavity.omega": "angular_frequency", "cavity.volume": "volume", "cavity.z": "length",
     "jc.t_max": "time",
 }
+_DIPOLE = ("dipole.dx", "dipole.dy", "dipole.dz")
 
 
 def _si_scales(base_energy_ev: float) -> dict:
@@ -343,8 +354,9 @@ def _physics(cfg: Mapping) -> dict:
 
     With units.mode = SI the apparatus keys are divided by their scales
     here, and the converted values must pass the table's checks again.
-    cavity.z defaults to the mode's antinode, and "atoms" (AtomPair) and
-    "gamma" (DipoleTensor) are built from the converted values.
+    cavity.z defaults to the mode's antinode, and "atoms" (AtomPair) is
+    built from the converted values. Every physics refusal happens here, in
+    pure Python, for every command; _gamma then cannot fail.
     """
     natural = dict(cfg)
     if cfg["units.mode"] == "SI":
@@ -360,20 +372,27 @@ def _physics(cfg: Mapping) -> dict:
             ])
     m1, m2 = natural["atoms.m1"], natural["atoms.m2"]
     for key, m in (("atoms.m1", m1), ("atoms.m2", m2)):
-        if not 0.0 < m * m < np.inf:  # every loop scale is built from m^2
+        if not 0.0 < m * m < math.inf:  # every loop scale is built from m^2
             raise ConfigError([f"{key} is {m!r} in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"])
-    atoms = AtomPair(m1=m1, m2=m2)
-    d = np.array([natural["dipole.dx"], natural["dipole.dy"], natural["dipole.dz"]])
+    # gamma^{0i} = d_i sqrt(m1 m2), as core.dipole_from_moment computes it
+    scale = math.sqrt(m1 * m2)
+    if not all(math.isfinite(natural[key] * scale) for key in _DIPOLE):
+        raise ConfigError(["gamma = d sqrt(m1 m2) is not finite in natural units; it is built from dipole.dx, dipole.dy, dipole.dz, atoms.m1 and atoms.m2"])
     if natural["cavity.z"] is None:
-        natural["cavity.z"] = np.pi / (2.0 * natural["cavity.omega"])  # antinode of sin(K z) with K = Omega
-    natural.update(atoms=atoms, gamma=dipole_from_moment(d, atoms))
+        natural["cavity.z"] = math.pi / (2.0 * natural["cavity.omega"])  # antinode of sin(K z) with K = Omega
+    natural["atoms"] = AtomPair(m1=m1, m2=m2)
     return natural
 
 
-def _lambda_values(cfg: Mapping) -> np.ndarray:
+def _gamma(cfg: Mapping):
+    """The DipoleTensor of _physics' mapping, which has checked it is finite."""
+    return dipole_from_moment([cfg[key] for key in _DIPOLE], cfg["atoms"])
+
+
+def _lambda_values(cfg: Mapping):
     spec = cfg["regulator.lambda_grid"]
     if spec is None:
-        return np.array([cfg["regulator.lambda"]])
+        return _numpy().array([cfg["regulator.lambda"]])
     return parse_grid(spec)
 
 
@@ -393,7 +412,7 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):  # numpy's float64 included
         return _FLOAT_FORMAT % v
     if isinstance(v, tuple):
         return ",".join(str(x) for x in v)
@@ -413,12 +432,12 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> Non
             fh.write(f"# {key} = {_cell(cfg[key])}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
+        if isinstance(rows, list):
+            writer.writerows([_cell(v) for v in row] for row in rows)
+        else:
             line = ",".join([_FLOAT_FORMAT] * rows.shape[1]) + "\n"
             for row in rows.tolist():
                 fh.write(line % tuple(row))
-        else:
-            writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +449,9 @@ def _jc_params(cfg: Mapping, Omega: float | None = None):
     """The jc.JCParams of the config's cavity mode and atoms."""
     from . import jc as jcmod
     atoms = cfg["atoms"]
-    with np.errstate(invalid="ignore", over="ignore"):
-        g = jcmod.rabi_coupling(cfg["gamma"], cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
-    if not np.isfinite(g):
+    with _numpy().errstate(invalid="ignore", over="ignore"):
+        g = jcmod.rabi_coupling(_gamma(cfg), cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
+    if not math.isfinite(g):
         raise ConfigError([
             f"coupling g is {g!r} in natural units; it is built from dipole.dx, atoms.m1, atoms.m2, "
             "cavity.omega, cavity.volume and cavity.z"
@@ -448,6 +467,7 @@ def _jc_params(cfg: Mapping, Omega: float | None = None):
 
 
 def _cmd_jc_evolve(cfg: Mapping):
+    np = _numpy()
     from . import jc as jcmod
     params = _jc_params(cfg)
     state = jcmod.JCState.basis(cfg["jc.level_init"], cfg["jc.n_init"], cfg["jc.n_max"])
@@ -475,6 +495,7 @@ def _cmd_jc_evolve(cfg: Mapping):
 
 
 def _cmd_jc_rabi(cfg: Mapping):
+    _numpy()
     from . import jc as jcmod
     atoms = cfg["atoms"]
     if atoms.omega12 <= 0:
@@ -496,6 +517,7 @@ def _cmd_jc_rabi(cfg: Mapping):
 
 
 def _cmd_nr_reduce(cfg: Mapping):
+    np = _numpy()
     from . import nr as nrmod
     atoms = cfg["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
@@ -523,8 +545,9 @@ def _cmd_nr_reduce(cfg: Mapping):
 
 
 def _cmd_loop_selfenergy(cfg: Mapping):
+    np = _numpy()
     from . import renorm
-    atoms, gamma = cfg["atoms"], cfg["gamma"]
+    atoms, gamma = cfg["atoms"], _gamma(cfg)
     level = cfg["selfenergy.level"]
     path = cfg["selfenergy.path"]
     b_order = cfg["selfenergy.b_order"]
@@ -558,8 +581,9 @@ def _cmd_loop_selfenergy(cfg: Mapping):
 
 
 def _cmd_loop_vertex(cfg: Mapping):
+    np = _numpy()
     from . import renorm
-    atoms, gamma = cfg["atoms"], cfg["gamma"]
+    atoms, gamma = cfg["atoms"], _gamma(cfg)
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
     m1 = atoms.m1
     p_prime = np.array([m1, 0.0, 0.0, 0.0])
@@ -589,8 +613,9 @@ def _cmd_loop_vertex(cfg: Mapping):
 
 
 def _cmd_loop_polarization(cfg: Mapping):
+    np = _numpy()
     from . import renorm
-    atoms, gamma = cfg["atoms"], cfg["gamma"]
+    atoms, gamma = cfg["atoms"], _gamma(cfg)
     q = np.array([
         cfg["polarization.q0"], cfg["polarization.q1"],
         cfg["polarization.q2"], cfg["polarization.q3"],
@@ -614,9 +639,10 @@ def _cmd_loop_polarization(cfg: Mapping):
 
 
 def _cmd_report_counterterms(cfg: Mapping):
+    _numpy()
     from . import renorm
     reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
-    rep = renorm.counterterm_report(cfg["atoms"], cfg["gamma"], reg, b_order=cfg["selfenergy.b_order"])
+    rep = renorm.counterterm_report(cfg["atoms"], _gamma(cfg), reg, b_order=cfg["selfenergy.b_order"])
     rows = list(rep.rows)
     header = ["quantity[name]", "value[natural]", "operator_class[name]"]
     summary = (
@@ -651,6 +677,7 @@ def _cmd_check_dims(cfg: Mapping):
 
 def _cmd_oracle_verify(cfg: Mapping):
     """Closed forms vs the tanh-sinh quadrature oracle, plus the measure checks."""
+    _numpy()
     tol = cfg["regulator.quad_tol"]
     kinds = list(MasterIntegralKind)
     # g(u) such that the master integral is (1/16 pi^2) int u g(u) du,
@@ -735,10 +762,11 @@ COMMANDS = tuple(_HANDLERS)
 
 def _nonfinite_column(header: list, rows):
     """Header of the first numeric column holding a NaN or an infinity, or None."""
-    for name, column in zip(header, rows.T if isinstance(rows, np.ndarray) else zip(*rows)):
-        if not isinstance(column[0], str) and not np.isfinite(np.array(column, dtype=float)).all():
-            return name
-    return None
+    if isinstance(rows, list):
+        finite = [isinstance(column[0], str) or all(map(math.isfinite, column)) for column in zip(*rows)]
+    else:
+        finite = _numpy().isfinite(rows).all(axis=0).tolist()
+    return next((name for name, ok in zip(header, finite) if not ok), None)
 
 
 def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:

@@ -3,19 +3,18 @@
 Everything here works in natural units (hbar = c = eps0 = mu0 = 1) with
 metric signature (-,+,+,+). The dipole coupling is an antisymmetric
 tensor gamma^{mu nu}; its electric components gamma^{0i} carry the
-atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2).
+atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2). numpy is
+imported by the functions that use it, and the metric array is renorm.METRIC.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import KinematicDomainError
 
 __all__ = [
-    "METRIC",
     "AtomPair",
     "DipoleTensor",
     "dipole_from_moment",
@@ -25,11 +24,6 @@ __all__ = [
     "engineering_dimension",
     "classify_renormalizability",
 ]
-
-
-# Minkowski metric g_{mu nu} = diag(-1, +1, +1, +1), its own inverse
-METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
-METRIC.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,7 @@ class AtomPair:
     m2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m1) and np.isfinite(self.m2)):
+        if not (math.isfinite(self.m1) and math.isfinite(self.m2)):
             raise ValueError("masses must be finite")
         if self.m1 <= 0 or self.m2 <= 0:
             raise ValueError(f"masses must be positive, got m1={self.m1}, m2={self.m2}")
@@ -82,6 +76,7 @@ class AtomPair:
 
 
 def _check_antisymmetric(m: np.ndarray, name: str) -> np.ndarray:
+    import numpy as np
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -113,6 +108,7 @@ def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
     gamma^{0i} = d_i sqrt(m1 m2), gamma^{i0} = -gamma^{0i}, spatial
     components zero (laboratory frame).
     """
+    import numpy as np
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
         raise ValueError(f"dipole moment must have 3 components, got {d.shape}")
@@ -138,6 +134,8 @@ def contractions(gamma: DipoleTensor) -> dict:
             gamma^2_{tau lambda} = gamma^{mu}_{ tau} gamma_{mu lambda},
             symmetric, both indices down.
     """
+    import numpy as np
+    from .renorm import METRIC
     up = gamma.components
     down = METRIC @ up @ METRIC
     gamma_sq = float(np.sum(down * up))
@@ -150,6 +148,7 @@ def contractions(gamma: DipoleTensor) -> dict:
 
 def gamma_sq_dot(gamma: DipoleTensor, p: np.ndarray, q: np.ndarray | None = None) -> float:
     """Contraction gamma^2_{tau lambda} p^tau q^lambda (q defaults to p)."""
+    import numpy as np
     if q is None:
         q = p
     t = contractions(gamma)["gamma_sq_tensor"]
@@ -160,6 +159,7 @@ def gamma_sq_dot(gamma: DipoleTensor, p: np.ndarray, q: np.ndarray | None = None
 
 def minkowski_dot(p: np.ndarray, q: np.ndarray) -> float:
     """p . q = g_{mu nu} p^mu q^nu with signature (-,+,+,+)."""
+    import numpy as np
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return float(-p[0] * q[0] + p[1:] @ q[1:])

@@ -15,9 +15,9 @@ it shares no rule with them or with renorm's Gauss-Legendre rules.
 
 from __future__ import annotations
 
+import math
+import sys
 from enum import Enum
-
-import numpy as np
 
 from .errors import KinematicDomainError, QuadratureError
 
@@ -34,7 +34,7 @@ __all__ = [
     "symmetric_integration_check",
 ]
 
-PREFACTOR = 1.0 / (16.0 * np.pi**2)
+PREFACTOR = 1.0 / (16.0 * math.pi**2)
 
 
 class RegScheme:
@@ -78,6 +78,7 @@ def _tanh_sinh(h: float):
 
     Returns x, 1 - x (both e^(+-w) / (2 cosh w), so nothing cancels at an end), weights.
     """
+    import numpy as np
     t = h * np.arange(-round(4.0 / h), round(4.0 / h) + 1)
     w = 0.5 * np.pi * np.sinh(t)
     c = 2.0 * np.cosh(w)
@@ -87,7 +88,7 @@ def _tanh_sinh(h: float):
 def _tanh_sinh_integral(rule_sum, tol: float, what: str) -> float:
     """Apply rule_sum(x, 1 - x, weights) at steps h = 1/2, 1/4, ... until two
     levels agree within tol relative; raise QuadratureError past h = 2^-8."""
-    if tol < np.finfo(float).eps:
+    if tol < sys.float_info.epsilon:
         raise QuadratureError(f"{what} cannot reach {tol:.2e} relative in double precision")
     h = 0.5
     prev = rule_sum(*_tanh_sinh(h))
@@ -117,6 +118,7 @@ def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
 
 
 def _check_scale(scale_sq, Lambda: float) -> None:
+    import numpy as np
     if Lambda <= 0:
         raise ValueError(f"Lambda must be positive, got {Lambda}")
     scale_sq = np.asarray(scale_sq)
@@ -133,6 +135,7 @@ def master_integral(kind: MasterIntegralKind, scale_sq, Lambda: float):
 
     scale_sq may be a scalar or an array; the result has its shape.
     """
+    import numpy as np
     _check_scale(scale_sq, Lambda)
     s = scale_sq
     L2 = Lambda**2
@@ -160,6 +163,7 @@ def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
     self-energy; only the kinds that enter it are provided. Takes a
     scalar or an array scale like master_integral.
     """
+    import numpy as np
     _check_scale(scale_sq, Lambda)
     s = scale_sq
     L2 = Lambda**2
@@ -218,6 +222,7 @@ def symmetric_integration_check(n_samples: int = 200_000, seed: int = 7) -> dict
     vanish and diagonal ones equal 1/4, each within statistical error.
     Returns the worst off-diagonal and diagonal z-scores.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     n = rng.normal(size=(n_samples, 4))
     n /= np.linalg.norm(n, axis=1, keepdims=True)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import METRIC, AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
+from .core import AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
 from .errors import FitError, KinematicDomainError, QuadratureError
 from .loops import (
     PREFACTOR,
@@ -51,6 +51,7 @@ from .loops import (
 )
 
 __all__ = [
+    "METRIC",
     "SelfEnergyResult",
     "DivergenceFit",
     "RenormConstants",
@@ -61,6 +62,11 @@ __all__ = [
     "divergence_fit",
     "counterterm_report",
 ]
+
+# Minkowski metric g_{mu nu} = diag(-1, +1, +1, +1), its own inverse. It
+# lives here, not in core, so that core loads without numpy.
+METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
+METRIC.flags.writeable = False
 
 I_A = MasterIntegralKind.I_A
 I_E = MasterIntegralKind.I_E

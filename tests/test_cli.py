@@ -300,21 +300,21 @@ class TestImportFloor:
         )
         assert _fresh_python(script)[-2:] == ["False", "[]"]
 
-    # of these five modules, a command loads only the one it runs
-    # (renorm brings numpy.polynomial for leggauss), and importing cli
-    # loads none
-    WATCHED = ("dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions")
-    LOOP = ["dipole_loop.renorm", "numpy.polynomial"]
+    # of these six modules, a command loads only the one it runs (renorm
+    # brings numpy.polynomial for leggauss) and numpy if it computes with
+    # arrays, and importing cli loads none
+    WATCHED = ("numpy", "dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions")
+    LOOP = ["numpy", "dipole_loop.renorm", "numpy.polynomial"]
     LOADS = {
-        "jc-evolve": ["dipole_loop.jc"],
-        "jc-rabi": ["dipole_loop.jc"],
-        "nr-reduce": ["dipole_loop.nr"],
+        "jc-evolve": ["numpy", "dipole_loop.jc"],
+        "jc-rabi": ["numpy", "dipole_loop.jc"],
+        "nr-reduce": ["numpy", "dipole_loop.nr"],
         "loop-selfenergy": LOOP,
         "loop-vertex": LOOP,
         "loop-polarization": LOOP,
         "report-counterterms": LOOP,
         "check-dims": ["fractions"],
-        "oracle-verify": [],
+        "oracle-verify": ["numpy"],
     }
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -331,6 +331,22 @@ class TestImportFloor:
     def test_cli_import_loads_none(self):
         script = f"import sys, dipole_loop.cli\nprint([m for m in {self.WATCHED!r} if m in sys.modules])"
         assert _fresh_python(script) == ["[]"]
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("no.such_key = 1", id="unknown-key"),
+        pytest.param("atoms.m1 = 1e100\natoms.m2 = 1e100\ndipole.dx = 1e300", id="gamma-overflow"),
+        pytest.param(None, id="missing-file"),
+    ])
+    def test_refused_config_loads_no_numpy(self, tmp_path, text):
+        # a config is read and refused before any command computes
+        conf = str(tmp_path / "missing.conf") if text is None else write_conf(tmp_path, text)
+        script = (
+            "import sys\n"
+            "from dipole_loop.cli import main\n"
+            f"assert main(['loop-vertex', '--config', {conf!r}, '--out', {str(tmp_path)!r}]) == 2\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert _fresh_python(script)[-1] == "False"
 
 
 class TestHarnessPatchPoints:
@@ -375,22 +391,27 @@ class TestHarnessPatchPoints:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 class TestBlasThreads:
-    THREADS = (
-        "import os\n"
-        "import dipole_loop.cli\n"
-        "status = open('/proc/self/status').read().split('\\n')\n"
-        "print(next(line.split()[1] for line in status if line.startswith('Threads:')))\n"
-        "print('OMP_NUM_THREADS' in os.environ)\n"
-    )
+    @staticmethod
+    def threads(tmp_path, **env_vars):
+        """Thread count and OMP_NUM_THREADS' presence after nr-reduce loaded numpy."""
+        script = (
+            "import os\n"
+            "from dipole_loop.cli import main\n"
+            f"assert main(['nr-reduce', '--config', os.devnull, '--out', {str(tmp_path)!r}]) == 0\n"
+            "status = open('/proc/self/status').read().split('\\n')\n"
+            "print(next(line.split()[1] for line in status if line.startswith('Threads:')))\n"
+            "print('OMP_NUM_THREADS' in os.environ)\n"
+        )
+        return _fresh_python(script, **env_vars)[-2:]
 
-    def test_one_thread_by_default(self):
+    def test_one_thread_by_default(self, tmp_path):
         # the process runs BLAS on its main thread alone, and the default is
         # not left in the environment for child processes
-        assert _fresh_python(self.THREADS) == ["1", "False"]
+        assert self.threads(tmp_path) == ["1", "False"]
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the core count")
-    def test_caller_setting_wins(self):
-        assert _fresh_python(self.THREADS, OPENBLAS_NUM_THREADS="2") == ["2", "False"]
+    def test_caller_setting_wins(self, tmp_path):
+        assert self.threads(tmp_path, OPENBLAS_NUM_THREADS="2") == ["2", "False"]
 
     def test_package_root_does_not_load_numpy(self):
         # the default is set before numpy loads only if nothing imported it first
@@ -809,6 +830,9 @@ PROBES = [
     pytest.param("units.mode = SI\ndipole.dx = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-dx-1e300"),
     pytest.param("cavity.omega = 1e-310", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="omega-1e-310"),
     pytest.param("cavity.volume = 1e-320", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="volume-1e-320"),
+    # gamma = d sqrt(m1 m2) overflows although d and m^2 are finite
+    pytest.param("atoms.m1 = 1e100\natoms.m2 = 1e100\ndipole.dx = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2),
+                 id="masses-1e100-dx-1e300"),
 ]
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipole_loop.core import (
-    METRIC,
     AtomPair,
     DipoleTensor,
     classify_renormalizability,
@@ -20,6 +19,7 @@ from dipole_loop.core import (
 from dipole_loop import cli
 from dipole_loop.cli import C_SI, EPS0_SI, EV_SI, HBAR_SI, _SI_QUANTITY, _si_scales, parse_config
 from dipole_loop.errors import ConfigError, KinematicDomainError
+from dipole_loop.renorm import METRIC
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
