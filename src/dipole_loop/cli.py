@@ -13,9 +13,9 @@ numbers; unknown keys are rejected, and so is a config asking for more
 work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
 codes: 0 success, 2 config error, 3 numeric/domain error (a NaN or an
 infinity in an output row included), 4 failed internal cross-check.
-numpy loads only to parse a grid key or to run a command that computes
-with arrays, with one BLAS thread unless the caller set a count, so
-check-dims and a config refused for any other reason run without it.
+numpy loads only in a command that computes with arrays, with one BLAS
+thread unless the caller set a count: reading a config, refusing it and
+check-dims run without it.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
@@ -32,7 +32,6 @@ always natural-unit numbers, and all outputs are in natural units.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -65,25 +64,6 @@ from .loops import (
 __all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main"]
 
 
-def _numpy():
-    """numpy, loaded with one BLAS thread unless the caller chose a count.
-
-    Every matrix here is at most a few hundred wide, where a second thread
-    shortens nothing and its idle worker spin-waits on a core. OpenBLAS
-    reads the count once, when numpy loads, so the variable is removed
-    again and no child process inherits it; OPENBLAS_NUM_THREADS and the
-    like still take precedence. parse_grid and every handler that computes
-    with arrays call this first."""
-    if "numpy" not in sys.modules and "OMP_NUM_THREADS" not in os.environ:
-        os.environ["OMP_NUM_THREADS"] = "1"
-        try:
-            import numpy
-        finally:
-            del os.environ["OMP_NUM_THREADS"]
-    import numpy
-    return numpy
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -91,7 +71,7 @@ def _numpy():
 
 # Caps on the work and the magnitudes one config may ask for, each at least
 # ten times the largest value a workload, test or README example uses.
-# parse_grid checks its count before it allocates the grid.
+# _grid_spec checks the count before parse_grid allocates the grid.
 MAX_GRID_COUNT = 2000
 MAX_N_MAX = 1200
 MAX_N_TIMES = 200_000
@@ -108,8 +88,8 @@ MAX_BASE_ENERGY_EV = 1e70
 _FLOAT_FORMAT = "%.17e"
 
 
-def parse_grid(spec: str):
-    """Parse "start:stop:count,log|lin" into a 1-d float array."""
+def _grid_spec(spec: str) -> tuple:
+    """Check "start:stop:count,log|lin" in pure Python: (start, stop, count, kind)."""
     spec = spec.strip()
     parts = spec.rsplit(",", 1)
     if len(parts) != 2 or parts[1] not in ("log", "lin"):
@@ -126,12 +106,18 @@ def parse_grid(spec: str):
         raise ValueError(f"grid {spec!r} needs count >= 2")
     if count > MAX_GRID_COUNT:
         raise ValueError(f"grid {spec!r} needs count <= {MAX_GRID_COUNT}")
-    np = _numpy()
-    if parts[1] == "log":
-        if start <= 0 or stop <= 0:
-            raise ValueError(f"log grid {spec!r} needs positive endpoints")
-        return np.geomspace(start, stop, count)
-    return np.linspace(start, stop, count)
+    if parts[1] == "log" and (start <= 0 or stop <= 0):
+        raise ValueError(f"log grid {spec!r} needs positive endpoints")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid {spec!r} needs finite endpoints")
+    return start, stop, count, parts[1]
+
+
+def parse_grid(spec: str):
+    """Parse "start:stop:count,log|lin" into a 1-d float array."""
+    start, stop, count, kind = _grid_spec(spec)
+    import numpy as np
+    return (np.geomspace if kind == "log" else np.linspace)(start, stop, count)
 
 
 def _parse_bool(s: str) -> bool:
@@ -168,13 +154,16 @@ def _choice(*allowed: str):
 
 
 def _grid(what: str, hi: float = math.inf):
-    """Value parser of a grid spec: checked in full, kept as its text."""
+    """Value parser of a grid spec, kept as its text.
+
+    Every value of a lin or log grid lies between its finite endpoints,
+    so the endpoints alone are checked against the bounds."""
 
     def parse(s: str) -> str:
-        grid = parse_grid(s)
-        if not (grid > 0).all():
+        start, stop, _, _ = _grid_spec(s)
+        if not min(start, stop) > 0:
             raise ValueError(f"{what} grid values must be positive")
-        if not (grid <= hi).all():
+        if not max(start, stop) <= hi:
             raise ValueError(f"{what} grid values must be <= {hi}")
         return s.strip()
 
@@ -392,7 +381,8 @@ def _gamma(cfg: Mapping):
 def _lambda_values(cfg: Mapping):
     spec = cfg["regulator.lambda_grid"]
     if spec is None:
-        return _numpy().array([cfg["regulator.lambda"]])
+        import numpy as np
+        return np.array([cfg["regulator.lambda"]])
     return parse_grid(spec)
 
 
@@ -422,18 +412,17 @@ def _cell(v) -> str:
 def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> None:
     """Write the config echo (sorted by key), the header and the rows.
 
-    A float array is formatted with one "%.17e,...\n" string per row; it
-    needs no quoting, so the bytes equal csv.writer's over _cell. A list
-    of rows, which may hold ints or strings, goes through csv.writer.
+    A float array is formatted with one "%.17e,...\n" string per row, a
+    list of rows cell by cell through _cell. No header name or cell holds a
+    comma, a quote or a newline, so no field needs quoting.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
         for key in sorted(cfg):
             fh.write(f"# {key} = {_cell(cfg[key])}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         if isinstance(rows, list):
-            writer.writerows([_cell(v) for v in row] for row in rows)
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
         else:
             line = ",".join([_FLOAT_FORMAT] * rows.shape[1]) + "\n"
             for row in rows.tolist():
@@ -447,9 +436,10 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> Non
 
 def _jc_params(cfg: Mapping, Omega: float | None = None):
     """The jc.JCParams of the config's cavity mode and atoms."""
+    import numpy as np
     from . import jc as jcmod
     atoms = cfg["atoms"]
-    with _numpy().errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         g = jcmod.rabi_coupling(_gamma(cfg), cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
     if not math.isfinite(g):
         raise ConfigError([
@@ -467,7 +457,7 @@ def _jc_params(cfg: Mapping, Omega: float | None = None):
 
 
 def _cmd_jc_evolve(cfg: Mapping):
-    np = _numpy()
+    import numpy as np
     from . import jc as jcmod
     params = _jc_params(cfg)
     state = jcmod.JCState.basis(cfg["jc.level_init"], cfg["jc.n_init"], cfg["jc.n_max"])
@@ -495,7 +485,6 @@ def _cmd_jc_evolve(cfg: Mapping):
 
 
 def _cmd_jc_rabi(cfg: Mapping):
-    _numpy()
     from . import jc as jcmod
     atoms = cfg["atoms"]
     if atoms.omega12 <= 0:
@@ -517,7 +506,7 @@ def _cmd_jc_rabi(cfg: Mapping):
 
 
 def _cmd_nr_reduce(cfg: Mapping):
-    np = _numpy()
+    import numpy as np
     from . import nr as nrmod
     atoms = cfg["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
@@ -539,13 +528,16 @@ def _cmd_nr_reduce(cfg: Mapping):
         "reduced_block_error[natural]",
         "h_norm[natural]",
     ]
-    slope = float(np.polyfit(np.log(res["lambda_max"]), np.log(res["r_after"]), 1)[0])
-    summary = f"nr-reduce: {len(rows)} points, post-transform residual slope {slope:.4f} (target 2)"
+    if np.unique(res["lambda_max"]).size < 2:
+        fit = "not fitted (fewer than two distinct lambda_max)"
+    else:
+        fit = f"{np.polyfit(np.log(res['lambda_max']), np.log(res['r_after']), 1)[0]:.4f} (target 2)"
+    summary = f"nr-reduce: {len(rows)} points, post-transform residual slope {fit}"
     return header, rows, summary, []
 
 
 def _cmd_loop_selfenergy(cfg: Mapping):
-    np = _numpy()
+    import numpy as np
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
     level = cfg["selfenergy.level"]
@@ -581,7 +573,7 @@ def _cmd_loop_selfenergy(cfg: Mapping):
 
 
 def _cmd_loop_vertex(cfg: Mapping):
-    np = _numpy()
+    import numpy as np
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
@@ -613,7 +605,7 @@ def _cmd_loop_vertex(cfg: Mapping):
 
 
 def _cmd_loop_polarization(cfg: Mapping):
-    np = _numpy()
+    import numpy as np
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
     q = np.array([
@@ -639,7 +631,6 @@ def _cmd_loop_polarization(cfg: Mapping):
 
 
 def _cmd_report_counterterms(cfg: Mapping):
-    _numpy()
     from . import renorm
     reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
     rep = renorm.counterterm_report(cfg["atoms"], _gamma(cfg), reg, b_order=cfg["selfenergy.b_order"])
@@ -677,7 +668,6 @@ def _cmd_check_dims(cfg: Mapping):
 
 def _cmd_oracle_verify(cfg: Mapping):
     """Closed forms vs the tanh-sinh quadrature oracle, plus the measure checks."""
-    _numpy()
     tol = cfg["regulator.quad_tol"]
     kinds = list(MasterIntegralKind)
     # g(u) such that the master integral is (1/16 pi^2) int u g(u) du,
@@ -765,7 +755,8 @@ def _nonfinite_column(header: list, rows):
     if isinstance(rows, list):
         finite = [isinstance(column[0], str) or all(map(math.isfinite, column)) for column in zip(*rows)]
     else:
-        finite = _numpy().isfinite(rows).all(axis=0).tolist()
+        import numpy as np
+        finite = np.isfinite(rows).all(axis=0).tolist()
     return next((name for name, ok in zip(header, finite) if not ok), None)
 
 
@@ -778,7 +769,17 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     """
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
-    header, rows, summary, problems = _HANDLERS[command](_physics(cfg))
+    # one BLAS thread unless the caller set a count: no matrix here is wide
+    # enough for a second to pay. OpenBLAS reads the count when numpy loads,
+    # in a handler, and no child process inherits the default
+    default_threads = "OMP_NUM_THREADS" not in os.environ
+    if default_threads:
+        os.environ["OMP_NUM_THREADS"] = "1"
+    try:
+        header, rows, summary, problems = _HANDLERS[command](_physics(cfg))
+    finally:
+        if default_threads:
+            del os.environ["OMP_NUM_THREADS"]
     bad = _nonfinite_column(header, rows)
     if bad is not None:
         raise DipoleLoopError(f"{command}: column {bad} holds a non-finite value; no CSV written")

@@ -480,8 +480,6 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
     antisymmetry of gamma and is returned as a residual for checking.
     """
     q = np.asarray(q, dtype=float)
-    if np.allclose(q, 0.0):
-        return {"Pi": np.zeros((4, 4)), "P_coeff": 0.0, "transversality": 0.0, "q_sq": 0.0}
     q_sq = minkowski_dot(q, q)
     m1_sq, m2_sq = atoms.m1**2, atoms.m2**2
     # M^2(x) = m1^2 + (m2^2 - m1^2 + q^2) x - q^2 x^2
@@ -637,27 +635,21 @@ def counterterm_report(
     pol = photon_polarization(q_probe, atoms, gamma, reg)
 
     # measure the overall prefactor from the quadratic divergence of
-    # Sigma^I / gamma^2 on a cutoff grid, and compare with 1/(2 pi)^3
-    gsq = contractions(gamma)["gamma_sq"]
-    m_ref = atoms.mass(1)
-    # scaling a unit grid keeps max/min at exactly 100; geomspace(50 m, 5000 m)
-    # rounds its endpoints and, for some m, falls short of the two decades
+    # Sigma^I / gamma^2, the on-shell x-integral of I_A, which needs no
+    # gamma, on a cutoff grid, and compare with 1/(2 pi)^3. Scaling a unit
+    # grid keeps max/min at exactly 100; geomspace(50 m, 5000 m) rounds its
+    # endpoints and, for some m, falls short of the two decades
     # divergence_fit requires
-    lam_grid = 50.0 * m_ref * np.geomspace(1.0, 100.0, 12)
-    vals = np.array(
-        [
-            self_energy(
-                1, -m_ref**2, None, atoms, gamma,
-                RegScheme(Lambda=lam, quad_tol=reg.quad_tol), b_order=b_order,
-            ).sigma_I
-            / gsq
-            for lam in lam_grid
-        ]
-    )
+    lam_grid = 50.0 * m1 * np.geomspace(1.0, 100.0, 12)
+    vals = np.array([
+        _sigma_integrals_expansion(0.0, 1, atoms, RegScheme(Lambda=lam, quad_tol=reg.quad_tol), b_order)[0]
+        for lam in lam_grid
+    ])
     fit = divergence_fit(vals, lam_grid, atoms.M2)
     measured = fit.c_quad
     ratio = measured / (1.0 / (2.0 * np.pi) ** 3)
 
+    gsq = contractions(gamma)["gamma_sq"]
     rows += [
         ("Z1_inv.scalar", 1.0 - 2.0 * gsq * vert["J"], "original"),
         ("Z1_inv.tensor_contracted", -8.0 * vert["tensor_contracted"], "original"),

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipole_loop import cli, jc, nr, renorm
 from dipole_loop.errors import ConfigError, DipoleLoopError
@@ -39,10 +41,49 @@ class TestParseGrid:
     @pytest.mark.parametrize("bad", [
         "1:100:3", "1:100,log", "1:100:3,geo", "a:100:3,log", "1:100:1,lin",
         "-1:100:3,log", "1:2:3:4,lin", f"1:100:{cli.MAX_GRID_COUNT + 1},lin",
+        "1:inf:3,lin", "nan:1:3,lin", "1e-4:inf:5,log",
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             cli.parse_grid(bad)
+
+
+# endpoints at and around every bound a grid value meets: zero and its
+# neighbours, the normal and subnormal floor, the cutoff cap, the largest double
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1.0, 1e76,
+          float(np.nextafter(1e76, 0.0)), float(np.nextafter(1e76, np.inf)), 1e300, 1.7976931348623157e308]
+_ENDPOINTS = st.one_of(
+    st.sampled_from(_EDGES + [-v for v in _EDGES]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestGridEndpointRule:
+    @staticmethod
+    def array_rule(spec, what, hi):
+        """The grid value parser's oracle: build the whole grid, check every value."""
+        with np.errstate(all="ignore"):  # a lin grid spanning -max to max overflows
+            grid = cli.parse_grid(spec)
+        if not (grid > 0).all():
+            raise ValueError(f"{what} grid values must be positive")
+        if not (grid <= hi).all():
+            raise ValueError(f"{what} grid values must be <= {hi}")
+        return spec.strip()
+
+    @staticmethod
+    def outcome(parse, spec):
+        try:
+            return parse(spec)
+        except ValueError as exc:
+            return f"refused: {exc}"
+
+    @given(_ENDPOINTS, _ENDPOINTS, st.one_of(st.integers(2, 40), st.just(cli.MAX_GRID_COUNT)),
+           st.sampled_from(["lin", "log"]), st.sampled_from([cli.MAX_LAMBDA, float("inf")]))
+    @settings(max_examples=400, deadline=None)
+    def test_endpoints_decide_as_every_value_does(self, start, stop, count, kind, hi):
+        spec = f"{start!r}:{stop!r}:{count},{kind}"
+        expected = self.outcome(lambda s: self.array_rule(s, "test", hi), spec)
+        assert self.outcome(cli._grid("test", hi), spec) == expected
 
 
 class TestParseConfig:
@@ -336,6 +377,7 @@ class TestImportFloor:
         pytest.param("no.such_key = 1", id="unknown-key"),
         pytest.param("atoms.m1 = 1e100\natoms.m2 = 1e100\ndipole.dx = 1e300", id="gamma-overflow"),
         pytest.param(None, id="missing-file"),
+        pytest.param(f"regulator.lambda_grid = 10:{10 * cli.MAX_LAMBDA!r}:3,log", id="grid-refusal"),
     ])
     def test_refused_config_loads_no_numpy(self, tmp_path, text):
         # a config is read and refused before any command computes
@@ -344,6 +386,18 @@ class TestImportFloor:
             "import sys\n"
             "from dipole_loop.cli import main\n"
             f"assert main(['loop-vertex', '--config', {conf!r}, '--out', {str(tmp_path)!r}]) == 2\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert _fresh_python(script)[-1] == "False"
+
+    def test_grids_checked_without_numpy(self, tmp_path):
+        # both grid keys and the --lambda-grid flag are checked in pure Python
+        conf = write_conf(tmp_path, "regulator.lambda_grid = 10:1e4:24,log\nnr.lambda_grid = 1e-4:1e-2:200,log\n")
+        script = (
+            "import sys\n"
+            "from dipole_loop.cli import main\n"
+            f"argv = ['check-dims', '--config', {conf!r}, '--out', {str(tmp_path)!r}, '--lambda-grid', '10:1e3:3,lin']\n"
+            "assert main(argv) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
         assert _fresh_python(script)[-1] == "False"
@@ -499,6 +553,18 @@ class TestTransformCount:
         assert len(calls) == 2
         _, _, rows = read_csv(str(tmp_path / "nr_reduce.csv"))
         assert len(rows) == (9 if grid is None else 200)
+
+
+class TestNrReduceSlope:
+    def test_one_distinct_point_is_not_fitted(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "nr.lambda_grid = 1e-3:1e-3:3,log\n")
+        assert cli.main(["nr-reduce", "--config", conf, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "nr-reduce: 3 points, post-transform residual slope not fitted (fewer than two distinct lambda_max)\n"
+        )
+        assert len(read_csv(str(tmp_path / "nr_reduce.csv"))[2]) == 3
 
 
 class TestSIBoundary:
@@ -698,7 +764,7 @@ class TestFastRowWriter:
         header = ["a", "b", "c"]
         rows = [
             (1.5, np.float64(-2.0e-300), float("nan")),
-            (3, 0.25, "x,y"),
+            (3, 0.25, "x y"),  # no cell holds a comma, a quote or a newline
             (np.int64(7), True, np.float32(0.1)),
             [0.1, 0.2, 0.3],
         ]
@@ -706,7 +772,7 @@ class TestFastRowWriter:
         _reference_csv(str(tmp_path / "slow.csv"), cfg, "check-dims", header, rows)
         fast = (tmp_path / "fast.csv").read_bytes()
         assert fast == (tmp_path / "slow.csv").read_bytes()
-        assert b'\n3,2.50000000000000000e-01,"x,y"\n' in fast
+        assert b'\n3,2.50000000000000000e-01,x y\n' in fast
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_one_table_type_per_handler(self, command):
@@ -825,6 +891,7 @@ PROBES = [
     pytest.param("nr.lambda3_ratio = 1e300", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="lambda3_ratio-1e300", marks=OVERFLOWS),
     pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="cutoff-grid-1e-300:1e300"),
     pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-1e-300:1e300", marks=OVERFLOWS),
+    pytest.param("nr.lambda_grid = 1e-4:inf:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="nr-grid-1e-4:inf"),
     pytest.param("regulator.quad_tol = 1e-18", (0, 0, 0, 3, 3, 3, 3, 0, 3), id="quad_tol-1e-18"),
     pytest.param("units.mode = SI\ncavity.omega = 1e-310", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-omega-1e-310"),
     pytest.param("units.mode = SI\ndipole.dx = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-dx-1e300"),
@@ -833,6 +900,8 @@ PROBES = [
     # gamma = d sqrt(m1 m2) overflows although d and m^2 are finite
     pytest.param("atoms.m1 = 1e100\natoms.m2 = 1e100\ndipole.dx = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2),
                  id="masses-1e100-dx-1e300"),
+    # the loop commands run without a dipole; the cavity commands need a coupling
+    pytest.param("dipole.dx = 0", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="dx-0"),
 ]
 
 

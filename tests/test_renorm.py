@@ -378,6 +378,14 @@ class TestPolarization:
         out = photon_polarization(np.zeros(4), SPLIT, gamma_for(SPLIT), REG)
         assert np.all(out["Pi"] == 0.0)
 
+    def test_zero_momentum_coefficient(self):
+        # P(q^2 = 0) = int dx I_E(M^2(x)) > 0: q = 0 is no special case
+        gamma = gamma_for(SPLIT)
+        at_zero = photon_polarization(np.zeros(4), SPLIT, gamma, REG)["P_coeff"]
+        near = photon_polarization(np.array([0.0, 1e-9, 0.0, 0.0]), SPLIT, gamma, REG)["P_coeff"]
+        assert at_zero > 0
+        assert at_zero == pytest.approx(near, rel=1e-12, abs=0.0)
+
     def test_pair_threshold(self):
         q = np.array([2.5, 0.0, 0.0, 0.0])  # q^2 = -6.25 < -(m1+m2)^2
         with pytest.raises(KinematicDomainError, match="threshold"):
@@ -442,6 +450,13 @@ class TestCounterterms:
         assert report.prefactor_ratio_to_printed == pytest.approx(np.pi / 2.0, rel=1e-9)
         assert table["prefactor.measured"] == (report.prefactor_measured, "report")
         assert table["prefactor.ratio_to_printed"] == (report.prefactor_ratio_to_printed, "report")
+
+    def test_prefactor_needs_no_dipole(self, report):
+        # the fit reads Sigma^I / gamma^2 as the gamma-free x-integral, so a
+        # zero dipole measures the same prefactor
+        zero = counterterm_report(SPLIT, gamma_for(SPLIT, d=0.0), REG)
+        assert zero.prefactor_measured == report.prefactor_measured
+        assert zero.prefactor_ratio_to_printed == report.prefactor_ratio_to_printed
 
     def test_row_order(self, report):
         per_level = [
