@@ -13,6 +13,8 @@ numbers; unknown keys are rejected, and so is a config asking for more
 work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
 codes: 0 success, 2 config error, 3 numeric/domain error (a NaN or an
 infinity in an output row included), 4 failed internal cross-check.
+main() catches only the package's errors (errors.py): any other exception
+is a bug and prints its traceback.
 numpy loads only in a command that computes with arrays, with one BLAS
 thread unless the caller set a count: reading a config, refusing it and
 check-dims run without it.
@@ -50,6 +52,7 @@ from .core import (
 from .errors import (
     ConfigError,
     DipoleLoopError,
+    KinematicDomainError,
     OracleError,
 )
 from .loops import (
@@ -291,7 +294,7 @@ def parse_config(text: str) -> Mapping:
         where[key] = lineno
         try:
             values[key] = _TABLE[key][1](val)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             problems.append(f"line {lineno}: {key}: {exc}")
     # constraint checks run on the merged values even when some lines
     # failed to parse (those keys keep defaults, so no cascades)
@@ -513,8 +516,11 @@ def _cmd_nr_reduce(cfg: Mapping):
     k = atoms.m1 * np.sqrt(targets)
     with np.errstate(over="ignore"):
         gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
+        lam_max = float(np.max(nrmod.SmallParams.from_inputs(k, gdotF, atoms).max))
     if not np.isfinite(gdotF).all():
         raise ConfigError(["nr-reduce: gamma.F is not finite in natural units; it is built from nr.lambda3_ratio, nr.lambda_grid, atoms.m1 and atoms.m2"])
+    if not lam_max < 1.0:
+        raise KinematicDomainError(f"nr-reduce: lambda_max = {lam_max:.3g} >= 1 on nr.lambda_grid; expansion invalid")
     res = nrmod.decoupling_residual(k, gdotF, atoms)
     blk = nrmod.reduced_block_error(k, gdotF, atoms)
     rows = np.column_stack(
@@ -832,7 +838,7 @@ def main(argv: list | None = None) -> int:
     except OracleError as exc:
         print(f"oracle check failed: {exc}", file=sys.stderr)
         return 4
-    except (DipoleLoopError, ArithmeticError, ValueError) as exc:
+    except DipoleLoopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

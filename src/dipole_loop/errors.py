@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each maps onto one CLI exit code: ConfigError -> 2, numeric/domain
-errors -> 3, failed internal cross-checks -> 4.
+Each has DipoleLoopError as its one base and maps onto one CLI exit code:
+ConfigError -> 2, OracleError -> 4, every other -> 3.
 """
 
 __all__ = [
@@ -30,14 +30,14 @@ class ConfigError(DipoleLoopError):
 
 
 class KinematicDomainError(DipoleLoopError):
-    """A Feynman-parameter scale (a^2, b^2, M^2(x)) left the positive domain, or |b| >= 1."""
+    """A Feynman-parameter scale (a^2, b^2, M^2(x)) left the positive domain, |b| >= 1, or nr-reduce's lambda_max >= 1."""
 
 
 class QuadratureError(DipoleLoopError):
     """A quadrature rule (Gauss-Legendre or tanh-sinh) did not reach the requested tolerance."""
 
 
-class FitError(DipoleLoopError, ArithmeticError):
+class FitError(DipoleLoopError):
     """A fit cannot give the quantity asked of it (vanishing leading coefficient, curved data)."""
 
 

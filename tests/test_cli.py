@@ -5,13 +5,14 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipole_loop import cli, jc, nr, renorm
+from dipole_loop import cli, errors, jc, nr, renorm
 from dipole_loop.errors import ConfigError, DipoleLoopError
 
 
@@ -271,6 +272,21 @@ class TestDispatchExitCodes:
     def test_unknown_command_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["fly", "--config", "x"])
+
+    def test_builtin_error_escapes_main(self, tmp_path, monkeypatch):
+        # exit 3 is a package error; any other exception is a bug and is not caught
+        def broken(cfg):
+            raise ValueError("bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "check-dims", broken)
+        with pytest.raises(ValueError, match="bug"):
+            cli.main(["check-dims", "--config", os.devnull, "--out", str(tmp_path)])
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_one_base_per_error_type(self):
+        # so main() maps each onto one exit code
+        for name in errors.__all__[1:]:
+            assert getattr(errors, name).__bases__ == (DipoleLoopError,)
 
     def test_dispatch_unknown_command(self):
         with pytest.raises(ConfigError):
@@ -866,7 +882,11 @@ PROBES = [
     pytest.param("dipole.dx = 1e160", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e160", marks=OVERFLOWS),
     pytest.param("atoms.m1 = 1e200\natoms.m2 = 1e200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e200"),
     pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e-200"),
-    pytest.param("atoms.m2 = 0.1", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="m2-0.1"),
+    # lambda_2 = k^2/m2^2 reaches 1 at the top of the default nr.lambda_grid
+    pytest.param("atoms.m2 = 0.1", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-0.1"),
+    # lambda_2 overflows to inf (m2^2 is subnormal), and reaches 1e4
+    pytest.param("atoms.m2 = 1e-160", (0, 0, 3, 3, 0, 3, 3, 0, 0), id="m2-1e-160"),
+    pytest.param("atoms.m2 = 1e-3", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-1e-3"),
     pytest.param("regulator.lambda = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="lambda-1e300"),
     pytest.param("regulator.lambda = 1e-300", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="lambda-1e-300"),
     pytest.param("cavity.omega = 1e300", (3, 0, 0, 0, 0, 0, 0, 0, 0), id="omega-1e300"),
@@ -888,9 +908,10 @@ PROBES = [
     pytest.param("units.mode = SI\nnr.lambda3_ratio = 1e250", (3, 3, 2, 3, 0, 0, 3, 0, 0), id="SI-lambda3_ratio-1e250"),
     pytest.param("units.mode = SI", (3, 3, 0, 3, 0, 0, 3, 0, 0), id="SI"),
     pytest.param("units.mode = SI\nunits.base_energy_ev = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-base-1e300"),
-    pytest.param("nr.lambda3_ratio = 1e300", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="lambda3_ratio-1e300", marks=OVERFLOWS),
+    pytest.param("nr.lambda3_ratio = 1e300", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="lambda3_ratio-1e300"),
     pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="cutoff-grid-1e-300:1e300"),
-    pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-1e-300:1e300", marks=OVERFLOWS),
+    pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-1e-300:1e300"),
+    pytest.param("nr.lambda_grid = 0.5:5:3,lin", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-0.5:5"),
     pytest.param("nr.lambda_grid = 1e-4:inf:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="nr-grid-1e-4:inf"),
     pytest.param("regulator.quad_tol = 1e-18", (0, 0, 0, 3, 3, 3, 3, 0, 3), id="quad_tol-1e-18"),
     pytest.param("units.mode = SI\ncavity.omega = 1e-310", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-omega-1e-310"),
@@ -945,3 +966,79 @@ def test_exit_code_probe(tmp_path, capsys, monkeypatch, text, codes, command):
         assert not csv_path.exists()
     else:
         assert np.isfinite(_numbers(read_csv(str(csv_path))[2])).all()
+
+
+
+# The exit-code contract on random config text, well-formed in half the
+# examples and malformed in the other half (unparsable values, unknown keys,
+# lines without '=', duplicate keys). Numbers sit around every bound a config
+# value meets: zero, the subnormal floor, m^2 underflow and overflow, the
+# cutoff cap, the largest double. Sizes stay small, so each run is quick.
+_MAGNITUDES = ["5e-324", "1e-320", "1e-160", "1e-12", "1e-3", "0.1", "0.5", "1", "5", "1e3", "1e76", "1e160", "1e300"]
+_NUMBER = st.sampled_from(_MAGNITUDES + ["0", "-1", "-1e300"])
+_BAD_NUMBER = st.one_of(st.sampled_from(["inf", "-inf", "nan", "1e400", "abc", ""]), st.floats().map(repr))
+_INT = st.integers(0, 12).map(str)
+_BAD_INT = st.sampled_from(["-1", "1.5", "abc", "", str(10**6)])
+_SCALE = st.sampled_from([1e-300, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e300])
+_CHOICES = {"jc.level_init": ("upper", "lower"), "selfenergy.path": ("expansion", "exact")}
+
+
+def _fuzz_grid(good):
+    ends = st.sampled_from(_MAGNITUDES) if good else st.one_of(_NUMBER, _BAD_NUMBER)
+    counts = st.sampled_from(["2", "3", "5"] if good else ["1", "x", str(cli.MAX_GRID_COUNT + 1)])
+    kinds = st.sampled_from(["log", "lin"] if good else ["log", "lin", "geo"])
+    return st.builds("{}:{}:{},{}".format, ends, ends, counts, kinds)
+
+
+def _fuzz_value(key, good):
+    default = cli._TABLE[key][0]
+    if key.endswith("lambda_grid"):
+        return _fuzz_grid(good)
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false"] if good else ["maybe"])
+    if isinstance(default, int):
+        return st.integers(-1, 1).map(lambda step: str(default + step)) if good else _BAD_INT
+    if isinstance(default, tuple):
+        return st.lists(_INT if good else st.one_of(_INT, _BAD_INT), min_size=1, max_size=4).map(",".join)
+    if isinstance(default, str):
+        return st.sampled_from(_CHOICES[key] if good else ("bogus",))
+    if not good:
+        return st.one_of(_NUMBER, _BAD_NUMBER)
+    return _NUMBER if default is None else st.one_of(_NUMBER, _SCALE.map(lambda f: repr(default * f)))
+
+
+@st.composite
+def _fuzz_config(draw):
+    """(config text, --lambda-grid value or None), well-formed or not."""
+    good = draw(st.booleans())
+    keys = draw(st.lists(st.sampled_from(sorted(set(cli._TABLE) - {"units.mode"})), max_size=4, unique=good))
+    lines = [f"{key} = {draw(_fuzz_value(key, good or draw(st.booleans())))}" for key in keys]
+    if not good:
+        lines += draw(st.lists(st.sampled_from(["no.such_key = 1", "atoms.m1", "= 1"]), max_size=2))
+    mode = draw(st.sampled_from([None, "natural", "SI"] if good else [None, "SI", "si"]))
+    if mode is not None:
+        lines.append(f"units.mode = {mode}")
+    lambda_grid = draw(st.one_of(st.none(), _fuzz_grid(good)))
+    return "\n".join(draw(st.permutations(lines))) + "\n", lambda_grid
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(config=_fuzz_config(), command=st.sampled_from(cli.COMMANDS))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_exit_code_contract(config, command):
+    # main() catches only package errors, so a builtin one fails here with its example
+    text, lambda_grid = config
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "run.conf")
+        with open(conf, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, "--config", conf, "--out", os.path.join(tmp, "out")]
+        if lambda_grid is not None:
+            argv.append(f"--lambda-grid={lambda_grid}")  # a spec may start with '-'
+        code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        csv_path = os.path.join(tmp, "out", command.replace("-", "_") + ".csv")
+        if code in (2, 3):
+            assert not os.path.exists(csv_path)
+        else:
+            assert np.isfinite(_numbers(read_csv(csv_path)[2])).all()

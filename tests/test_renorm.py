@@ -293,7 +293,7 @@ class TestMassShiftAndZ:
         assert len(calls) == 1
 
     def test_z_rejects_curved_grid(self):
-        with pytest.raises(ArithmeticError, match="curvature"):
+        with pytest.raises(FitError, match="curvature"):
             wavefunction_Z(1, SYM, gamma_for(SYM), REG, s_max_frac=0.5)
 
     def test_z_curvature_is_fit_error(self):
