@@ -646,6 +646,8 @@ def counterterm_report(
         for lam in lam_grid
     ])
     fit = divergence_fit(vals, lam_grid, atoms.M2)
+    if not fit.accepted:
+        raise FitError(f"prefactor fit rejected: residual {fit.fit_residual:.3e} above 1e-4 of its Lambda^2 term")
     measured = fit.c_quad
     ratio = measured / (1.0 / (2.0 * np.pi) ** 3)
 

@@ -553,20 +553,26 @@ class TestRuleCount:
 class TestTransformCount:
     @pytest.mark.parametrize("grid", [None, "1e-4:1e-2:200,log"])
     def test_nr_reduce_transforms_whole_grid_once(self, tmp_path, monkeypatch, grid):
-        # decoupling_residual and reduced_block_error each transform the
-        # whole grid in one call, whatever its size
-        calls = []
-        transform = nr.similarity_transform
+        # decoupling_residual and reduced_block_error each sum the series for
+        # the whole grid in one call, whatever its size, and never take the
+        # eigendecomposition that the tests keep as the oracle
+        calls = {"_decouple": 0, "similarity_transform": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return transform(*args, **kwargs)
+        def counting(name):
+            fn = getattr(nr, name)
 
-        monkeypatch.setattr(nr, "similarity_transform", counting)
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(nr, name, counting(name))
         text = "" if grid is None else f"nr.lambda_grid = {grid}\n"
         argv = ["nr-reduce", "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        assert len(calls) == 2
+        assert calls == {"_decouple": 2, "similarity_transform": 0}
         _, _, rows = read_csv(str(tmp_path / "nr_reduce.csv"))
         assert len(rows) == (9 if grid is None else 200)
 
@@ -581,6 +587,26 @@ class TestNrReduceSlope:
             "nr-reduce: 3 points, post-transform residual slope not fitted (fewer than two distinct lambda_max)\n"
         )
         assert len(read_csv(str(tmp_path / "nr_reduce.csv"))[2]) == 3
+
+    def test_rows_with_zero_residual_left_out(self, tmp_path, capsys):
+        # r_after underflows to 0 on the five lowest points; the fit takes the other four
+        conf = write_conf(tmp_path, "nr.lambda_grid = 5e-324:1e-2:9,log\n")
+        assert cli.main(["nr-reduce", "--config", conf, "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "nr-reduce: 9 points, post-transform residual slope 2.0000 (target 2), 5 rows with r_after = 0 left out\n"
+        )
+        _, _, rows = read_csv(str(tmp_path / "nr_reduce.csv"))
+        assert [float(r[3]) == 0.0 for r in rows] == [True] * 5 + [False] * 4
+
+    @pytest.mark.parametrize("start", ["1e-12", "1e-10", "1e-8"])
+    def test_slope_is_two_to_small_lambda(self, tmp_path, capsys, start):
+        conf = write_conf(tmp_path, f"nr.lambda_grid = {start}:1e-2:9,log\n")
+        assert cli.main(["nr-reduce", "--config", conf, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        slope = float(out.split("residual slope ")[1].split()[0])
+        assert slope == pytest.approx(2.0, abs=1e-3)
 
 
 class TestSIBoundary:
@@ -644,6 +670,20 @@ class TestNonFiniteInputs:
 
 
 class TestCountertermCutoff:
+    def test_rejected_prefactor_fit_is_3(self, tmp_path, capsys, monkeypatch):
+        fit = renorm.divergence_fit
+
+        def rejecting(*args, **kwargs):
+            return fit(*args, **kwargs)._replace(fit_residual=0.5, accepted=False)
+
+        monkeypatch.setattr(renorm, "divergence_fit", rejecting)
+        conf = write_conf(tmp_path, "")
+        assert cli.main(["report-counterterms", "--config", conf, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: prefactor fit rejected: residual 5.000e-01 above 1e-4 of its Lambda^2 term\n"
+        )
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_z_lost_to_rounding_is_3(self, tmp_path, capsys):
         # at Lambda = 1e7 Sigma(s) - Sigma(-m^2) rounds to zero on the whole s grid
         conf = write_conf(tmp_path, "regulator.lambda = 1e7\n")
@@ -912,8 +952,12 @@ PROBES = [
     pytest.param("regulator.lambda_grid = 1e-300:1e300:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="cutoff-grid-1e-300:1e300"),
     pytest.param("nr.lambda_grid = 1e-300:1e300:5,log", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-1e-300:1e300"),
     pytest.param("nr.lambda_grid = 0.5:5:3,lin", (0, 0, 3, 0, 0, 0, 0, 0, 0), id="nr-grid-0.5:5"),
+    # r_after underflows to 0 on the lowest points, which the slope fit leaves out
+    pytest.param("nr.lambda_grid = 5e-324:1e-2:9,log", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="nr-grid-5e-324:1e-2"),
     pytest.param("nr.lambda_grid = 1e-4:inf:5,log", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="nr-grid-1e-4:inf"),
     pytest.param("regulator.quad_tol = 1e-18", (0, 0, 0, 3, 3, 3, 3, 0, 3), id="quad_tol-1e-18"),
+    # oracle-verify runs its quadrature at 1e-10 however loose quad_tol is
+    pytest.param("regulator.quad_tol = 1e-3", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="quad_tol-1e-3"),
     pytest.param("units.mode = SI\ncavity.omega = 1e-310", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-omega-1e-310"),
     pytest.param("units.mode = SI\ndipole.dx = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="SI-dx-1e300"),
     pytest.param("cavity.omega = 1e-310", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="omega-1e-310"),

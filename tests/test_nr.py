@@ -1,9 +1,11 @@
 """Non-relativistic 4x4 reduction and the decoupling transform."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from dipole_loop.core import AtomPair
+from dipole_loop.errors import KinematicDomainError
 from dipole_loop.nr import (
     EPS_BAR,
     SmallParams,
@@ -168,6 +170,56 @@ class TestBatch:
         expect = decoupling_residual(K_STACK, np.full_like(K_STACK, 1e-4), ATOMS)
         for key in res:
             assert np.array_equal(res[key], expect[key]), key
+
+
+def _mp_truth(k, gdotF, atoms):
+    """(r_after, error) from mpmath's expm at enough digits for T - H.
+
+    T - H cancels the O(m) entries of H down to O(lambda^2 m), so the
+    working precision grows with |log10 lambda|; at 60 fixed digits the
+    error column's truth is itself off by 32% at lambda = 1e-40.
+    """
+    lam = SmallParams.from_inputs(k, gdotF, atoms).max
+    with mpmath.workdps(int(2.2 * abs(np.log10(lam))) + 30):
+        m1, m2 = mpmath.mpf(atoms.m1), mpmath.mpf(atoms.m2)
+        k2, c = mpmath.mpf(k) ** 2, mpmath.mpf(gdotF) / (2 * mpmath.sqrt(m1 * m2))
+        C = mpmath.matrix([[k2 / (2 * m1), c], [c, k2 / (2 * m2)]])
+        B = C + mpmath.diag([m1, m2])
+        G = mpmath.matrix([[k2 / m1**2, 4 * c / (m1 + m2)], [4 * c / (m1 + m2), k2 / m2**2]]) / 4
+        H, A = mpmath.zeros(4), mpmath.zeros(4)
+        for a in range(2):
+            for b in range(2):
+                H[a, b], H[a, b + 2], H[a + 2, b], H[a + 2, b + 2] = B[a, b], C[a, b], -C[a, b], -B[a, b]
+                A[a, b + 2] = A[a + 2, b] = G[a, b]
+        T = mpmath.expm(A) * H * mpmath.expm(-A)
+        r_after = mpmath.sqrt(sum(T[i, j] ** 2 for i in range(4) for j in range(4) if (i < 2) != (j < 2)))
+        error = mpmath.sqrt(sum((T[i, j] - H[i, j]) ** 2 for i in range(2) for j in range(2)))
+        return float(r_after), float(error)
+
+
+class TestAgainstMpmath:
+    """r_after and error, the O(lambda^2 m) columns, against the transform at high precision."""
+
+    @pytest.mark.parametrize("atoms, ratio", [(ATOMS, 0.7), (AtomPair(m1=1.0, m2=3.0), -0.3)],
+                             ids=["default", "split-mass-negative-field"])
+    def test_log_grid_to_rounding(self, atoms, ratio):
+        # the nr-reduce grid construction, from the bottom of the double range to 0.99
+        lam = np.geomspace(1e-300, 0.99, 31)
+        k = atoms.m1 * np.sqrt(lam)
+        gdotF = ratio * lam * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
+        got = decoupling_residual(k, gdotF, atoms)["r_after"], reduced_block_error(k, gdotF, atoms)["error"]
+        checked = 0
+        for i in range(lam.size):
+            for col, truth in zip(got, _mp_truth(float(k[i]), float(gdotF[i]), atoms)):
+                if truth >= np.finfo(float).tiny:  # wherever the truth is a normal double
+                    assert abs(col[i] - truth) <= 1e-14 * truth, (lam[i], col[i], truth)
+                    checked += 1
+        assert checked >= 30
+
+    def test_series_cap_refuses_large_lambda(self):
+        # far outside lambda_max < 1 the series does not settle in its cap of terms
+        with pytest.raises(KinematicDomainError, match="not converged"):
+            decoupling_residual(10.0, 0.0, ATOMS)
 
 
 class TestConstants:
