@@ -14,7 +14,10 @@ work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
 codes: 0 success, 2 config error, 3 numeric/domain error (a NaN or an
 infinity in an output row included), 4 failed internal cross-check.
 main() catches only the package's errors (errors.py): any other exception
-is a bug and prints its traceback.
+is a bug and prints its traceback. A command process (the dipole-loop
+script, python -m dipole_loop.cli) enters through run(), which flushes
+stdout and stderr and ends with os._exit; code embedding the package calls
+main(), which returns the exit code.
 numpy loads only in a command that computes with arrays, with one BLAS
 thread unless the caller set a count: reading a config, refusing it and
 check-dims run without it.
@@ -64,7 +67,7 @@ from .loops import (
     symmetric_integration_check,
 )
 
-__all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main"]
+__all__ = ["COMMANDS", "parse_config", "parse_grid", "dispatch", "main", "run"]
 
 
 # ---------------------------------------------------------------------------
@@ -847,5 +850,24 @@ def main(argv: list | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """Process entry point: main(), then flush stdout and stderr and os._exit.
+
+    When main() returns, _write_csv's with block has closed the CSV, and
+    nothing but stdout and stderr is still buffered, so ending here skips
+    only the interpreter's finalization, which frees every module and numpy
+    object. An argparse SystemExit, an uncaught exception and a failed
+    write or flush of stdout (a closed pipe, a full disk) leave by the
+    normal exit path, which reports them as it always did.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

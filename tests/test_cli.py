@@ -332,12 +332,18 @@ class TestCsvContract:
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
-def _fresh_python(script, **env_vars):
-    """Stdout lines of script in a new interpreter, src on the path, no BLAS thread variable but env_vars."""
+def _child_env(**env_vars):
+    """This environment with src on the path and no BLAS thread variable or PYTHONUNBUFFERED but env_vars."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in (*BLAS_THREAD_VARS, "PYTHONUNBUFFERED")}
     env.update(env_vars, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _fresh_python(script, **env_vars):
+    """Stdout lines of script in a new interpreter (see _child_env)."""
+    out = subprocess.run([sys.executable, "-c", script], env=_child_env(**env_vars), capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 
@@ -486,6 +492,57 @@ class TestBlasThreads:
     def test_package_root_does_not_load_numpy(self):
         # the default is set before numpy loads only if nothing imported it first
         assert _fresh_python("import sys, dipole_loop\nprint('numpy' in sys.modules)") == ["False"]
+
+
+class TestProcessEntry:
+    """python -m dipole_loop.cli (run(): flush, then os._exit) matches in-process main()."""
+
+    @staticmethod
+    def in_process(argv, capsys):
+        """(exit code, stdout, stderr) of main(argv) in this interpreter."""
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @staticmethod
+    def process(argv):
+        """(exit code, stdout, stderr) of the module's process entry, both streams piped."""
+        # without PYTHONUNBUFFERED a piped stdout is block-buffered, so the
+        # summary line reaches the pipe only through run()'s flush
+        out = subprocess.run([sys.executable, "-m", "dipole_loop.cli", *argv], env=_child_env(),
+                             capture_output=True, text=True, timeout=120)
+        return out.returncode, out.stdout, out.stderr
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_summary_and_csv_match_main(self, tmp_path, capsys, command):
+        argv = [command, "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]
+        csv_path = tmp_path / (command.replace("-", "_") + ".csv")
+        expected = self.in_process(argv, capsys)
+        expected_bytes = csv_path.read_bytes()
+        csv_path.unlink()
+        assert expected[0] == 0 and expected[2] == ""
+        assert expected[1].startswith(f"{command}: ")
+        assert self.process(argv) == expected
+        assert csv_path.read_bytes() == expected_bytes
+
+    @pytest.mark.parametrize("command, text, code", [
+        pytest.param("check-dims", "atoms.m1 = abc", 2, id="config-error"),
+        pytest.param("loop-selfenergy", "selfenergy.s_max = -0.5", 3, id="domain-error"),
+        pytest.param("no-such-command", "", 2, id="unknown-command"),
+    ])
+    def test_refusal_keeps_code_and_message(self, tmp_path, capsys, command, text, code):
+        argv = [command, "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]
+        expected = self.in_process(argv, capsys)
+        assert expected[0] == code and expected[1] == ""
+        assert self.process(argv) == expected
+        last = expected[2].splitlines()[-1]
+        assert last.startswith(("config error: ", "error: ", "dipole-loop: error: "))
+        assert "Traceback" not in expected[2]
+        assert not any(tmp_path.glob("*.csv"))
 
 
 class TestLambdaGridFlag:
