@@ -11,8 +11,9 @@ Configuration is line-oriented "section.key = value" with '#' comments.
 All config problems are collected and reported together with line
 numbers; unknown keys are rejected, and so is a config asking for more
 work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
-codes: 0 success, 2 config error, 3 numeric/domain error (a NaN or an
-infinity in an output row included), 4 failed internal cross-check.
+codes: 0 success, 2 config error (an unwritable CSV or summary line
+included), 3 numeric/domain error (a NaN or an infinity in an output row
+included), 4 failed internal cross-check.
 main() catches only the package's errors (errors.py): any other exception
 is a bug and prints its traceback. A command process (the dipole-loop
 script, python -m dipole_loop.cli) enters through run(), which flushes
@@ -24,8 +25,9 @@ check-dims run without it.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
-data rows with floats printed as %.17e. Identical config and command
-produce byte-identical CSVs.
+data rows with floats printed as %.17e. A float array is formatted in
+numpy blocks (_csvfloat), byte-identical to %.17e cell by cell. Identical
+config and command produce byte-identical CSVs.
 
 With units.mode = SI the apparatus keys (atoms.*, dipole.*, cavity.*,
 jc.t_max) are read as SI values (kg, C m, rad/s, m^3, m, s) and
@@ -418,9 +420,10 @@ def _cell(v) -> str:
 def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> None:
     """Write the config echo (sorted by key), the header and the rows.
 
-    A float array is formatted with one "%.17e,...\n" string per row, a
-    list of rows cell by cell through _cell. No header name or cell holds a
-    comma, a quote or a newline, so no field needs quoting.
+    A float array is formatted in numpy blocks by _csvfloat, byte-identical
+    to _cell's _FLOAT_FORMAT, with _cell for the cells it cannot decide; a
+    list of rows goes cell by cell through _cell. No header name or cell
+    holds a comma, a quote or a newline, so no field needs quoting.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# command = {command}\n")
@@ -430,9 +433,8 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> Non
         if isinstance(rows, list):
             fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
         else:
-            line = ",".join([_FLOAT_FORMAT] * rows.shape[1]) + "\n"
-            for row in rows.tolist():
-                fh.write(line % tuple(row))
+            from . import _csvfloat
+            fh.writelines(_csvfloat.text_blocks(rows, _cell))
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +779,8 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     """Run one command, write its CSV, print the one-line summary.
 
     Returns the CSV path. Raises the package error types (an unwritable
-    output is a ConfigError, a non-finite row a DipoleLoopError);
-    exit-code mapping happens in main().
+    CSV or summary line is a ConfigError, a non-finite row a
+    DipoleLoopError); exit-code mapping happens in main().
     """
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
@@ -800,9 +802,9 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     try:
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(path, cfg, command, header, rows)
+        print(summary)
     except OSError as exc:
         raise ConfigError([f"cannot write output: {exc}"]) from None
-    print(summary)
     if problems:
         raise OracleError("; ".join(problems))
     return path
@@ -856,16 +858,20 @@ def run() -> None:
     When main() returns, _write_csv's with block has closed the CSV, and
     nothing but stdout and stderr is still buffered, so ending here skips
     only the interpreter's finalization, which frees every module and numpy
-    object. An argparse SystemExit, an uncaught exception and a failed
-    write or flush of stdout (a closed pipe, a full disk) leave by the
-    normal exit path, which reports them as it always did.
+    object. A flush that fails (a closed pipe, a full disk) is an unwritable
+    output, exit 2 as in main(); an argparse SystemExit and an uncaught
+    exception leave by the normal exit path.
     """
     code = main()
     try:
         sys.stdout.flush()
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        code = 2
+    try:
         sys.stderr.flush()
     except OSError:
-        sys.exit(code)
+        code = 2
     os._exit(code)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipole_loop import cli, errors, jc, nr, renorm
+from dipole_loop import _csvfloat, cli, errors, jc, nr, renorm
 from dipole_loop.errors import ConfigError, DipoleLoopError
 
 
@@ -544,6 +544,32 @@ class TestProcessEntry:
         assert "Traceback" not in expected[2]
         assert not any(tmp_path.glob("*.csv"))
 
+    def test_module_executes_once(self, tmp_path):
+        # python -m runs cli as __main__: writing a float array must not
+        # import dipole_loop.cli, which would execute the module again
+        argv = [sys.executable, "-X", "importtime", "-m", "dipole_loop.cli", "jc-evolve",
+                "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]
+        out = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0
+        imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")]
+        assert "dipole_loop._csvfloat" in imported
+        assert "dipole_loop.cli" not in imported
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["check-dims", "nr-reduce"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["flush", "print"])
+    def test_unwritable_summary_is_config_error(self, tmp_path, command, unbuffered):
+        # with stdout unbuffered, dispatch's print of the summary fails;
+        # otherwise run()'s flush does. Either is an unwritable output
+        argv = [command, "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]
+        env = _child_env(PYTHONUNBUFFERED="1") if unbuffered else _child_env()
+        with open("/dev/full", "w") as full:
+            out = subprocess.run([sys.executable, "-m", "dipole_loop.cli", *argv], env=env, stdout=full,
+                                 stderr=subprocess.PIPE, text=True, timeout=120)
+        assert out.returncode == 2
+        assert out.stderr == "config error: cannot write output: [Errno 28] No space left on device\n"
+        assert (tmp_path / (command.replace("-", "_") + ".csv")).exists()
+
 
 class TestLambdaGridFlag:
     def test_sweep_rows(self, tmp_path):
@@ -862,6 +888,15 @@ def _reference_csv(path, cfg, command, header, rows):
             writer.writerow([cli._cell(v) for v in row])
 
 
+def _written_as_reference(tmp_path, cfg, header, rows):
+    """The bytes _write_csv writes for rows, asserted equal to _reference_csv's."""
+    cli._write_csv(str(tmp_path / "fast.csv"), cfg, "jc-evolve", header, rows)
+    _reference_csv(str(tmp_path / "slow.csv"), cfg, "jc-evolve", header, rows)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "slow.csv").read_bytes()
+    return fast
+
+
 class TestFastRowWriter:
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_bytes_match_csv_writer(self, tmp_path, command):
@@ -887,6 +922,13 @@ class TestFastRowWriter:
         assert fast == (tmp_path / "slow.csv").read_bytes()
         assert b'\n3,2.50000000000000000e-01,x y\n' in fast
 
+    def test_cavity_scale_array(self, tmp_path):
+        # jc-evolve at the size of the cavity-scale workload: 20,000 rows x 5
+        cfg = cli.parse_config("jc.n_max = 120\njc.n_init = 40\njc.n_times = 20000\njc.rwa = false\n")
+        header, rows = cli._HANDLERS["jc-evolve"](cli._physics(cfg))[:2]
+        assert rows.shape == (20000, 5)
+        _written_as_reference(tmp_path, cfg, header, rows)
+
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_one_table_type_per_handler(self, command):
         cfg = cli.parse_config("")
@@ -895,6 +937,81 @@ class TestFastRowWriter:
             assert isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
         else:
             assert isinstance(rows, list)
+
+
+def _assert_matches_percent(values):
+    """The kernel's text of each value equals _FLOAT_FORMAT % value."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    got = "".join(_csvfloat.text_blocks(values.reshape(-1, 1), cli._cell)).split("\n")
+    assert got.pop() == ""
+    want = [cli._FLOAT_FORMAT % v for v in values.tolist()]
+    assert len(got) == len(want)
+    if got != want:
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        pytest.fail(f"{values[i]!r}: kernel {got[i]!r}, % {want[i]!r}")
+
+
+class TestFloatKernel:
+    """_csvfloat against "%" itself, cell by cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    def test_any_finite_double(self, values):
+        _assert_matches_percent(values + [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+
+    def test_random_bit_patterns(self):
+        # every exponent field, so NaNs, infinities and subnormals as well
+        bits = np.random.default_rng(23).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        _assert_matches_percent(bits.view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        # floor(log10 |x|) is the estimate most likely to be one off here
+        cells = []
+        for e in range(-307, 309):
+            up = down = float(f"1e{e}")
+            cells.append(up)
+            for _ in range(2):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                cells += [up, down]
+        cells = np.array(cells)
+        _assert_matches_percent(np.concatenate((cells, -cells)))
+
+    def test_exact_ties(self):
+        # x = M 2^(-1-k) = (M 5^k / 2) 10^(-k): an odd M 5^k in [2e17, 2e18)
+        # puts x exactly halfway between two 18-digit decimals
+        rng = np.random.default_rng(7)
+        cells = []
+        for k in range(2, 23):
+            lo, hi = -(-2 * 10**17 // 5**k), min(2 * 10**18 // 5**k, 2**53)
+            m = [int(v) | 1 for v in rng.integers(lo, hi, size=200)]
+            m = [v for v in m if v < 2**53 and 2 * 10**17 <= v * 5**k < 2 * 10**18]
+            cells += [v * 2.0 ** (-1 - k) for v in m]
+        assert len(cells) > 4000
+        cells = np.array(cells)
+        _assert_matches_percent(np.concatenate((cells, -cells)))
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0], ids=["one-low", "one-high"])
+    def test_exponent_estimate_off_by_one(self, monkeypatch, shift):
+        # a cell whose exponent estimate is off goes to "%", so the text does
+        # not depend on how closely np.log10 rounds
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        rng = np.random.default_rng(3)
+        _assert_matches_percent(rng.standard_normal(1000) * 10.0 ** rng.integers(-270, 270, 1000))
+
+    def test_fallback_cells_in_rows(self, tmp_path):
+        rows = np.array([
+            [np.nan, np.inf, -np.inf, -0.0],
+            [5e-324, -5e-324, 0.0, 1e-300],
+            [1e300, -1.7976931348623157e308, 2.5, -1.0],
+        ])
+        fast = _written_as_reference(tmp_path, cli.parse_config(""), ["a", "b", "c", "d"], rows)
+        assert b"\nnan,inf,-inf,-0.00000000000000000e+00\n4.94065645841246544e-324," in fast
+
+    def test_block_boundary_inside_a_row(self, tmp_path):
+        rows = np.random.default_rng(5).standard_normal((3000, 7)) * 10.0 ** np.arange(-9, 12, 3)
+        assert _csvfloat.BLOCK % 7 != 0 and rows.size > 2 * _csvfloat.BLOCK
+        _written_as_reference(tmp_path, cli.parse_config(""), [f"c{i}" for i in range(7)], rows)
 
 
 class TestMagnitudeBounds:
