@@ -501,12 +501,11 @@ def _cmd_jc_rabi(cfg: Mapping):
     if abs(params.g) < 1e-300:
         raise ConfigError(["jc-rabi: coupling g vanishes (dipole zero or node of the mode)"])
 
-    def one(n: int):
-        measured = jcmod.measure_resonant_period(params, n)
+    n_list = cfg["jc.n_list"]
+    rows = []
+    for n, measured in zip(n_list, jcmod.measure_resonant_period(params, n_list)):
         predicted = jcmod.rabi_period(params.g, n)
-        return (n, measured, predicted, abs(measured - predicted) / predicted)
-
-    rows = _pmap(one, cfg["jc.n_list"])
+        rows.append((n, measured, predicted, abs(measured - predicted) / predicted))
     header = ["n[1]", "period_measured[natural]", "period_predicted[natural]", "rel_err[1]"]
     worst = max(r[3] for r in rows)
     summary = f"jc-rabi: {len(rows)} photon numbers, worst period error {worst:.3e}"
@@ -541,7 +540,9 @@ def _cmd_nr_reduce(cfg: Mapping):
     ]
     kept = res["r_after"] > 0  # r_after underflows to 0 below lambda ~ 1e-162, and log(0) fits nothing
     lam = res["lambda_max"][kept]
-    if np.unique(lam).size < 2:
+    # fewer than two distinct values of a finite lam; np.unique would
+    # import numpy.ma, which costs more than this handler computes
+    if lam.size == 0 or lam.min() == lam.max():
         fit = "not fitted (fewer than two distinct lambda_max)"
     else:
         fit = f"{np.polyfit(np.log(lam), np.log(res['r_after'][kept]), 1)[0]:.4f} (target 2)"
@@ -841,15 +842,23 @@ def main(argv: list | None = None) -> int:
         dispatch(args.command, cfg, args.out)
         return 0
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
+        _report(*(f"config error: {problem}" for problem in exc.problems))
         return 2
     except OracleError as exc:
-        print(f"oracle check failed: {exc}", file=sys.stderr)
+        _report(f"oracle check failed: {exc}")
         return 4
     except DipoleLoopError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 3
+
+
+def _report(*lines: str) -> None:
+    """Print error lines on stderr; if stderr cannot be written, the exit code is the only report left."""
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def run() -> None:
@@ -858,20 +867,22 @@ def run() -> None:
     When main() returns, _write_csv's with block has closed the CSV, and
     nothing but stdout and stderr is still buffered, so ending here skips
     only the interpreter's finalization, which frees every module and numpy
-    object. A flush that fails (a closed pipe, a full disk) is an unwritable
-    output, exit 2 as in main(); an argparse SystemExit and an uncaught
+    object. A flush of stdout that fails (a closed pipe, a full disk) is an
+    unwritable output, exit 2 as in main(). A failed flush of stderr turns
+    only a success into 2: after a refusal the code is the one report that
+    still reaches the caller. An argparse SystemExit and an uncaught
     exception leave by the normal exit path.
     """
     code = main()
     try:
         sys.stdout.flush()
     except OSError as exc:
-        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        _report(f"config error: cannot write output: {exc}")
         code = 2
     try:
         sys.stderr.flush()
     except OSError:
-        code = 2
+        code = code or 2
     os._exit(code)
 
 

@@ -12,7 +12,10 @@ The sample grid is uniform, so evolve steps the phases,
 e^{-iE(t0 + tau)} = e^{-iE t0} e^{-iE tau}: one cos/sin table of E tau per
 sector, and e^{-iE t0} computed directly once per chunk. Neither factor
 is rounded from a product larger than E t, so the phase-precision check
-bounds the stepped phases as it bounds direct ones.
+bounds the stepped phases as it bounds direct ones. Each chunk is
+computed into buffers allocated once per sector. measure_resonant_period
+brackets its crossings on a uniform grid stepped by the same rule, and
+bisects every crossing of a parity sector in lockstep.
 
 Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 (excited) state and level 1 the lower state.
@@ -43,10 +46,15 @@ __all__ = [
 # eps * max|E| * t above which double-precision phases e^{-iEt} are refused
 PHASE_PRECISION_BOUND = 1e-6
 # sample times per block when accumulating populations in evolve. A (chunk, k)
-# float temporary is 0.5 MB at k = 121, the largest sector a workload runs,
-# so a chunk's few temporaries stay near one core's L2; on one thread 512
-# measured faster than 256, 1024 and 2048
+# float buffer is 0.5 MB at k = 121, the largest sector a workload runs,
+# so a chunk's four buffers stay near one core's L2; on one thread 512
+# measured faster than 256, 1024 and 2048, each of which also moves
+# jc_evolve.csv's last bits
 _CHUNK = 512
+# measure_resonant_period's bracket grid: 600 samples in 24 chunks of 25
+# take 25 + 24 trig calls per eigenvalue, near the 2 sqrt(600) minimum
+_GRID_POINTS = 600
+_GRID_CHUNK = 25
 
 
 @dataclass(frozen=True)
@@ -203,8 +211,8 @@ def _check_leakage(top: np.ndarray, p: JCParams) -> None:
         )
 
 
-def _stepped_amplitudes(times, evals, vecs, coeff):
-    """Yield (rows, re, im) of one sector's amplitudes, chunk by chunk.
+def _stepped_amplitudes(times, evals, vecs, coeff, chunk: int):
+    """Yield (rows, re, im) of one sector's amplitudes, chunk samples at a time.
 
     times is the uniform grid j dt from 0, so e^{-iE(t0 + tau)} =
     e^{-iE t0} e^{-iE tau}: cos/sin of E tau are tabulated once for the
@@ -212,20 +220,49 @@ def _stepped_amplitudes(times, evals, vecs, coeff):
     e^{-iE t0}, computed directly from t0 (never by repeated
     multiplication, so nothing drifts), into the coefficient c. Then
     e^{-iE tau} c0 = (cos - i sin)(c_r + i c_i), so two real products with
-    the real eigenvectors give psi(t0 + tau) = re + i im.
+    the real eigenvectors give psi(t0 + tau) = re + i im. vecs may hold
+    only some rows of the sector's eigenvector matrix; re and im have a
+    column per row.
+
+    Every chunk is computed into the same four buffers, so re and im are
+    overwritten by the next chunk: a caller copies what it keeps, and may
+    use them as scratch space until it asks for the next chunk.
     """
-    # times[:_CHUNK] are also the offsets tau = j dt within every chunk
-    phase = np.multiply.outer(times[:_CHUNK], evals)
+    # times[:chunk] are also the offsets tau = j dt within every chunk
+    phase = np.multiply.outer(times[:chunk], evals)
     cos, sin = np.cos(phase), np.sin(phase)
-    for start in range(0, len(times), _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        n = len(times[rows])
+    left, right = np.empty_like(cos), np.empty_like(cos)
+    re, im = np.empty((len(cos), len(vecs))), np.empty((len(cos), len(vecs)))
+    for start in range(0, len(times), chunk):
+        n = min(chunk, len(times) - start)
         e_t0 = evals * times[start]
         c0 = coeff * (np.cos(e_t0) - 1j * np.sin(e_t0))
         c_r, c_i = c0.real, c0.imag
-        re = (cos[:n] * c_r + sin[:n] * c_i) @ vecs.T
-        im = (cos[:n] * c_i - sin[:n] * c_r) @ vecs.T
-        yield rows, re, im
+        # re = (cos c_r + sin c_i) vecs^T, im = (cos c_i - sin c_r) vecs^T
+        np.multiply(cos[:n], c_r, out=left[:n])
+        left[:n] += np.multiply(sin[:n], c_i, out=right[:n])
+        np.matmul(left[:n], vecs.T, out=re[:n])
+        np.multiply(cos[:n], c_i, out=left[:n])
+        left[:n] -= np.multiply(sin[:n], c_r, out=right[:n])
+        np.matmul(left[:n], vecs.T, out=im[:n])
+        yield slice(start, start + n), re[:n], im[:n]
+
+
+def _stepped_populations(times, evals, vecs, coeff, chunk: int):
+    """Yield (rows, pops), pops = re^2 + im^2 per basis state of the sector.
+
+    The squares are taken in place in _stepped_amplitudes' buffers, so
+    pops too is overwritten by the next chunk.
+    """
+    for rows, re, im in _stepped_amplitudes(times, evals, vecs, coeff, chunk):
+        np.multiply(re, re, out=re)
+        yield rows, np.add(re, np.multiply(im, im, out=im), out=re)
+
+
+def _monitored_columns(idx: np.ndarray, nb: int) -> tuple:
+    """(upper, at_top) of a sector: 1.0 on its upper-level columns, and its one top-band column."""
+    (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
+    return (idx < nb).astype(float), at_top
 
 
 @dataclass(frozen=True)
@@ -242,10 +279,14 @@ class EvolutionResult:
 
     @functools.cached_property
     def states(self) -> np.ndarray:
-        """Amplitudes at every sample time, shape (len(times), dim), built on demand."""
+        """Amplitudes at every sample time, shape (len(times), dim), built on demand.
+
+        Each chunk is copied out of _stepped_amplitudes' buffers before the
+        next one overwrites them.
+        """
         states = np.zeros((len(self.times), self.params.dim), dtype=complex)
         for idx, evals, vecs, coeff in self.sectors:
-            for rows, re, im in _stepped_amplitudes(self.times, evals, vecs, coeff):
+            for rows, re, im in _stepped_amplitudes(self.times, evals, vecs, coeff, _CHUNK):
                 states[rows, idx] = re + 1j * im
         return states
 
@@ -267,9 +308,10 @@ def evolve(
     """Evolve exactly and sample every dt_report up to time t.
 
     Works per parity sector in real arithmetic and accumulates the
-    populations in chunks of samples, so the full state array is only
-    built if EvolutionResult.states is read; both take their amplitudes
-    from _stepped_amplitudes. Phases are stepped, one cos/sin table of
+    populations in chunks of _CHUNK samples, so the full state array is
+    only built if EvolutionResult.states is read; both take their
+    amplitudes from _stepped_amplitudes, which computes every chunk of a
+    sector into the same buffers. Phases are stepped, one cos/sin table of
     E tau per sector and e^{-iE t0} per chunk, so a chunk costs O(k)
     trig calls instead of O(chunk k). Each phase is rounded from E t0 and
     E tau, both at most E t, so its error stays within the
@@ -293,10 +335,8 @@ def evolve(
     norms = np.zeros(len(times))
     top = np.zeros(len(times))
     for idx, evals, vecs, coeff in sectors:
-        upper = (idx < nb).astype(float)
-        (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
-        for rows, re, im in _stepped_amplitudes(times, evals, vecs, coeff):
-            pops = re * re + im * im
+        upper, at_top = _monitored_columns(idx, nb)
+        for rows, pops in _stepped_populations(times, evals, vecs, coeff, _CHUNK):
             p_exc[rows] += pops @ upper
             norms[rows] += pops.sum(axis=1)
             top[rows] += pops[:, at_top]
@@ -313,51 +353,92 @@ def evolve(
     )
 
 
-def measure_resonant_period(p: JCParams, n: int) -> float:
+def measure_resonant_period(p: JCParams, n):
     """Measured oscillation period of P_e starting from |upper, n>.
 
-    Locates two consecutive crossings of the mid-population level and
-    bisects each on the exact evolution to machine precision; the period
-    is twice their separation. For resonant RWA dynamics this equals
-    rabi_period(g, n). Only the parity sector of |upper, n> is evolved, and
-    its top band raises TruncationError past p.leak_threshold as in evolve.
+    n is a photon number or a sequence of them, and the result a float or
+    an array with one period per entry (nr's scalar-or-array convention).
+    A period is twice the separation of the first two crossings of the
+    mid-population level, found to the last bit on the exact evolution;
+    for resonant RWA dynamics it equals rabi_period(g, n). Only the parity
+    sector of |upper, n> is evolved, and its top band raises
+    TruncationError past p.leak_threshold as in evolve.
+
+    The crossings are bracketed on _GRID_POINTS samples over 1.5
+    rabi_period(g, n), stepped in chunks of _GRID_CHUNK as evolve steps
+    its samples. All crossings of one parity sector are then bisected in
+    lockstep, one evaluation of P_e at all their midpoints per step.
+    """
+    brackets = [_crossing_brackets(p, int(k)) for k in np.atleast_1d(n)]
+    periods = np.empty(len(brackets))
+    for parity in (0, 1):
+        ours = [i for i, b in enumerate(brackets) if b[0] == parity]
+        if not ours:
+            continue
+        evals = _sector_spectrum(p, parity)[1]
+        # two crossings per photon number, each with its own rows and level
+        rows = np.repeat(np.stack([brackets[i][1] for i in ours]), 2, axis=0)
+        mids = np.repeat([brackets[i][2] for i in ours], 2)
+        lo, hi = (np.concatenate([brackets[i][j] for i in ours]) for j in (3, 4))
+
+        def excess(ts):
+            # P_e(ts[j]) - mids[j], one matrix-vector product per crossing:
+            # no crossing's value depends on which others are evaluated
+            phase = np.multiply.outer(ts, evals)[:, :, None]
+            re, im = rows @ np.cos(phase), rows @ np.sin(phase)
+            return np.sum((re * re + im * im)[:, :, 0], axis=1) - mids
+
+        first, second = _bisect_lockstep(excess, lo, hi).reshape(-1, 2).T
+        periods[ours] = 2.0 * (second - first)
+    return float(periods[0]) if np.ndim(n) == 0 else periods
+
+
+def _crossing_brackets(p: JCParams, n: int) -> tuple:
+    """(parity, rows, mid, lo, hi) of the first two mid-level crossings of P_e from |upper, n>.
+
+    rows are the sector eigenvectors' upper-level rows times the
+    coefficients of |upper, n>, so that P_e(t) = |rows e^{-iEt}|^2; mid is
+    the midpoint of P_e's extremes on the grid, and [lo[j], hi[j]] are the
+    grid intervals where P_e - mid changes sign.
     """
     if n + 2 > p.n_max:
         raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
     state = JCState.basis("upper", n, p.n_max)
-    nb = p.n_max + 1
     ((idx, evals, vecs, coeff),) = _sector_eigen(p, state.amplitudes)
-    upper = vecs[idx < nb] * coeff.real
-    top = vecs[(idx == nb - 1) | (idx == 2 * nb - 1)] * coeff.real  # one row per sector
-
-    def populations(rows, ts) -> np.ndarray:
-        phase = np.multiply.outer(evals, ts)
-        re, im = rows @ np.cos(phase), rows @ np.sin(phase)
-        return re * re + im * im
-
+    nb = p.n_max + 1
     guess = rabi_period(p.g, n)
     _check_phase_precision(evals, 1.5 * guess)
-    ts = np.linspace(0.0, 1.5 * guess, 600)
-    # the top band rides on the upper rows' cos/sin table
-    pops = populations(np.vstack([upper, top]), ts)
-    _check_leakage(pops[-1], p)
-    pe = np.sum(pops[:-1], axis=0)
+    ts = np.arange(_GRID_POINTS) * (1.5 * guess / (_GRID_POINTS - 1))
+    # only the upper level and the top band enter P_e and the leakage check
+    keep = (idx < nb) | (idx == 2 * nb - 1)
+    upper, at_top = _monitored_columns(idx[keep], nb)
+    pe, top = np.empty(len(ts)), np.empty(len(ts))
+    for rows, pops in _stepped_populations(ts, evals, vecs[keep], coeff, _GRID_CHUNK):
+        pe[rows] = pops @ upper
+        top[rows] = pops[:, at_top]
+    _check_leakage(top, p)
     mid = 0.5 * (pe.max() + pe.min())
     brackets = np.flatnonzero((pe[:-1] - mid) * (pe[1:] - mid) < 0)[:2]
     if len(brackets) < 2:
         raise DynamicsError("no oscillation detected; is g zero?")
-    first, second = (_bisect(lambda t: np.sum(populations(upper, t)) - mid, ts[i], ts[i + 1]) for i in brackets)
-    return 2.0 * (second - first)
+    parity = (n + 1) % 2  # |upper, n> holds n + 1 excitations
+    return parity, vecs[idx < nb] * coeff.real, mid, ts[brackets], ts[brackets + 1]
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in a bracket [lo, hi] where f changes sign, to the last bit."""
+def _bisect_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of f in the brackets [lo[j], hi[j]], where f changes sign, to the last bit.
+
+    f takes one point per bracket. Each step halves every bracket that
+    still has a float strictly inside, by the sign of f at its midpoint,
+    and a closed bracket stays as it is, so every root is the one that
+    bisecting its bracket alone would give.
+    """
     lo_negative = f(lo) < 0.0
     while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
             return mid
-        if (f(mid) < 0.0) == lo_negative:
-            lo = mid
-        else:
-            hi = mid
+        to_lo = (f(mid) < 0.0) == lo_negative
+        lo = np.where(open_ & to_lo, mid, lo)
+        hi = np.where(open_ & ~to_lo, mid, hi)

@@ -15,6 +15,7 @@ it shares no rule with them or with renorm's Gauss-Legendre rules.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from enum import Enum
@@ -73,16 +74,22 @@ class MasterIntegralKind(Enum):
     I_E = "I_E"
 
 
+@functools.lru_cache(maxsize=8)
 def _tanh_sinh(h: float):
     """Tanh-sinh rule on [0, 1], step h: x = (1 + tanh w) / 2, w = (pi/2) sinh t, |t| <= 4.
 
     Returns x, 1 - x (both e^(+-w) / (2 cosh w), so nothing cancels at an end), weights.
+    Cached per step: _tanh_sinh_integral uses the eight steps 2^-1 ...
+    2^-8 on every call. The cached arrays are read-only.
     """
     import numpy as np
     t = h * np.arange(-round(4.0 / h), round(4.0 / h) + 1)
     w = 0.5 * np.pi * np.sinh(t)
     c = 2.0 * np.cosh(w)
-    return np.exp(w) / c, np.exp(-w) / c, h * 0.5 * np.pi * np.cosh(t) / (c * np.cosh(w))
+    rule = np.exp(w) / c, np.exp(-w) / c, h * 0.5 * np.pi * np.cosh(t) / (c * np.cosh(w))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _tanh_sinh_integral(rule_sum, tol: float, what: str) -> float:

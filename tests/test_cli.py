@@ -363,10 +363,12 @@ class TestImportFloor:
         )
         assert _fresh_python(script)[-2:] == ["False", "[]"]
 
-    # of these six modules, a command loads only the one it runs (renorm
+    # of these seven modules, a command loads only the one it runs (renorm
     # brings numpy.polynomial for leggauss) and numpy if it computes with
-    # arrays, and importing cli loads none
-    WATCHED = ("numpy", "dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions")
+    # arrays, and importing cli loads none. numpy.ma, which np.unique
+    # imports, no command needs
+    WATCHED = ("numpy", "dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions",
+               "numpy.ma")
     LOOP = ["numpy", "dipole_loop.renorm", "numpy.polynomial"]
     LOADS = {
         "jc-evolve": ["numpy", "dipole_loop.jc"],
@@ -569,6 +571,29 @@ class TestProcessEntry:
         assert out.returncode == 2
         assert out.stderr == "config error: cannot write output: [Errno 28] No space left on device\n"
         assert (tmp_path / (command.replace("-", "_") + ".csv")).exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command, text, code", [
+        pytest.param("check-dims", "atoms.m1 = abc", 2, id="config-error"),
+        pytest.param("loop-selfenergy", "selfenergy.s_max = -0.5", 3, id="domain-error"),
+        pytest.param("oracle-verify", "", 4, id="oracle-failure"),
+    ])
+    def test_unwritable_stderr_keeps_code(self, tmp_path, command, text, code):
+        # with stderr unwritable the exit code is the only report left: the
+        # error line's failed write must not raise, and run()'s stderr flush
+        # must not turn the code into 2. A master integral that reads 0
+        # fails oracle-verify's cross-check
+        patch = "cli.master_integral = lambda kind, s, lam: 0.0\n" if code == 4 else ""
+        argv = ["dipole-loop", command, "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]
+        script = f"import sys\nfrom dipole_loop import cli\n{patch}sys.argv = {argv!r}\ncli.run()\n"
+        with open("/dev/full", "w") as full:
+            out = subprocess.run([sys.executable, "-c", script], env=_child_env(), stdout=subprocess.PIPE,
+                                 stderr=full, text=True, timeout=120)
+        assert out.returncode == code
+        if code == 4:  # a failed cross-check still writes its CSV and summary line
+            assert out.stdout.startswith("oracle-verify: ")
+        else:
+            assert out.stdout == ""
 
 
 class TestLambdaGridFlag:

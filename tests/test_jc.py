@@ -1,5 +1,6 @@
 """Cavity dynamics: Hamiltonian structure, evolution, Rabi periods."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,8 +208,10 @@ def _oracle_case(case):
         rwa=case == "rwa",
     )
     state = _superposition(p.n_max) if case == "superposition" else JCState.basis("upper", 3, p.n_max)
-    # more samples than one accumulation chunk
-    return p, state, 3 * np.pi / p.g, 2 * jc._CHUNK + 101, slice(None), FAST_ABS
+    # three full accumulation chunks and a ragged one, all compared: every
+    # chunk is computed into the buffers of the one before it, so states
+    # must copy each chunk out before the next
+    return p, state, 3 * np.pi / p.g, 3 * jc._CHUNK + 101, slice(None), FAST_ABS
 
 
 class TestSectorEvolutionOracle:
@@ -273,6 +276,55 @@ class TestPhaseStepping:
         assert counted["sin"] <= limit
 
 
+def _bisect(f, lo, hi):
+    """Root of f in a bracket [lo, hi] where f changes sign, to the last bit.
+
+    The scalar bisection jc.measure_resonant_period used per crossing
+    before its lockstep search, kept as that search's oracle.
+    """
+    lo_negative = f(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _populations(evals, rows, ts):
+    """|rows e^{-iE t}|^2 per row, with cos and sin of every E t taken directly."""
+    phase = np.multiply.outer(evals, ts)
+    re, im = rows @ np.cos(phase), rows @ np.sin(phase)
+    return re * re + im * im
+
+
+def _slow_period(p, n):
+    """The period search before the stepped grid and the lockstep bisection.
+
+    Direct cos/sin on a 600-point linspace bracket the crossings of the mid
+    level, and each crossing is bisected on its own with scalar calls.
+    """
+    nb = p.n_max + 1
+    ((idx, evals, vecs, coeff),) = jc._sector_eigen(p, JCState.basis("upper", n, p.n_max).amplitudes)
+    upper = vecs[idx < nb] * coeff.real
+    ts = np.linspace(0.0, 1.5 * rabi_period(p.g, n), 600)
+    pe = np.sum(_populations(evals, upper, ts), axis=0)
+    mid = 0.5 * (pe.max() + pe.min())
+    brackets = np.flatnonzero((pe[:-1] - mid) * (pe[1:] - mid) < 0)[:2]
+    first, second = (_bisect(lambda t: np.sum(_populations(evals, upper, t)) - mid, ts[i], ts[i + 1])
+                     for i in brackets)
+    return 2.0 * (second - first)
+
+
+def _crossing_functions(p, n):
+    """[(f, lo, hi)] per crossing of |upper, n>: jc's brackets and P_e - mid as a scalar function."""
+    parity, rows, mid, lo, hi = jc._crossing_brackets(p, n)
+    evals = jc._sector_spectrum(p, parity)[1]
+    return [(lambda t: np.sum(_populations(evals, rows, t)) - mid, a, b) for a, b in zip(lo, hi)]
+
+
 def _dense_period(p, n):
     """The period search on the full space in complex arithmetic."""
     nb = p.n_max + 1
@@ -290,8 +342,36 @@ def _dense_period(p, n):
     crossings = []
     for i in range(len(ts) - 1):
         if (pe[i] - mid) * (pe[i + 1] - mid) < 0 and len(crossings) < 2:
-            crossings.append(jc._bisect(lambda t: p_excited(t)[0] - mid, ts[i], ts[i + 1]))
+            crossings.append(_bisect(lambda t: p_excited(t)[0] - mid, ts[i], ts[i + 1]))
     return 2.0 * (crossings[1] - crossings[0])
+
+
+def _mp_period(p, n):
+    """The period in 40-digit arithmetic, from the same double Hamiltonian and sample times.
+
+    The sector's eigensystem comes from mpmath.eigsy, P_e is evaluated
+    exactly at every sample of the stepped bracket grid, and the two
+    crossings of its mid level are refined by findroot.
+    """
+    with mpmath.workdps(40):
+        nb = p.n_max + 1
+        idx = parity_sectors(p.n_max)[(n + 1) % 2]
+        E, Q = mpmath.eigsy(mpmath.matrix(build_hamiltonian(p)[np.ix_(idx, idx)].tolist()))
+        k, at = len(idx), int(np.flatnonzero(idx == n)[0])
+        rows = [[Q[j, m] * Q[at, m] for m in range(k)] for j in range(k) if idx[j] < nb]
+
+        def p_excited(t):
+            c = [mpmath.cos(E[m] * t) for m in range(k)]
+            s = [mpmath.sin(E[m] * t) for m in range(k)]
+            return mpmath.fsum(mpmath.fdot(w, c) ** 2 + mpmath.fdot(w, s) ** 2 for w in rows)
+
+        ts = [mpmath.mpf(t) for t in np.arange(jc._GRID_POINTS) * (1.5 * rabi_period(p.g, n) / (jc._GRID_POINTS - 1))]
+        pe = [p_excited(t) for t in ts]
+        mid = (max(pe) + min(pe)) / 2
+        crossings = [i for i in range(len(ts) - 1) if (pe[i] - mid) * (pe[i + 1] - mid) < 0][:2]
+        first, second = (mpmath.findroot(lambda t: p_excited(t) - mid, (ts[i], ts[i + 1]), solver="anderson")
+                         for i in crossings)
+        return 2 * (second - first)
 
 
 class TestRabiPeriod:
@@ -333,13 +413,68 @@ class TestRabiPeriod:
         with pytest.raises(ValueError, match="n_max"):
             measure_resonant_period(resonant(n_max=4), 3)
 
-    def test_bisection_matches_brentq(self, monkeypatch):
+    def test_bisection_matches_brentq(self):
         # the crossings were refined with brentq before; bisection must land
-        # on the same periods, here without the RWA so they are not exact
+        # on the crossings brentq finds of the same function in the same
+        # brackets, here without the RWA so the periods are not exact
         from scipy.optimize import brentq
 
         p = resonant(g=0.004, n_max=12, rwa=False, leak_threshold=1.0)
-        fast = [measure_resonant_period(p, n) for n in (0, 3, 7)]
-        monkeypatch.setattr(jc, "_bisect", lambda f, lo, hi: brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
-        slow = [measure_resonant_period(p, n) for n in (0, 3, 7)]
-        assert fast == pytest.approx(slow, rel=1e-10)
+        ns = (0, 3, 7)
+        slow = []
+        for n in ns:
+            first, second = (brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) for f, lo, hi in _crossing_functions(p, n))
+            slow.append(2.0 * (second - first))
+        assert measure_resonant_period(p, ns).tolist() == pytest.approx(slow, rel=1e-10)
+
+
+# the cavity-scale jc-rabi Hamiltonian (CAVITY at resonance) and photon numbers
+CAVITY_RABI = JCParams(g=CAVITY.g, omega12=CAVITY.omega12, Omega=CAVITY.omega12, n_max=120, rwa=False)
+CAVITY_N = (0, 1, 2, 3, 5, 8, 13, 21)
+# the stepped grid against the direct one, fixed beforehand: a few ulps of
+# P_e move mid, and so each crossing, by a few ulps of the period
+SLOW_REL = 1e-13
+# both searches against 40-digit arithmetic, fixed beforehand
+MP_REL = 1e-12
+
+
+class TestPeriodSearchOracles:
+    """The batched period search against the scalar search it replaced and against mpmath."""
+
+    @pytest.mark.parametrize("p, ns", [
+        pytest.param(resonant(g=0.004, n_max=12), (0, 1, 2, 3, 7, 10), id="rwa-12"),
+        pytest.param(resonant(g=0.004, n_max=12, rwa=False, leak_threshold=1.0), (7, 0, 3, 10, 2, 1), id="no-rwa-12"),
+        pytest.param(resonant(g=0.002, omega12=0.03, n_max=40, rwa=False), (0, 1, 4, 9, 15, 30), id="no-rwa-40"),
+        pytest.param(JCParams(g=CAVITY.g, omega12=CAVITY.omega12, Omega=CAVITY.omega12, n_max=120), CAVITY_N,
+                     id="rwa-120"),
+        pytest.param(CAVITY_RABI, CAVITY_N, id="no-rwa-120"),
+    ])
+    def test_matches_slow_path(self, p, ns):
+        fast = measure_resonant_period(p, ns)
+        assert isinstance(fast, np.ndarray) and fast.shape == (len(ns),)
+        slow = np.array([_slow_period(p, n) for n in ns])
+        assert np.max(np.abs(fast - slow) / slow) <= SLOW_REL
+        # a single photon number gives a float, the same as its batched entry
+        one = measure_resonant_period(p, ns[-1])
+        assert isinstance(one, float) and one == fast[-1]
+
+    @pytest.mark.parametrize("p, ns", [
+        pytest.param(resonant(g=0.004, n_max=12), (0, 1, 2, 3, 7, 10), id="rwa-12"),
+        pytest.param(CAVITY_RABI, CAVITY_N, id="no-rwa-120"),
+    ])
+    def test_lockstep_matches_scalar_bisection(self, p, ns):
+        # given the same brackets and mid, every lockstep root is the one
+        # scalar bisection finds, bit for bit: only the grid moves periods
+        scalar = []
+        for n in ns:
+            first, second = (_bisect(f, lo, hi) for f, lo, hi in _crossing_functions(p, n))
+            scalar.append(2.0 * (second - first))
+        assert measure_resonant_period(p, ns).tolist() == scalar
+
+    @pytest.mark.parametrize("rwa", [True, False], ids=["rwa", "no-rwa"])
+    def test_both_searches_match_mpmath(self, rwa):
+        p = resonant(g=0.004, n_max=12, rwa=rwa, leak_threshold=1.0)
+        ns = (0, 3, 4)
+        exact = np.array([float(_mp_period(p, n)) for n in ns])
+        assert np.max(np.abs(measure_resonant_period(p, ns) - exact) / exact) <= MP_REL
+        assert np.max(np.abs(np.array([_slow_period(p, n) for n in ns]) - exact) / exact) <= MP_REL
