@@ -526,9 +526,8 @@ def _cmd_nr_reduce(cfg: Mapping):
     if not lam_max < 1.0:
         raise KinematicDomainError(f"nr-reduce: lambda_max = {lam_max:.3g} >= 1 on nr.lambda_grid; expansion invalid")
     res = nrmod.decoupling_residual(k, gdotF, atoms)
-    blk = nrmod.reduced_block_error(k, gdotF, atoms)
     rows = np.column_stack(
-        (targets, res["lambda_max"], res["r_before"], res["r_after"], blk["error"], blk["h_norm"])
+        (targets, res["lambda_max"], res["r_before"], res["r_after"], res["error"], res["h_norm"])
     )
     header = [
         "lambda_target[1]",

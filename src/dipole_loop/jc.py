@@ -161,19 +161,13 @@ def parity_sectors(n_max: int) -> tuple:
     return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
 
 
-@functools.lru_cache(maxsize=8)
 def _sector_spectrum(p: JCParams, parity: int) -> tuple:
     """(idx, evals, vecs) of the block of H on one parity sector.
 
-    The block is real symmetric, so vecs is real. Cached per parameter
-    set, because jc-rabi measures several periods on one Hamiltonian and
-    each sector needs diagonalising once; the arrays are read-only.
+    The block is real symmetric, so vecs is real.
     """
     idx = parity_sectors(p.n_max)[parity]
-    evals, vecs = np.linalg.eigh(build_hamiltonian(p)[np.ix_(idx, idx)])
-    for a in (idx, evals, vecs):
-        a.flags.writeable = False
-    return idx, evals, vecs
+    return (idx, *np.linalg.eigh(build_hamiltonian(p)[np.ix_(idx, idx)]))
 
 
 def _sector_eigen(p: JCParams, psi0: np.ndarray) -> list:
@@ -368,14 +362,22 @@ def measure_resonant_period(p: JCParams, n):
     rabi_period(g, n), stepped in chunks of _GRID_CHUNK as evolve steps
     its samples. All crossings of one parity sector are then bisected in
     lockstep, one evaluation of P_e at all their midpoints per step.
+    Each sector the photon numbers need is diagonalised once per call,
+    when its first photon number comes up.
     """
-    brackets = [_crossing_brackets(p, int(k)) for k in np.atleast_1d(n)]
+    spectra, brackets = {}, []
+    for k in map(int, np.atleast_1d(n)):
+        if k + 2 > p.n_max:
+            raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
+        if k < 0:
+            raise ValueError(f"photon number {k} outside [0, {p.n_max}]")
+        parity = (k + 1) % 2  # |upper, k> holds k + 1 excitations
+        if parity not in spectra:
+            spectra[parity] = _sector_spectrum(p, parity)
+        brackets.append((parity, *_crossing_brackets(p, k, *spectra[parity])))
     periods = np.empty(len(brackets))
-    for parity in (0, 1):
+    for parity, (_, evals, _) in spectra.items():
         ours = [i for i, b in enumerate(brackets) if b[0] == parity]
-        if not ours:
-            continue
-        evals = _sector_spectrum(p, parity)[1]
         # two crossings per photon number, each with its own rows and level
         rows = np.repeat(np.stack([brackets[i][1] for i in ours]), 2, axis=0)
         mids = np.repeat([brackets[i][2] for i in ours], 2)
@@ -393,18 +395,16 @@ def measure_resonant_period(p: JCParams, n):
     return float(periods[0]) if np.ndim(n) == 0 else periods
 
 
-def _crossing_brackets(p: JCParams, n: int) -> tuple:
-    """(parity, rows, mid, lo, hi) of the first two mid-level crossings of P_e from |upper, n>.
+def _crossing_brackets(p: JCParams, n: int, idx, evals, vecs) -> tuple:
+    """(rows, mid, lo, hi) of the first two mid-level crossings of P_e from |upper, n>.
 
+    idx, evals and vecs are the spectrum of the parity sector of |upper, n>.
     rows are the sector eigenvectors' upper-level rows times the
     coefficients of |upper, n>, so that P_e(t) = |rows e^{-iEt}|^2; mid is
     the midpoint of P_e's extremes on the grid, and [lo[j], hi[j]] are the
     grid intervals where P_e - mid changes sign.
     """
-    if n + 2 > p.n_max:
-        raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
-    state = JCState.basis("upper", n, p.n_max)
-    ((idx, evals, vecs, coeff),) = _sector_eigen(p, state.amplitudes)
+    coeff = vecs[np.searchsorted(idx, n)]  # |upper, n> is basis vector n: its eigen-coefficients are that row
     nb = p.n_max + 1
     guess = rabi_period(p.g, n)
     _check_phase_precision(evals, 1.5 * guess)
@@ -421,8 +421,7 @@ def _crossing_brackets(p: JCParams, n: int) -> tuple:
     brackets = np.flatnonzero((pe[:-1] - mid) * (pe[1:] - mid) < 0)[:2]
     if len(brackets) < 2:
         raise DynamicsError("no oscillation detected; is g zero?")
-    parity = (n + 1) % 2  # |upper, n> holds n + 1 excitations
-    return parity, vecs[idx < nb] * coeff.real, mid, ts[brackets], ts[brackets + 1]
+    return vecs[idx < nb] * coeff, mid, ts[brackets], ts[brackets + 1]
 
 
 def _bisect_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

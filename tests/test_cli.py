@@ -661,9 +661,9 @@ class TestRuleCount:
 class TestTransformCount:
     @pytest.mark.parametrize("grid", [None, "1e-4:1e-2:200,log"])
     def test_nr_reduce_transforms_whole_grid_once(self, tmp_path, monkeypatch, grid):
-        # decoupling_residual and reduced_block_error each sum the series for
-        # the whole grid in one call, whatever its size, and never take the
-        # eigendecomposition that the tests keep as the oracle
+        # decoupling_residual sums the series once for the whole grid,
+        # whatever its size, and gives every column from that one sum; it
+        # never takes the eigendecomposition that the tests keep as the oracle
         calls = {"_decouple": 0, "similarity_transform": 0}
 
         def counting(name):
@@ -680,7 +680,7 @@ class TestTransformCount:
         text = "" if grid is None else f"nr.lambda_grid = {grid}\n"
         argv = ["nr-reduce", "--config", write_conf(tmp_path, text), "--out", str(tmp_path)]
         assert cli.main(argv) == 0
-        assert calls == {"_decouple": 2, "similarity_transform": 0}
+        assert calls == {"_decouple": 1, "similarity_transform": 0}
         _, _, rows = read_csv(str(tmp_path / "nr_reduce.csv"))
         assert len(rows) == (9 if grid is None else 200)
 

@@ -320,8 +320,8 @@ def _slow_period(p, n):
 
 def _crossing_functions(p, n):
     """[(f, lo, hi)] per crossing of |upper, n>: jc's brackets and P_e - mid as a scalar function."""
-    parity, rows, mid, lo, hi = jc._crossing_brackets(p, n)
-    evals = jc._sector_spectrum(p, parity)[1]
+    idx, evals, vecs = jc._sector_spectrum(p, (n + 1) % 2)
+    rows, mid, lo, hi = jc._crossing_brackets(p, n, idx, evals, vecs)
     return [(lambda t: np.sum(_populations(evals, rows, t)) - mid, a, b) for a, b in zip(lo, hi)]
 
 
@@ -478,3 +478,39 @@ class TestPeriodSearchOracles:
         exact = np.array([float(_mp_period(p, n)) for n in ns])
         assert np.max(np.abs(measure_resonant_period(p, ns) - exact) / exact) <= MP_REL
         assert np.max(np.abs(np.array([_slow_period(p, n) for n in ns]) - exact) / exact) <= MP_REL
+
+
+class TestNoCacheAcrossCalls:
+    """Each call diagonalises the sectors it needs itself, and nothing is kept for the next call."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = jc.build_hamiltonian
+
+        def counting(p):
+            calls.append(p)
+            return build(p)
+
+        monkeypatch.setattr(jc, "build_hamiltonian", counting)
+        return calls
+
+    def test_period_search_builds_each_parity_once_per_call(self, builds):
+        # both parities, each with several photon numbers, and a second
+        # call on equal parameters builds both again
+        for _ in range(2):
+            builds.clear()
+            measure_resonant_period(resonant(n_max=30, rwa=False), [0, 1, 2, 3, 5, 8, 13])
+            assert len(builds) == 2
+
+    def test_refuses_negative_photon_number_before_building(self, builds):
+        # |upper, n> is read from the sector spectrum by its basis index,
+        # so a negative n must be refused before it indexes anything
+        with pytest.raises(ValueError, match="photon number -1 outside"):
+            measure_resonant_period(resonant(), [0, -1])
+        assert len(builds) == 1
+
+    def test_evolve_from_basis_state_builds_once(self, builds):
+        p = resonant(n_max=30, rwa=False)
+        evolve(JCState.basis("upper", 3, p.n_max), p, 100.0, 1.0)
+        assert len(builds) == 1
