@@ -6,16 +6,21 @@ sigma_- a and sigma_+ a^dag optionally included. Evolution is exact by
 eigendecomposition, so there is no time-stepping error; the only
 approximation is the Fock truncation, which is monitored. H is real and
 conserves excitation parity with or without the RWA, so each parity
-sector is diagonalised and evolved on its own in real arithmetic.
+sector is diagonalised on its own and has real eigenvectors.
 
-The sample grid is uniform, so evolve steps the phases,
-e^{-iE(t0 + tau)} = e^{-iE t0} e^{-iE tau}: one cos/sin table of E tau per
-sector, and e^{-iE t0} computed directly once per chunk. Neither factor
-is rounded from a product larger than E t, so the phase-precision check
-bounds the stepped phases as it bounds direct ones. Each chunk is
-computed into buffers allocated once per sector. measure_resonant_period
-brackets its crossings on a uniform grid stepped by the same rule, and
-bisects every crossing of a parity sector in lockstep.
+Every time grid is uniform, so one kernel, _stepped, steps the phases,
+e^{-iE(t0 + tau)} = e^{-iE t0} e^{-iE tau}: one complex table of
+e^{-iE tau} per sector, eigenvalue-major, and e^{-iE t0} computed
+directly once per chunk. Neither factor is rounded from a product larger
+than E t, so the phase-precision check bounds the stepped phases as it
+bounds direct ones. A chunk is one complex product of the table with the
+coefficients and one real matrix product with the eigenvectors, computed
+into buffers allocated once per sector; a second, small product sums the
+squares into P_e, norm^2 and the top band. evolve and
+EvolutionResult.states run the kernel on one grid; measure_resonant_period
+runs it on one bracket grid per photon number, every grid of a parity
+sector in the same chunk steps, and bisects every crossing of the sector
+in lockstep.
 
 Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 (excited) state and level 1 the lower state.
@@ -45,14 +50,15 @@ __all__ = [
 
 # eps * max|E| * t above which double-precision phases e^{-iEt} are refused
 PHASE_PRECISION_BOUND = 1e-6
-# sample times per block when accumulating populations in evolve. A (chunk, k)
-# float buffer is 0.5 MB at k = 121, the largest sector a workload runs,
-# so a chunk's four buffers stay near one core's L2; on one thread 512
-# measured faster than 256, 1024 and 2048, each of which also moves
-# jc_evolve.csv's last bits
+# sample times per chunk in evolve. The (k, chunk) complex table, the
+# product buffer and the (k, 2 chunk) real amplitude buffer are 1 MB each
+# at k = 121, the largest sector a workload runs. On one thread of a 2 vCPU
+# Xeon, 512 measured as fast as 256 and faster than 1024 and 2048 on the
+# cavity-scale evolution; any other size also moves jc_evolve.csv's last bits
 _CHUNK = 512
-# measure_resonant_period's bracket grid: 600 samples in 24 chunks of 25
-# take 25 + 24 trig calls per eigenvalue, near the 2 sqrt(600) minimum
+# measure_resonant_period's bracket grids: 600 samples in 24 chunks of 25
+# take 25 + 24 trig calls per eigenvalue and photon number, near the
+# 2 sqrt(600) minimum, and 24 chunk steps per parity sector
 _GRID_POINTS = 600
 _GRID_CHUNK = 25
 
@@ -205,58 +211,48 @@ def _check_leakage(top: np.ndarray, p: JCParams) -> None:
         )
 
 
-def _stepped_amplitudes(times, evals, vecs, coeff, chunk: int):
-    """Yield (rows, re, im) of one sector's amplitudes, chunk samples at a time.
+def _stepped(times, evals, vecs, coeff, chunk: int, weights=None):
+    """Yield (cols, out) of one sector's dynamics on m uniform grids, chunk samples at a time.
 
-    times is the uniform grid j dt from 0, so e^{-iE(t0 + tau)} =
-    e^{-iE t0} e^{-iE tau}: cos/sin of E tau are tabulated once for the
-    offsets tau of one chunk, and each chunk starting at t0 folds
-    e^{-iE t0}, computed directly from t0 (never by repeated
-    multiplication, so nothing drifts), into the coefficient c. Then
-    e^{-iE tau} c0 = (cos - i sin)(c_r + i c_i), so two real products with
-    the real eigenvectors give psi(t0 + tau) = re + i im. vecs may hold
-    only some rows of the sector's eigenvector matrix; re and im have a
-    column per row.
+    Row i of times is the grid j dt_i from 0, and column i of coeff (k, m)
+    the eigen-coefficients of the state that follows it. Since
+    e^{-iE(t0 + tau)} = e^{-iE t0} e^{-iE tau}, the complex table
+    e^{-iE tau} of shape (k, m, chunk) is tabulated once for the offsets
+    tau of one chunk, and each chunk starting at t0 folds e^{-iE t0},
+    computed directly from t0 (never by repeated multiplication, so
+    nothing drifts), into the coefficients c0. A chunk is then one complex
+    product z = table c0 and one real product vecs z.view(float), which
+    gives the amplitudes of every grid, psi = vecs z, with re and im
+    interleaved. vecs may hold only some rows of the sector's
+    eigenvector matrix.
 
-    Every chunk is computed into the same four buffers, so re and im are
-    overwritten by the next chunk: a caller copies what it keeps, and may
-    use them as scratch space until it asks for the next chunk.
+    Without weights, out is psi as a complex (rows, m, n) view. With
+    weights, a (w, rows) matrix, the squares of psi are taken in place
+    and out is weights |psi|^2, shape (w, m, n): one population sum per
+    weight row and sample. Every chunk is computed into the same buffers,
+    so out is overwritten by the next chunk: a caller copies what it keeps.
     """
-    # times[:chunk] are also the offsets tau = j dt within every chunk
-    phase = np.multiply.outer(times[:chunk], evals)
-    cos, sin = np.cos(phase), np.sin(phase)
-    left, right = np.empty_like(cos), np.empty_like(cos)
-    re, im = np.empty((len(cos), len(vecs))), np.empty((len(cos), len(vecs)))
-    for start in range(0, len(times), chunk):
-        n = min(chunk, len(times) - start)
-        e_t0 = evals * times[start]
+    (k, m), rows, n_times = coeff.shape, len(vecs), times.shape[1]
+    # times[:, :chunk] are also the offsets tau = j dt_i within every chunk
+    phase = evals[:, None, None] * times[:, :chunk]
+    table = np.cos(phase) - 1j * np.sin(phase)
+    z_buf, psi_buf = np.empty(table.size, dtype=complex), np.empty(2 * rows * m * chunk)
+    for start in range(0, n_times, chunk):
+        n = min(chunk, n_times - start)
+        e_t0 = np.multiply.outer(evals, times[:, start])
         c0 = coeff * (np.cos(e_t0) - 1j * np.sin(e_t0))
-        c_r, c_i = c0.real, c0.imag
-        # re = (cos c_r + sin c_i) vecs^T, im = (cos c_i - sin c_r) vecs^T
-        np.multiply(cos[:n], c_r, out=left[:n])
-        left[:n] += np.multiply(sin[:n], c_i, out=right[:n])
-        np.matmul(left[:n], vecs.T, out=re[:n])
-        np.multiply(cos[:n], c_i, out=left[:n])
-        left[:n] -= np.multiply(sin[:n], c_r, out=right[:n])
-        np.matmul(left[:n], vecs.T, out=im[:n])
-        yield slice(start, start + n), re[:n], im[:n]
+        z = np.multiply(table[:, :, :n], c0[:, :, None], out=z_buf[: k * m * n].reshape(k, m, n))
+        psi = np.matmul(vecs, z.view(float).reshape(k, 2 * m * n), out=psi_buf[: 2 * rows * m * n].reshape(rows, -1))
+        if weights is None:
+            yield slice(start, start + n), psi.view(complex).reshape(rows, m, n)
+        else:
+            squares = weights @ np.multiply(psi, psi, out=psi)
+            yield slice(start, start + n), np.add(squares[:, 0::2], squares[:, 1::2]).reshape(-1, m, n)
 
 
-def _stepped_populations(times, evals, vecs, coeff, chunk: int):
-    """Yield (rows, pops), pops = re^2 + im^2 per basis state of the sector.
-
-    The squares are taken in place in _stepped_amplitudes' buffers, so
-    pops too is overwritten by the next chunk.
-    """
-    for rows, re, im in _stepped_amplitudes(times, evals, vecs, coeff, chunk):
-        np.multiply(re, re, out=re)
-        yield rows, np.add(re, np.multiply(im, im, out=im), out=re)
-
-
-def _monitored_columns(idx: np.ndarray, nb: int) -> tuple:
-    """(upper, at_top) of a sector: 1.0 on its upper-level columns, and its one top-band column."""
-    (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
-    return (idx < nb).astype(float), at_top
+def _monitor_weights(idx: np.ndarray, nb: int) -> np.ndarray:
+    """Weights over a sector's basis states idx whose population sums are P_e, norm^2 and the top band."""
+    return np.array([idx < nb, np.ones_like(idx, dtype=bool), (idx == nb - 1) | (idx == 2 * nb - 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -275,22 +271,14 @@ class EvolutionResult:
     def states(self) -> np.ndarray:
         """Amplitudes at every sample time, shape (len(times), dim), built on demand.
 
-        Each chunk is copied out of _stepped_amplitudes' buffers before the
-        next one overwrites them.
+        Each chunk is copied out of _stepped's buffers before the next one
+        overwrites them.
         """
         states = np.zeros((len(self.times), self.params.dim), dtype=complex)
         for idx, evals, vecs, coeff in self.sectors:
-            for rows, re, im in _stepped_amplitudes(self.times, evals, vecs, coeff, _CHUNK):
-                states[rows, idx] = re + 1j * im
+            for cols, psi in _stepped(self.times[None], evals, vecs, coeff[:, None], _CHUNK):
+                states[cols, idx] = psi[:, 0].T
         return states
-
-
-def _propagate(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Dense complex propagation on the full space; the oracle of the sector path."""
-    evals, vecs = np.linalg.eigh(H)
-    coeff = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, evals))
-    return (phases * coeff) @ vecs.T
 
 
 def evolve(
@@ -301,13 +289,13 @@ def evolve(
 ) -> EvolutionResult:
     """Evolve exactly and sample every dt_report up to time t.
 
-    Works per parity sector in real arithmetic and accumulates the
+    Works per parity sector with real eigenvectors and accumulates the
     populations in chunks of _CHUNK samples, so the full state array is
     only built if EvolutionResult.states is read; both take their
-    amplitudes from _stepped_amplitudes, which computes every chunk of a
-    sector into the same buffers. Phases are stepped, one cos/sin table of
-    E tau per sector and e^{-iE t0} per chunk, so a chunk costs O(k)
-    trig calls instead of O(chunk k). Each phase is rounded from E t0 and
+    amplitudes from _stepped, which computes every chunk of a sector into
+    the same buffers. Phases are stepped, one table of e^{-iE tau} per
+    sector and e^{-iE t0} per chunk, so a chunk costs O(k) trig calls
+    instead of O(chunk k). Each phase is rounded from E t0 and
     E tau, both at most E t, so its error stays within the
     eps*max|E|*t that the phase-precision check bounds.
 
@@ -324,16 +312,12 @@ def evolve(
     sectors = _sector_eigen(p, state.amplitudes)
     phase_estimate = _check_phase_precision(np.concatenate([s[1] for s in sectors]), float(times[-1]))
 
-    nb = p.n_max + 1
-    p_exc = np.zeros(len(times))
-    norms = np.zeros(len(times))
-    top = np.zeros(len(times))
+    # P_e, norm^2 and the top band, each summed over the sectors
+    p_exc, norms, top = pops = np.zeros((3, len(times)))
     for idx, evals, vecs, coeff in sectors:
-        upper, at_top = _monitored_columns(idx, nb)
-        for rows, pops in _stepped_populations(times, evals, vecs, coeff, _CHUNK):
-            p_exc[rows] += pops @ upper
-            norms[rows] += pops.sum(axis=1)
-            top[rows] += pops[:, at_top]
+        weights = _monitor_weights(idx, p.n_max + 1)
+        for cols, out in _stepped(times[None], evals, vecs, coeff[:, None], _CHUNK, weights):
+            pops[:, cols] += out[:, 0]
     _check_leakage(top, p)
     return EvolutionResult(
         times=times,
@@ -359,14 +343,15 @@ def measure_resonant_period(p: JCParams, n):
     TruncationError past p.leak_threshold as in evolve.
 
     The crossings are bracketed on _GRID_POINTS samples over 1.5
-    rabi_period(g, n), stepped in chunks of _GRID_CHUNK as evolve steps
-    its samples. All crossings of one parity sector are then bisected in
-    lockstep, one evaluation of P_e at all their midpoints per step.
-    Each sector the photon numbers need is diagonalised once per call,
-    when its first photon number comes up.
+    rabi_period(g, n), one grid per photon number, stepped in chunks of
+    _GRID_CHUNK by the kernel evolve uses, every grid of a parity sector
+    in the same chunk steps. All crossings of one parity sector are then
+    bisected in lockstep, one evaluation of P_e at all their midpoints
+    per step. Each sector the photon numbers need is diagonalised once
+    per call, when its first photon number comes up.
     """
-    spectra, brackets = {}, []
-    for k in map(int, np.atleast_1d(n)):
+    ns, spectra = list(map(int, np.atleast_1d(n))), {}
+    for k in ns:
         if k + 2 > p.n_max:
             raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
         if k < 0:
@@ -374,14 +359,13 @@ def measure_resonant_period(p: JCParams, n):
         parity = (k + 1) % 2  # |upper, k> holds k + 1 excitations
         if parity not in spectra:
             spectra[parity] = _sector_spectrum(p, parity)
-        brackets.append((parity, *_crossing_brackets(p, k, *spectra[parity])))
-    periods = np.empty(len(brackets))
-    for parity, (_, evals, _) in spectra.items():
-        ours = [i for i, b in enumerate(brackets) if b[0] == parity]
+    periods = np.empty(len(ns))
+    for parity, spectrum in spectra.items():
+        ours = [i for i, k in enumerate(ns) if (k + 1) % 2 == parity]
+        rows, mids, lo, hi = _crossing_brackets(p, [ns[i] for i in ours], *spectrum)
+        evals = spectrum[1]
         # two crossings per photon number, each with its own rows and level
-        rows = np.repeat(np.stack([brackets[i][1] for i in ours]), 2, axis=0)
-        mids = np.repeat([brackets[i][2] for i in ours], 2)
-        lo, hi = (np.concatenate([brackets[i][j] for i in ours]) for j in (3, 4))
+        rows, mids = np.repeat(rows, 2, axis=0), np.repeat(mids, 2)
 
         def excess(ts):
             # P_e(ts[j]) - mids[j], one matrix-vector product per crossing:
@@ -390,38 +374,44 @@ def measure_resonant_period(p: JCParams, n):
             re, im = rows @ np.cos(phase), rows @ np.sin(phase)
             return np.sum((re * re + im * im)[:, :, 0], axis=1) - mids
 
-        first, second = _bisect_lockstep(excess, lo, hi).reshape(-1, 2).T
+        first, second = _bisect_lockstep(excess, lo.ravel(), hi.ravel()).reshape(-1, 2).T
         periods[ours] = 2.0 * (second - first)
     return float(periods[0]) if np.ndim(n) == 0 else periods
 
 
-def _crossing_brackets(p: JCParams, n: int, idx, evals, vecs) -> tuple:
-    """(rows, mid, lo, hi) of the first two mid-level crossings of P_e from |upper, n>.
+def _crossing_brackets(p: JCParams, ns, idx, evals, vecs) -> tuple:
+    """(rows, mids, lo, hi) of the first two mid-level crossings of P_e from each |upper, n>, n in ns.
 
-    idx, evals and vecs are the spectrum of the parity sector of |upper, n>.
-    rows are the sector eigenvectors' upper-level rows times the
-    coefficients of |upper, n>, so that P_e(t) = |rows e^{-iEt}|^2; mid is
-    the midpoint of P_e's extremes on the grid, and [lo[j], hi[j]] are the
-    grid intervals where P_e - mid changes sign.
+    idx, evals and vecs are the spectrum of the parity sector that holds
+    every |upper, n>. rows[j] are the sector eigenvectors' upper-level rows
+    times the coefficients of |upper, ns[j]>, so that P_e(t) =
+    |rows[j] e^{-iEt}|^2; mids[j] is the midpoint of P_e's extremes on its
+    grid, and [lo[j, i], hi[j, i]] are the grid intervals where P_e -
+    mids[j] changes sign. Each photon number is checked for phase
+    precision before any grid is stepped, and for leakage on its own
+    grid, in the order of ns.
     """
-    coeff = vecs[np.searchsorted(idx, n)]  # |upper, n> is basis vector n: its eigen-coefficients are that row
+    # |upper, n> is basis vector n: its eigen-coefficients are that row
+    coeff = vecs[np.searchsorted(idx, ns)]
     nb = p.n_max + 1
-    guess = rabi_period(p.g, n)
-    _check_phase_precision(evals, 1.5 * guess)
-    ts = np.arange(_GRID_POINTS) * (1.5 * guess / (_GRID_POINTS - 1))
+    spans = [1.5 * rabi_period(p.g, n) for n in ns]
+    for span in spans:
+        _check_phase_precision(evals, span)
+    ts = np.multiply.outer(np.divide(spans, _GRID_POINTS - 1), np.arange(_GRID_POINTS))
     # only the upper level and the top band enter P_e and the leakage check
     keep = (idx < nb) | (idx == 2 * nb - 1)
-    upper, at_top = _monitored_columns(idx[keep], nb)
-    pe, top = np.empty(len(ts)), np.empty(len(ts))
-    for rows, pops in _stepped_populations(ts, evals, vecs[keep], coeff, _GRID_CHUNK):
-        pe[rows] = pops @ upper
-        top[rows] = pops[:, at_top]
-    _check_leakage(top, p)
-    mid = 0.5 * (pe.max() + pe.min())
-    brackets = np.flatnonzero((pe[:-1] - mid) * (pe[1:] - mid) < 0)[:2]
-    if len(brackets) < 2:
-        raise DynamicsError("no oscillation detected; is g zero?")
-    return vecs[idx < nb] * coeff, mid, ts[brackets], ts[brackets + 1]
+    pe, _, top = pops = np.empty((3, *ts.shape))
+    for cols, out in _stepped(ts, evals, vecs[keep], coeff.T, _GRID_CHUNK, _monitor_weights(idx[keep], nb)):
+        pops[:, :, cols] = out
+    mids = 0.5 * (pe.max(axis=1) + pe.min(axis=1))
+    lo, hi = np.empty((2, len(ns), 2))
+    for j, mid in enumerate(mids):
+        _check_leakage(top[j], p)
+        brackets = np.flatnonzero((pe[j, :-1] - mid) * (pe[j, 1:] - mid) < 0)[:2]
+        if len(brackets) < 2:
+            raise DynamicsError("no oscillation detected; is g zero?")
+        lo[j], hi[j] = ts[j, brackets], ts[j, brackets + 1]
+    return vecs[idx < nb] * coeff[:, None, :], mids, lo, hi
 
 
 def _bisect_lockstep(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -22,6 +22,12 @@ from dipole_loop.jc import (
 
 # sector path against the dense complex propagation, fixed beforehand
 FAST_ABS = 1e-11
+# evolve's eigen-major complex kernel against the time-major real one it
+# replaced, fixed beforehand: both round the same phases, in another order
+KERNEL_ABS = 8 * np.finfo(float).eps
+# evolve against 40-digit arithmetic: phase_estimate + MP_EIG_C eps |H| / gap,
+# with the eigensolver's eps |H| / gap per sector, fixed beforehand
+MP_EIG_C = 8
 
 
 def resonant(g=0.002, omega12=0.05, n_max=8, rwa=True, leak_threshold=1e-8):
@@ -181,6 +187,41 @@ CAVITY = JCParams(g=-0.00256, omega12=0.0542, Omega=0.0484, n_max=120, rwa=False
 CAVITY_T = 2 * np.pi / (0.00256 * np.sqrt(41.0))
 
 
+def _propagate(H, psi0, times):
+    """Dense complex propagation on the full space; the oracle of the sector path."""
+    evals, vecs = np.linalg.eigh(H)
+    coeff = vecs.conj().T @ psi0
+    phases = np.exp(-1j * np.outer(times, evals))
+    return (phases * coeff) @ vecs.T
+
+
+def _time_major_populations(p, state, times):
+    """(P_e, norm^2, top band) by the time-major real kernel evolve used before its complex one.
+
+    Per sector, cos and sin of E tau form (chunk, k) tables, e^{-iE t0}
+    is folded into the coefficients c0 per chunk, and re and im come from
+    two real products with the eigenvectors: re = (cos c_r + sin c_i)
+    vecs^T, im = (cos c_i - sin c_r) vecs^T. The same phases as evolve's,
+    rounded in another order.
+    """
+    nb, chunk = p.n_max + 1, jc._CHUNK
+    pops = np.zeros((3, len(times)))
+    for idx, evals, vecs, coeff in jc._sector_eigen(p, state.amplitudes):
+        upper = (idx < nb).astype(float)
+        (at_top,) = np.flatnonzero((idx == nb - 1) | (idx == 2 * nb - 1))
+        phase = np.multiply.outer(times[:chunk], evals)
+        cos, sin = np.cos(phase), np.sin(phase)
+        for start in range(0, len(times), chunk):
+            n = min(chunk, len(times) - start)
+            e_t0 = evals * times[start]
+            c0 = coeff * (np.cos(e_t0) - 1j * np.sin(e_t0))
+            re = (cos[:n] * c0.real + sin[:n] * c0.imag) @ vecs.T
+            im = (cos[:n] * c0.imag - sin[:n] * c0.real) @ vecs.T
+            squares = re * re + im * im
+            pops[:, start:start + n] += [squares @ upper, squares.sum(axis=1), squares[:, at_top]]
+    return pops
+
+
 def _oracle_case(case):
     """(params, state, span, samples, rows compared, bound on phase-dependent values)."""
     if case.startswith("cavity"):
@@ -224,7 +265,7 @@ class TestSectorEvolutionOracle:
         p, state, t, n_samples, rows, phase_abs = _oracle_case(case)
         out = evolve(state, p, t, t / (n_samples - 1))
         assert len(out.times) == n_samples
-        dense = jc._propagate(build_hamiltonian(p), state.amplitudes, out.times[rows])
+        dense = _propagate(build_hamiltonian(p), state.amplitudes, out.times[rows])
         pops = np.abs(dense) ** 2
         nb = p.n_max + 1
         p_excited, total = pops[:, :nb].sum(axis=1), pops.sum(axis=1)
@@ -233,6 +274,16 @@ class TestSectorEvolutionOracle:
         assert np.max(np.abs(out.norms[rows] - np.sqrt(total))) <= FAST_ABS
         assert np.max(np.abs(out.top_band[rows] - (pops[:, nb - 1] + pops[:, 2 * nb - 1]))) <= FAST_ABS
         assert np.max(np.abs(out.states[rows] - dense)) <= phase_abs
+
+    @pytest.mark.parametrize("case", ["rwa", "no_rwa", "detuned", "superposition", "cavity"])
+    def test_matches_time_major_kernel(self, case):
+        p, state, t, n_samples, _, _ = _oracle_case(case)
+        out = evolve(state, p, t, t / (n_samples - 1))
+        p_excited, norm2, top = _time_major_populations(p, state, out.times)
+        assert np.max(np.abs(out.p_excited - p_excited)) <= KERNEL_ABS
+        assert np.max(np.abs(out.inversion - (2 * p_excited - norm2))) <= KERNEL_ABS
+        assert np.max(np.abs(out.norms - np.sqrt(norm2))) <= KERNEL_ABS
+        assert np.max(np.abs(out.top_band - top)) <= KERNEL_ABS
 
     def test_superposition_has_both_sectors(self):
         p = JCParams(g=0.004, omega12=0.05, Omega=0.05, n_max=14, rwa=False)
@@ -254,18 +305,110 @@ class TestSectorEvolutionOracle:
             evolve(state, p, 2 * np.pi / p.g, np.pi / p.g)
 
 
-class TestPhaseStepping:
-    """evolve's phases e^{-iE(t0 + tau)} from one table per sector."""
+def _mp_spectra(p, state):
+    """(idx, E, Q) of every sector where state has weight, by 40-digit mpmath.eigsy, and max |H| / gap.
 
-    def test_trig_per_chunk_is_per_eigenvalue(self, monkeypatch):
+    Each block is the same double Hamiltonian block evolve diagonalises.
+    """
+    H, spectra, scale = build_hamiltonian(p), [], 0.0
+    with mpmath.workdps(40):
+        for idx in parity_sectors(p.n_max):
+            if np.any(state.amplitudes[idx]):
+                E, Q = mpmath.eigsy(mpmath.matrix(H[np.ix_(idx, idx)].tolist()))
+                energies = sorted(E)
+                gap = min(b - a for a, b in zip(energies, energies[1:]))
+                scale = max(scale, float(max(abs(e) for e in energies) / gap))
+                spectra.append((idx, list(E), Q))
+    return spectra, scale
+
+
+def _mp_populations(p, state, times, spectra):
+    """(P_e, norm^2, top band) at times in 40-digit arithmetic, from one (idx, E, Q) per sector.
+
+    Every phase e^{-iEt} is taken at the exact double t, and the
+    coefficients of state in each eigenbasis are summed exactly, so
+    nothing of evolve's double arithmetic enters beyond the spectra given.
+    """
+    nb = p.n_max + 1
+    with mpmath.workdps(40):
+        pops = [[mpmath.mpf(0)] * len(times) for _ in range(3)]
+        for idx, E, Q in spectra:
+            k = len(idx)
+            c = [mpmath.fsum(Q[i, m] * mpmath.mpc(state.amplitudes[idx[i]]) for i in range(k)) for m in range(k)]
+            for j, t in enumerate(times):
+                phased = [c[m] * mpmath.expj(-mpmath.mpf(E[m]) * mpmath.mpf(float(t))) for m in range(k)]
+                for i in range(k):
+                    weight = abs(mpmath.fsum(Q[i, m] * phased[m] for m in range(k))) ** 2
+                    pops[1][j] += weight
+                    if idx[i] < nb:
+                        pops[0][j] += weight
+                    if idx[i] in (nb - 1, 2 * nb - 1):
+                        pops[2][j] += weight
+    return pops
+
+
+def _mp_columns(p_excited, norm2, top):
+    """evolve's four columns from exact (P_e, norm^2, top band), at 40 digits."""
+    with mpmath.workdps(40):
+        return {"p_excited": p_excited, "inversion": [2 * a - b for a, b in zip(p_excited, norm2)],
+                "norms": [mpmath.sqrt(b) for b in norm2], "top_band": top}
+
+
+def _worst(values, exact):
+    """Largest |values[j] - exact[j]|, taken in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.mpf(float(v)) - x)) for v, x in zip(values, exact))
+
+
+class TestEvolutionMatchesMpmath:
+    """evolve, and the time-major kernel it replaced, against 40-digit arithmetic.
+
+    The truth is the mpmath.eigsy spectrum of each sector. The printed
+    table also takes each kernel against exact arithmetic on evolve's own
+    double spectrum, which isolates the kernel's rounding from the
+    eigensolver's eps |H| / gap that both kernels share.
+    """
+
+    @pytest.mark.parametrize("case", ["rwa", "no_rwa", "superposition"])
+    def test_columns_within_bound(self, case):
+        p = JCParams(g=0.004, omega12=0.05, Omega=0.05, n_max=12, rwa=case == "rwa", leak_threshold=1.0)
+        state = _superposition(p.n_max) if case == "superposition" else JCState.basis("upper", 3, p.n_max)
+        # three full chunks and a ragged one; samples on both sides of every chunk edge
+        n_samples = 3 * jc._CHUNK + 101
+        out = evolve(state, p, 3 * np.pi / p.g, 3 * np.pi / p.g / (n_samples - 1))
+        at = [0, 1, jc._CHUNK - 1, jc._CHUNK, 2 * jc._CHUNK - 1, 2 * jc._CHUNK, 3 * jc._CHUNK - 1, 3 * jc._CHUNK,
+              n_samples - 1]
+        spectra, scale = _mp_spectra(p, state)
+        truth = _mp_columns(*_mp_populations(p, state, out.times[at], spectra))
+        own = _mp_columns(*_mp_populations(p, state, out.times[at], [s[:3] for s in out.sectors]))
+        old_pe, old_norm2, old_top = (col[at] for col in _time_major_populations(p, state, out.times))
+        old = {"p_excited": old_pe, "inversion": 2 * old_pe - old_norm2, "norms": np.sqrt(old_norm2),
+               "top_band": old_top}
+        bound = out.phase_estimate + MP_EIG_C * np.finfo(float).eps * scale
+        for column, exact in truth.items():
+            new_err, old_err = _worst(getattr(out, column)[at], exact), _worst(old[column], exact)
+            print(f"jc-evolve mpmath {case} {column}: eigen-major {new_err:.3e}, time-major {old_err:.3e} "
+                  f"(on evolve's own spectrum {_worst(getattr(out, column)[at], own[column]):.3e}, "
+                  f"{_worst(old[column], own[column]):.3e}), bound {bound:.3e}")
+            assert new_err <= bound and old_err <= bound
+
+
+class TestPhaseStepping:
+    """Phases e^{-iE(t0 + tau)} from one table per sector, in evolve and in the period search's bracket grid."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
         # per-sample phases would pass every sample's E t through cos and sin
-        counted = {}
-        for name in ("cos", "sin"):
+        counted = {"cos": 0, "sin": 0}
+        for name in counted:
             def counting(x, *args, _name=name, _fn=getattr(np, name), **kwargs):
-                counted[_name] = counted.get(_name, 0) + np.size(x)
+                counted[_name] += np.size(x)
                 return _fn(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, counting)
+        return counted
+
+    def test_trig_per_chunk_is_per_eigenvalue(self, counted):
         p = JCParams(g=0.004, omega12=0.05, Omega=0.05, n_max=14, rwa=False)
         n_samples = 2 * jc._CHUNK + 300
         out = evolve(_superposition(p.n_max), p, (n_samples - 1) * 0.5, 0.5)
@@ -274,6 +417,18 @@ class TestPhaseStepping:
         limit = sum((jc._CHUNK + chunks) * len(evals) for _, evals, _, _ in out.sectors)
         assert counted["cos"] <= limit
         assert counted["sin"] <= limit
+
+    def test_bracket_grid_trig_per_chunk_is_per_eigenvalue(self, counted):
+        # one grid of _GRID_POINTS samples per photon number, all of a
+        # sector stepped together: a table of _GRID_CHUNK offsets and one
+        # e^{-iE t0} per chunk, for each photon number and eigenvalue
+        p = resonant(n_max=30, rwa=False)
+        ns = [0, 2, 4, 6]  # |upper, n> with n even: the odd sector
+        idx, evals, vecs = jc._sector_spectrum(p, 1)
+        jc._crossing_brackets(p, ns, idx, evals, vecs)
+        limit = len(ns) * len(evals) * (jc._GRID_CHUNK + jc._GRID_POINTS // jc._GRID_CHUNK)
+        assert 0 < counted["cos"] <= limit
+        assert 0 < counted["sin"] <= limit
 
 
 def _bisect(f, lo, hi):
@@ -318,11 +473,17 @@ def _slow_period(p, n):
     return 2.0 * (second - first)
 
 
-def _crossing_functions(p, n):
-    """[(f, lo, hi)] per crossing of |upper, n>: jc's brackets and P_e - mid as a scalar function."""
-    idx, evals, vecs = jc._sector_spectrum(p, (n + 1) % 2)
-    rows, mid, lo, hi = jc._crossing_brackets(p, n, idx, evals, vecs)
-    return [(lambda t: np.sum(_populations(evals, rows, t)) - mid, a, b) for a, b in zip(lo, hi)]
+def _crossing_functions(p, ns):
+    """Per photon number of ns, [(f, lo, hi)] per crossing: jc's batched brackets and P_e - mid as a scalar function."""
+    found = {}
+    for parity in (0, 1):
+        ours = [n for n in ns if (n + 1) % 2 == parity]
+        if ours:
+            idx, evals, vecs = jc._sector_spectrum(p, parity)
+            for n, rows, mid, lo, hi in zip(ours, *jc._crossing_brackets(p, ours, idx, evals, vecs)):
+                found[n] = [(lambda t, rows=rows, mid=mid, evals=evals: np.sum(_populations(evals, rows, t)) - mid, a, b)
+                            for a, b in zip(lo, hi)]
+    return [found[n] for n in ns]
 
 
 def _dense_period(p, n):
@@ -422,8 +583,8 @@ class TestRabiPeriod:
         p = resonant(g=0.004, n_max=12, rwa=False, leak_threshold=1.0)
         ns = (0, 3, 7)
         slow = []
-        for n in ns:
-            first, second = (brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) for f, lo, hi in _crossing_functions(p, n))
+        for crossings in _crossing_functions(p, ns):
+            first, second = (brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16) for f, lo, hi in crossings)
             slow.append(2.0 * (second - first))
         assert measure_resonant_period(p, ns).tolist() == pytest.approx(slow, rel=1e-10)
 
@@ -466,8 +627,8 @@ class TestPeriodSearchOracles:
         # given the same brackets and mid, every lockstep root is the one
         # scalar bisection finds, bit for bit: only the grid moves periods
         scalar = []
-        for n in ns:
-            first, second = (_bisect(f, lo, hi) for f, lo, hi in _crossing_functions(p, n))
+        for crossings in _crossing_functions(p, ns):
+            first, second = (_bisect(f, lo, hi) for f, lo, hi in crossings)
             scalar.append(2.0 * (second - first))
         assert measure_resonant_period(p, ns).tolist() == scalar
 
