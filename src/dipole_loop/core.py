@@ -9,6 +9,7 @@ imported by the functions that use it, and the metric array is renorm.METRIC.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +102,21 @@ class DipoleTensor:
         comp.flags.writeable = False
         object.__setattr__(self, "components", comp)
 
+    @functools.cached_property
+    def _contractions(self) -> dict:
+        """contractions() of this tensor, computed on first use."""
+        import numpy as np
+        from .renorm import METRIC
+        up = self.components
+        down = METRIC @ up @ METRIC
+        gamma_sq = float(np.sum(down * up))
+        # gamma^mu_tau = g_{tau nu} gamma^{mu nu}; then contract with gamma_{mu lambda}
+        mixed = up @ METRIC  # gamma^{mu}_{ tau}
+        tensor = mixed.T @ down  # sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
+        tensor = 0.5 * (tensor + tensor.T)  # symmetric up to round-off; enforce exactly
+        tensor.flags.writeable = False
+        return {"gamma_sq": gamma_sq, "gamma_sq_tensor": tensor}
+
 
 def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
     """Build gamma^{mu nu} from an electric dipole moment vector.
@@ -124,6 +140,8 @@ def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
 def contractions(gamma: DipoleTensor) -> dict:
     """Scalar and rank-2 contractions of the dipole tensor.
 
+    They are computed once per tensor and cached on it.
+
     Returns
     -------
     dict with
@@ -132,18 +150,9 @@ def contractions(gamma: DipoleTensor) -> dict:
             tensor in this signature.
         gamma_sq_tensor : ndarray
             gamma^2_{tau lambda} = gamma^{mu}_{ tau} gamma_{mu lambda},
-            symmetric, both indices down.
+            symmetric, both indices down, read-only.
     """
-    import numpy as np
-    from .renorm import METRIC
-    up = gamma.components
-    down = METRIC @ up @ METRIC
-    gamma_sq = float(np.sum(down * up))
-    # gamma^mu_tau = g_{tau nu} gamma^{mu nu}; then contract with gamma_{mu lambda}
-    mixed = up @ METRIC  # gamma^{mu}_{ tau}
-    tensor = mixed.T @ down  # sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
-    tensor = 0.5 * (tensor + tensor.T)  # symmetric up to round-off; enforce exactly
-    return {"gamma_sq": gamma_sq, "gamma_sq_tensor": tensor}
+    return dict(gamma._contractions)
 
 
 def gamma_sq_dot(gamma: DipoleTensor, p: np.ndarray, q: np.ndarray | None = None) -> float:
@@ -151,7 +160,7 @@ def gamma_sq_dot(gamma: DipoleTensor, p: np.ndarray, q: np.ndarray | None = None
     import numpy as np
     if q is None:
         q = p
-    t = contractions(gamma)["gamma_sq_tensor"]
+    t = gamma._contractions["gamma_sq_tensor"]
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return float(p @ t @ q)

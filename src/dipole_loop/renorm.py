@@ -22,8 +22,11 @@ photon in the loop.
 
 Every Feynman-parameter integral runs on Gauss-Legendre rules of
 doubling size, graded towards the parameter value where the scale is
-smallest (_fixed_rule). A result is accepted once two successive rules
-agree within quad_tol of the integrand's L1 norm; otherwise
+smallest (_fixed_rule). The rules, 32 to 1024 nodes, are read from
+_leggauss.npy, a table shipped with the package that holds numpy's
+leggauss nodes and weights bit for bit, so no rule is solved at run time
+and numpy.polynomial is not imported. A result is accepted once two
+successive rules agree within quad_tol of the integrand's L1 norm; otherwise
 QuadratureError is raised. The vertex's x-integral is done in closed
 form, leaving one y-integral. Kinematic domain checks use the exact
 minimum of each quadratic scale on [0, 1], not its values at the nodes.
@@ -33,10 +36,10 @@ scipy is not imported here; the adaptive oracles live in the tests.
 from __future__ import annotations
 
 import functools
+import os
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
 from .errors import FitError, KinematicDomainError, QuadratureError
@@ -90,11 +93,19 @@ def __getattr__(name):
 _RULE_START = 32
 _RULE_CAP = 1024
 
+# Gauss-Legendre nodes (row 0) and weights (row 1) on [-1, 1] for every
+# rule size in turn, so rule n starts at column n - 32. The file holds
+# numpy's rules bit for bit; it was written by
+#   np.save(path, np.concatenate([np.stack(leggauss(32 << k)) for k in range(6)], axis=1))
+# with leggauss from numpy.polynomial.legendre.
+_LEGGAUSS = np.load(os.path.join(os.path.dirname(__file__), "_leggauss.npy"))
+_LEGGAUSS.flags.writeable = False
+
 
 @functools.lru_cache(maxsize=None)
 def _graded_rule(n: int):
     """n-node Gauss-Legendre rule in t on [0, 1], mapped to u = t^2."""
-    t, w = leggauss(n)
+    t, w = _LEGGAUSS[:, n - _RULE_START:2 * n - _RULE_START]
     t, w = 0.5 * (t + 1.0), 0.5 * w
     u, w = t * t, 2.0 * t * w
     u.flags.writeable = False
@@ -403,7 +414,10 @@ def vertex_one_loop(
     p = np.asarray(p, dtype=float)
     p_prime = np.asarray(p_prime, dtype=float)
     q = np.asarray(q, dtype=float)
-    if not np.allclose(q, p_prime - p, rtol=0.0, atol=1e-9 * max(1.0, float(np.max(np.abs(p_prime))))):
+    if not (np.isfinite(p).all() and np.isfinite(p_prime).all() and np.isfinite(q).all()):
+        raise ValueError("momenta p, p' and q must be finite")
+    # |q - (p' - p)| <= atol entry by entry, np.allclose's test with rtol = 0
+    if not np.max(np.abs(q - (p_prime - p))) <= 1e-9 * max(1.0, float(np.max(np.abs(p_prime)))):
         raise ValueError("momentum conservation violated: q != p' - p")
     q_sq = minkowski_dot(q, q)
     m2_sq = atoms.M2 if symmetric_masses else atoms.m2**2

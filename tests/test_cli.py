@@ -363,13 +363,13 @@ class TestImportFloor:
         )
         assert _fresh_python(script)[-2:] == ["False", "[]"]
 
-    # of these seven modules, a command loads only the one it runs (renorm
-    # brings numpy.polynomial for leggauss) and numpy if it computes with
-    # arrays, and importing cli loads none. numpy.ma, which np.unique
-    # imports, no command needs
+    # of these seven modules, a command loads only the one it runs and
+    # numpy if it computes with arrays, and importing cli loads none.
+    # numpy.polynomial, which renorm's Gauss-Legendre rules once came from,
+    # and numpy.ma, which np.unique imports, no command needs
     WATCHED = ("numpy", "dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions",
                "numpy.ma")
-    LOOP = ["numpy", "dipole_loop.renorm", "numpy.polynomial"]
+    LOOP = ["numpy", "dipole_loop.renorm"]
     LOADS = {
         "jc-evolve": ["numpy", "dipole_loop.jc"],
         "jc-rabi": ["numpy", "dipole_loop.jc"],

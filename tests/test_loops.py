@@ -13,6 +13,7 @@ from scipy import integrate
 from dipole_loop.errors import KinematicDomainError, QuadratureError
 from dipole_loop.loops import (
     PREFACTOR,
+    _row_norms,
     MasterIntegralKind,
     RegScheme,
     a_sq,
@@ -230,6 +231,11 @@ class TestMeasureOracles:
         assert fast["n_samples"] == slow["n_samples"] == n_samples
         for key in ("max_offdiag_z", "max_diag_z"):
             assert fast[key] == pytest.approx(slow[key], rel=0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("n_samples, seed", [(200_000, 7), (1000, 0), (5000, 3), (20_000, 11), (20_000, 12), (123_457, 99)])
+    def test_row_norms_match_linalg_norm(self, n_samples, seed):
+        n = np.random.default_rng(seed).normal(size=(n_samples, 4))
+        assert np.array_equal(_row_norms(n), np.linalg.norm(n, axis=1))
 
     def test_angular_check_memory(self):
         tracemalloc.start()

@@ -119,6 +119,23 @@ class TestDipoleTensor:
         b = contractions(gamma_b)["gamma_sq"]
         assert b == pytest.approx(a, rel=1e-8, abs=1e-8)
 
+    @given(st.lists(finite, min_size=6, max_size=6))
+    def test_cached_contractions_bitwise(self, entries):
+        # the cached value is the one formula, evaluated once per tensor
+        gamma = DipoleTensor(antisym(entries))
+        up = gamma.components
+        down = METRIC @ up @ METRIC
+        tensor = (up @ METRIC).T @ down
+        tensor = 0.5 * (tensor + tensor.T)
+        for _ in range(2):
+            out = contractions(gamma)
+            assert out["gamma_sq"] == float(np.sum(down * up))
+            assert np.array_equal(out["gamma_sq_tensor"], tensor)
+            with pytest.raises(ValueError):
+                out["gamma_sq_tensor"][0, 0] = 1.0
+            # the returned dict is the caller's own
+            out["gamma_sq"] = None
+
     def test_gamma_sq_dot_matches_tensor(self):
         gamma = DipoleTensor(antisym([1.0, -2.0, 0.5, 0.0, 1.5, -1.0]))
         p = np.array([1.0, 0.2, -0.3, 0.7])

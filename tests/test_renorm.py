@@ -249,6 +249,45 @@ class TestFixedRule:
         assert len(calls) == 1
 
 
+# every rule size _fixed_rule can reach
+RULE_SIZES = [32 << k for k in range(6)]
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_rule_matches_installed_leggauss(self, n):
+        # the table was written by numpy's leggauss; another numpy may round
+        # a node or weight differently, so a few ulp are allowed
+        from numpy.polynomial.legendre import leggauss
+
+        stored = renorm._LEGGAUSS[:, n - 32:2 * n - 32]
+        ref = np.stack(leggauss(n))
+        assert np.all(np.abs(stored - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_rule_integrates_legendre_polynomials(self, n):
+        # sum_i w_i P_k(t_i) = 2 delta_k0 for every k <= 2n - 1, with P_k by
+        # Bonnet's recurrence, so no numpy rule is consulted
+        t, w = renorm._LEGGAUSS[:, n - 32:2 * n - 32]
+        prev, cur = np.ones_like(t), t.copy()
+        sums = [w @ prev, w @ cur]
+        for k in range(1, 2 * n - 1):
+            prev, cur = cur, ((2 * k + 1) * t * cur - k * prev) / (k + 1)
+            sums.append(w @ cur)
+        sums[0] -= 2.0
+        assert len(sums) == 2 * n
+        assert np.max(np.abs(sums)) <= 16.0 * np.sqrt(n) * np.finfo(float).eps
+
+    def test_table_read_only(self):
+        assert renorm._LEGGAUSS.shape == (2, sum(RULE_SIZES))
+        assert not renorm._LEGGAUSS.flags.writeable
+        for n in RULE_SIZES:
+            for a in renorm._graded_rule(n):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+
 class TestMassShiftAndZ:
     def test_mass_shift_composition(self):
         out = level1_on_shell(gamma_for(SPLIT))
@@ -317,6 +356,48 @@ class TestVertex:
     def test_momentum_conservation_enforced(self):
         with pytest.raises(ValueError, match="conservation"):
             vertex_one_loop(self.p_prime, self.p_prime, self.q, SYM, self.gamma, REG)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.9e-9, -0.9e-9, 1.1e-9, -1.1e-9, 5e-9])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 3.0])
+    def test_momentum_tolerance_as_allclose(self, shift, scale):
+        # entry by entry |q - (p' - p)| <= 1e-9 max(1, |p'|_max), np.allclose's
+        # verdict with rtol = 0
+        p_prime = scale * self.p_prime
+        q = scale * self.q
+        p = p_prime - q
+        q_off = q + np.array([0.0, shift, 0.0, 0.0])
+        atol = 1e-9 * max(1.0, float(np.max(np.abs(p_prime))))
+        if np.allclose(q_off, p_prime - p, rtol=0.0, atol=atol):
+            vertex_one_loop(p, p_prime, q_off, SYM, self.gamma, REG)
+        else:
+            with pytest.raises(ValueError, match="conservation"):
+                vertex_one_loop(p, p_prime, q_off, SYM, self.gamma, REG)
+
+    @pytest.mark.parametrize("which", ["p", "p_prime", "q", "p_prime and q", "p and p_prime and q"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momentum_refused(self, which, bad):
+        # an infinite p' and q with q = p' - p is what np.allclose let through
+        moms = {"p": self.p.copy(), "p_prime": self.p_prime.copy(), "q": self.q.copy()}
+        for name in which.split(" and "):
+            moms[name][0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            vertex_one_loop(moms["p"], moms["p_prime"], moms["q"], SYM, self.gamma, REG)
+
+    def test_contractions_computed_once(self, monkeypatch):
+        # the five contractions per call read one cached value of the tensor
+        cached = type(self.gamma).__dict__["_contractions"]
+        calls = []
+
+        def counting(gamma):
+            calls.append(None)
+            return compute(gamma)
+
+        compute = cached.func
+        monkeypatch.setattr(cached, "func", counting)
+        gamma = gamma_for(SYM)
+        for _ in range(3):
+            vertex_one_loop(self.p, self.p_prime, self.q, SYM, gamma, REG)
+        assert len(calls) == 1
 
     def test_divergent_coefficient(self):
         v = vertex_one_loop(self.p, self.p_prime, self.q, SYM, self.gamma, REG)
