@@ -4,7 +4,7 @@ Everything here works in natural units (hbar = c = eps0 = mu0 = 1) with
 metric signature (-,+,+,+). The dipole coupling is an antisymmetric
 tensor gamma^{mu nu}; its electric components gamma^{0i} carry the
 atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2). numpy is
-imported by the functions that use it, and the metric array is renorm.METRIC.
+imported by the functions that use it; the metric's diagonal is SIGNATURE.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import KinematicDomainError
 
 __all__ = [
+    "SIGNATURE",
     "AtomPair",
     "DipoleTensor",
     "dipole_from_moment",
@@ -25,6 +26,9 @@ __all__ = [
     "engineering_dimension",
     "classify_renormalizability",
 ]
+
+# the diagonal of the Minkowski metric g_{mu nu}, which is its own inverse
+SIGNATURE = (-1.0, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,9 @@ class AtomPair:
             return self.m2
         raise ValueError(f"level must be 1 or 2, got {level}")
 
-    def require_small_b(self, limit: float = 1.0) -> None:
-        if abs(self.b) >= limit:
-            raise KinematicDomainError(f"|b| = |delta|/M^2 = {abs(self.b):.3g} >= {limit}; expansion invalid")
+    def require_small_b(self) -> None:
+        if abs(self.b) >= 1.0:
+            raise KinematicDomainError(f"|b| = |delta|/M^2 = {abs(self.b):.3g} >= 1.0; expansion invalid")
 
 
 def _check_antisymmetric(m: np.ndarray, name: str) -> np.ndarray:
@@ -106,12 +110,12 @@ class DipoleTensor:
     def _contractions(self) -> dict:
         """contractions() of this tensor, computed on first use."""
         import numpy as np
-        from .renorm import METRIC
+        g = np.diag(SIGNATURE)
         up = self.components
-        down = METRIC @ up @ METRIC
+        down = g @ up @ g
         gamma_sq = float(np.sum(down * up))
         # gamma^mu_tau = g_{tau nu} gamma^{mu nu}; then contract with gamma_{mu lambda}
-        mixed = up @ METRIC  # gamma^{mu}_{ tau}
+        mixed = up @ g  # gamma^{mu}_{ tau}
         tensor = mixed.T @ down  # sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
         tensor = 0.5 * (tensor + tensor.T)  # symmetric up to round-off; enforce exactly
         tensor.flags.writeable = False

@@ -195,7 +195,7 @@ def b_sq(x: float, y: float, q_sq: float, m2_sq: float, delta: float) -> float:
     return x * x * m2_sq + delta * x * x * (1.0 - y) + x * x * y * (1.0 - y) * q_sq
 
 
-def feynman_identity_check(A: float, B: float, C: float | None = None, tol: float = 1e-11) -> float:
+def feynman_identity_check(A: float, B: float, C: float | None = None) -> float:
     """Max relative deviation of the parameter formula from 1/(AB) or 1/(ABC).
 
     Two denominators: 1/(AB) = int_0^1 dx [x A + (1-x) B]^(-2).
@@ -218,7 +218,7 @@ def feynman_identity_check(A: float, B: float, C: float | None = None, tol: floa
             x, xb, y, yb = x[:, None], xb[:, None], x[None, :], xb[None, :]
             return w @ (2.0 * x / (x * (y * A + yb * B) + xb * C) ** 3) @ w
 
-    val = _tanh_sinh_integral(rule_sum, tol, "Feynman identity quadrature")
+    val = _tanh_sinh_integral(rule_sum, 1e-11, "Feynman identity quadrature")
     return abs(val - 1.0 / prod) * prod
 
 

@@ -34,7 +34,6 @@ from .errors import KinematicDomainError
 __all__ = [
     "SmallParams",
     "assemble_mode_hamiltonian",
-    "build_generator",
     "similarity_transform",
     "decoupling_residual",
     "reduced_block_error",
@@ -102,7 +101,11 @@ def assemble_mode_hamiltonian(k, gammaDotF, atoms: AtomPair) -> np.ndarray:
 
 
 def _generator(k, gammaDotF, atoms: AtomPair) -> np.ndarray:
-    """A = i Lambda = (1/4) [diag(lambda1, lambda2) + lambda3 ebar] (x) beta O, real; (..., 4, 4)."""
+    """A = i Lambda = (1/4) [diag(lambda1, lambda2) + lambda3 ebar] (x) beta O, real; (..., 4, 4).
+
+    The lambda_a enter as signed k^2/m_a^2. The 1/4 makes Lambda's block g solve
+    {g, mass} = -C, which cancels the sector coupling at leading order.
+    """
     lam3 = np.asarray(gammaDotF) / (atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2))
     G = 0.25 * (_diag(k**2 / atoms.m1**2, k**2 / atoms.m2**2) + np.multiply.outer(lam3, EPS_BAR))
     A = np.zeros(G.shape[:-2] + (4, 4))
@@ -110,24 +113,12 @@ def _generator(k, gammaDotF, atoms: AtomPair) -> np.ndarray:
     return A
 
 
-def build_generator(k, gammaDotF, atoms: AtomPair) -> np.ndarray:
-    """Lambda, which generates the decoupling transform e^{i Lambda}; (..., 4, 4).
-
-    Lambda = -(i/4) [diag(lambda1, lambda2) + lambda3 ebar] (x) beta O,
-    where beta O = [[0, 1], [1, 0]] on the sector split and the lambda_a
-    enter as signed values k^2/m_a^2 of the kinetic terms. The 1/4
-    coefficients solve the anticommutator condition {g, mass} = -C that
-    cancels the sector coupling at leading order.
-    """
-    return -1j * _generator(k, gammaDotF, atoms)
-
-
 def similarity_transform(H, Lambda) -> np.ndarray:
     """H' = e^{i Lambda} H e^{-i Lambda}, exactly, for each matrix of a stack.
 
-    i Lambda must be Hermitian (Lambda anti-Hermitian, as build_generator
-    makes it), so one batched eigendecomposition i Lambda = V D V^dag
-    gives both factors e^{+-i Lambda} = V e^{+-D} V^dag.
+    i Lambda must be Hermitian (Lambda anti-Hermitian, as -i A is for the
+    real generator A of _decouple), so one batched eigendecomposition
+    i Lambda = V D V^dag gives both factors e^{+-i Lambda} = V e^{+-D} V^dag.
     """
     A = 1j * np.asarray(Lambda, dtype=complex)
     skew = _norm(A - np.swapaxes(A.conj(), -1, -2))

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
+from .core import SIGNATURE, AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
 from .errors import FitError, KinematicDomainError, QuadratureError
 from .loops import (
     PREFACTOR,
@@ -66,9 +66,9 @@ __all__ = [
     "counterterm_report",
 ]
 
-# Minkowski metric g_{mu nu} = diag(-1, +1, +1, +1), its own inverse. It
-# lives here, not in core, so that core loads without numpy.
-METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
+# Minkowski metric g_{mu nu} = diag(-1, +1, +1, +1), its own inverse, as an
+# array; core, which loads without numpy, owns the signature.
+METRIC = np.diag(SIGNATURE)
 METRIC.flags.writeable = False
 
 I_A = MasterIntegralKind.I_A
@@ -316,9 +316,10 @@ def self_energy(
     )
 
 
-# wavefunction_Z's s grid size and the largest curvature residual of its
-# fit, relative to the slope, that it accepts
+# wavefunction_Z's s grid: its size, its end as a fraction of M^2, and the
+# largest curvature residual of its fit, relative to the slope, accepted
 Z_GRID_POINTS = 9
+Z_S_MAX_FRAC = 1e-3
 Z_CURVATURE_LIMIT = 1e-3
 
 
@@ -327,13 +328,12 @@ def wavefunction_Z(
     atoms: AtomPair,
     gamma: DipoleTensor,
     reg: RegScheme,
-    s_max_frac: float = 1e-3,
     b_order: int = 0,
 ) -> dict:
     """Extract the wavefunction factor from the subtracted self-energy.
 
     Fits Sigma(p^2) - Sigma(-m^2) = s * f on a one-sided grid of
-    Z_GRID_POINTS offsets s = p^2 + m^2 in [0, s_max_frac * M^2]. The scalar
+    Z_GRID_POINTS offsets s = p^2 + m^2 in [0, Z_S_MAX_FRAC * M^2]. The scalar
     part of f comes from the I_A integrals, the tensor part (coefficient
     of gamma^2_{tau lambda} p^tau p^lambda) from the I_E integrals. The
     fit is rejected if the rounding of the integrals, or the curvature
@@ -341,7 +341,7 @@ def wavefunction_Z(
     """
     atoms.require_small_b()
     gsq = contractions(gamma)["gamma_sq"]
-    s_grid = np.linspace(0.0, s_max_frac * atoms.M2, Z_GRID_POINTS)
+    s_grid = np.linspace(0.0, Z_S_MAX_FRAC * atoms.M2, Z_GRID_POINTS)
     int_a, int_e = _sigma_integrals_expansion(s_grid, level, atoms, reg, b_order)
     sub_a = gsq * (int_a - int_a[0])
     sub_e = 4.0 * (int_e - int_e[0])
@@ -369,8 +369,9 @@ def wavefunction_Z(
     curvature = max(curv_scalar, curv_tensor)
     if not curvature <= Z_CURVATURE_LIMIT:
         raise FitError(
-            f"curvature residual {curvature:.3e} exceeds {Z_CURVATURE_LIMIT:.0e} of the slope; "
-            "narrow the s grid or reduce the mass splitting"
+            f"curvature residual {curvature:.3e} exceeds {Z_CURVATURE_LIMIT:.0e} of the slope: the fixed "
+            f"s grid [0, {Z_S_MAX_FRAC:.0e} M^2] is not small against Lambda^2 = {reg.Lambda**2:.3g} or "
+            f"against the mass splitting delta = m1^2 - m2^2 = {atoms.delta:.3g}"
         )
     gpp = gamma_sq_dot(gamma, _onshell_momentum(level, atoms))
     return {

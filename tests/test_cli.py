@@ -397,6 +397,15 @@ class TestImportFloor:
         script = f"import sys, dipole_loop.cli\nprint([m for m in {self.WATCHED!r} if m in sys.modules])"
         assert _fresh_python(script) == ["[]"]
 
+    def test_core_contractions_load_no_loop_layer(self):
+        script = (
+            "import sys\n"
+            "from dipole_loop.core import AtomPair, contractions, dipole_from_moment\n"
+            "contractions(dipole_from_moment([0.01, 0.0, 0.0], AtomPair(m1=1.0, m2=0.95)))\n"
+            "print([m for m in ('dipole_loop.renorm', 'dipole_loop.loops') if m in sys.modules])\n"
+        )
+        assert _fresh_python(script) == ["[]"]
+
     @pytest.mark.parametrize("text", [
         pytest.param("no.such_key = 1", id="unknown-key"),
         pytest.param("atoms.m1 = 1e100\natoms.m2 = 1e100\ndipole.dx = 1e300", id="gamma-overflow"),
@@ -1128,6 +1137,10 @@ PROBES = [
     pytest.param("atoms.m2 = 1e-3", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-1e-3"),
     pytest.param("regulator.lambda = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="lambda-1e300"),
     pytest.param("regulator.lambda = 1e-300", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="lambda-1e-300"),
+    # wavefunction_Z's fixed s grid [0, 1e-3 M^2] is not small against Lambda^2,
+    # or against the mass splitting at first order in it
+    pytest.param("regulator.lambda = 0.1", (0, 0, 0, 0, 0, 0, 3, 0, 0), id="lambda-0.1"),
+    pytest.param("atoms.m2 = 0.6\nselfenergy.b_order = 1", (0, 0, 0, 0, 0, 0, 3, 0, 0), id="m2-0.6-b_order-1"),
     pytest.param("cavity.omega = 1e300", (3, 0, 0, 0, 0, 0, 0, 0, 0), id="omega-1e300"),
     pytest.param("cavity.omega = 1e-300", (3, 3, 0, 0, 0, 0, 0, 0, 0), id="omega-1e-300"),
     pytest.param("cavity.volume = 1e-300", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="volume-1e-300"),

@@ -4,13 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from dipole_loop import nr
 from dipole_loop.core import AtomPair
 from dipole_loop.errors import KinematicDomainError
 from dipole_loop.nr import (
     EPS_BAR,
     SmallParams,
     assemble_mode_hamiltonian,
-    build_generator,
     decoupling_residual,
     reduced_block_error,
     similarity_transform,
@@ -21,6 +21,11 @@ ATOMS = AtomPair(m1=1.0, m2=0.95)
 # a stack of (k, gamma.F) pairs across the expansion regime
 K_STACK = np.array([0.0, 0.01, 0.03, 0.05, 0.07, 0.1])
 F_STACK = np.array([0.0, 2e-5, -1e-4, 2e-4, 3e-4, -1e-3])
+
+
+def build_lambda(k, gammaDotF, atoms):
+    """Lambda = -i A for the real generator A that the decoupling series uses."""
+    return -1j * nr._generator(k, gammaDotF, atoms)
 
 
 class TestAssembly:
@@ -63,14 +68,14 @@ class TestGenerator:
         # the generator solves {g, m} = -C, removing the O-coupling at
         # leading order, at every point of the stack
         H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
-        Lam = build_generator(K_STACK, F_STACK, ATOMS)
+        Lam = build_lambda(K_STACK, F_STACK, ATOMS)
         g = Lam[:, :2, 2:] / 1j
         m = np.diag([ATOMS.m1, ATOMS.m2])
         assert np.allclose(g @ m + m @ g, -H[:, :2, 2:], rtol=0.0, atol=1e-14)
 
     def test_generator_split(self):
         k, gdotF = 0.05, 2e-4
-        Lam = build_generator(k, gdotF, ATOMS)
+        Lam = build_lambda(k, gdotF, ATOMS)
         sp = SmallParams.from_inputs(k, gdotF, ATOMS)
         block = Lam[:2, 2:] / 1j
         assert np.array_equal(Lam[2:, :2], Lam[:2, 2:])
@@ -84,7 +89,7 @@ class TestGenerator:
 class TestTransform:
     def test_unitary(self):
         H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
-        transformed = similarity_transform(H, build_generator(0.05, 2e-4, ATOMS))
+        transformed = similarity_transform(H, build_lambda(0.05, 2e-4, ATOMS))
         # similarity by a unitary preserves eigenvalues
         before = np.sort(np.linalg.eigvals(H).real)
         after = np.sort(np.linalg.eigvals(transformed).real)
@@ -94,7 +99,7 @@ class TestTransform:
         from scipy.linalg import expm
 
         H = assemble_mode_hamiltonian(0.07, 3e-4, ATOMS)
-        Lam = build_generator(0.07, 3e-4, ATOMS)
+        Lam = build_lambda(0.07, 3e-4, ATOMS)
         expect = expm(1j * Lam) @ H @ expm(-1j * Lam)
         assert np.allclose(similarity_transform(H, Lam), expect, rtol=0.0, atol=1e-14)
 
@@ -102,7 +107,7 @@ class TestTransform:
         from scipy.linalg import expm
 
         H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
-        Lam = build_generator(K_STACK, F_STACK, ATOMS)
+        Lam = build_lambda(K_STACK, F_STACK, ATOMS)
         out = similarity_transform(H, Lam)
         assert out.shape == (len(K_STACK), 4, 4)
         for h, lam, t in zip(H, Lam, out):
@@ -111,13 +116,13 @@ class TestTransform:
 
     def test_rejects_non_hermitian_generator(self):
         H = assemble_mode_hamiltonian(0.05, 2e-4, ATOMS)
-        Lam = build_generator(0.05, 2e-4, ATOMS)
+        Lam = build_lambda(0.05, 2e-4, ATOMS)
         with pytest.raises(ValueError, match="Hermitian"):
             similarity_transform(H, 1j * Lam)
 
     def test_rejects_one_non_hermitian_in_stack(self):
         H = assemble_mode_hamiltonian(K_STACK, F_STACK, ATOMS)
-        Lam = build_generator(K_STACK, F_STACK, ATOMS)
+        Lam = build_lambda(K_STACK, F_STACK, ATOMS)
         Lam[4] *= 1j
         with pytest.raises(ValueError, match="Hermitian"):
             similarity_transform(H, Lam)

@@ -1,5 +1,7 @@
 """One-loop layer: self-energy, vertex, polarization, fits, counterterms."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,6 +280,15 @@ class TestRuleTable:
         assert len(sums) == 2 * n
         assert np.max(np.abs(sums)) <= 16.0 * np.sqrt(n) * np.finfo(float).eps
 
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_graded_rule_bits(self, n):
+        # the stored rule n mapped by t = (x + 1)/2, w/2, then u = t^2, w = 2 t w,
+        # bit for bit; the file is read here, not through renorm
+        x, v = np.load(os.path.join(os.path.dirname(renorm.__file__), "_leggauss.npy"))[:, n - 32:2 * n - 32]
+        t, v = 0.5 * (x + 1.0), 0.5 * v
+        u, w = renorm._graded_rule(n)
+        assert u.tobytes() == (t * t).tobytes() and w.tobytes() == (2.0 * t * v).tobytes()
+
     def test_table_read_only(self):
         assert renorm._LEGGAUSS.shape == (2, sum(RULE_SIZES))
         assert not renorm._LEGGAUSS.flags.writeable
@@ -331,13 +342,12 @@ class TestMassShiftAndZ:
         wavefunction_Z(2, SPLIT, gamma_for(SPLIT), REG, b_order=b_order)
         assert len(calls) == 1
 
-    def test_z_rejects_curved_grid(self):
-        with pytest.raises(FitError, match="curvature"):
-            wavefunction_Z(1, SYM, gamma_for(SYM), REG, s_max_frac=0.5)
-
     def test_z_curvature_is_fit_error(self):
-        with pytest.raises(FitError, match="curvature"):
-            wavefunction_Z(1, SYM, gamma_for(SYM), REG, s_max_frac=0.5)
+        # the fixed s grid is not small against Lambda^2 at Lambda = 0.1, nor
+        # against the mass splitting at m2 = 0.6 with the first-order expansion
+        for atoms, reg, b_order in ((SYM, RegScheme(Lambda=0.1), 0), (AtomPair(m1=1.0, m2=0.6), REG, 1)):
+            with pytest.raises(FitError, match=r"curvature residual .* s grid \[0, 1e-03 M\^2\] is not small"):
+                wavefunction_Z(1, atoms, gamma_for(atoms), reg, b_order=b_order)
 
     @pytest.mark.parametrize("lam", [2e5, 1e7])
     def test_z_lost_to_rounding_is_fit_error(self, lam):
