@@ -2,16 +2,19 @@
 
 Usage:
     dipole-loop <command> --config <path> [--out <dir>]
-                [--lambda-grid start:stop:count,log]
+                [--lambda-grid start:stop:count,log|lin]
 
 Commands: jc-evolve, jc-rabi, nr-reduce, loop-selfenergy, loop-vertex,
 loop-polarization, report-counterterms, check-dims, oracle-verify.
+main() reads the command line itself: "--opt VALUE" or "--opt=VALUE" in
+any order around the command, the last of a repeated option winning; -h
+or --help prints the usage (exit 0), a malformed line usage and error (2).
 
 Configuration is line-oriented "section.key = value" with '#' comments.
 All config problems are collected and reported together with line
 numbers; unknown keys are rejected, and so is a config asking for more
 work than the MAX_* caps or a magnitude past a MAX_/MIN_ bound. Exit
-codes: 0 success, 2 config error (an unwritable CSV or summary line
+codes: 0 success, 2 usage or config error (an unwritable CSV or summary line
 included), 3 numeric/domain error (a NaN or an infinity in an output row
 included), 4 failed internal cross-check.
 main() catches only the package's errors (errors.py): any other exception
@@ -38,7 +41,6 @@ always natural-unit numbers, and all outputs are in natural units.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -810,35 +812,57 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     return path
 
 
+_USAGE = "usage: dipole-loop <command> --config PATH [--out DIR] [--lambda-grid start:stop:count,log|lin]"
+
+
+def _read_argv(argv: list) -> tuple:
+    """(command, {option: value}) of a command line; a ValueError names its first problem."""
+    words, opts, tokens = [], {"--out": "."}, iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            words.append(token)
+        elif name not in ("--config", "--out", "--lambda-grid"):
+            raise ValueError(f"unknown option {name!r}")
+        elif not eq and (value := next(tokens, "--")).startswith("--"):
+            raise ValueError(f"option {name} needs a value")
+        else:
+            opts[name] = value  # the last of a repeated option wins
+    if len(words) > 1:
+        raise ValueError(f"unexpected argument {words[1]!r}")
+    if not words or words[0] not in _HANDLERS:
+        problem = f"unknown command {words[0]!r}" if words else "missing command"
+        raise ValueError(f"{problem}; expected one of {', '.join(COMMANDS)}")
+    if "--config" not in opts:
+        raise ValueError("missing option --config PATH")
+    return words[0], opts
+
+
 def main(argv: list | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dipole-loop",
-        description="Two-state dipole field theory workbench: JC dynamics, "
-        "non-relativistic reduction, one-loop renormalization.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="key = value configuration file")
-    parser.add_argument("--out", default=".", help="output directory for CSV artifacts")
-    parser.add_argument(
-        "--lambda-grid",
-        default=None,
-        help="override regulator.lambda_grid (start:stop:count,log|lin)",
-    )
-    args = parser.parse_args(argv)
+    """Run one command line (sys.argv[1:] by default) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        _report(_USAGE, f"commands: {', '.join(COMMANDS)}", file=sys.stdout)
+        return 0
+    try:
+        command, opts = _read_argv(argv)
+    except ValueError as exc:
+        _report(_USAGE, f"error: {exc}")
+        return 2
     try:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(opts["--config"], "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError([f"cannot read config file: {exc}"]) from None
         cfg = parse_config(text)
-        if args.lambda_grid is not None:
+        if "--lambda-grid" in opts:
             try:
-                spec = _CUTOFF_GRID(args.lambda_grid)
+                spec = _CUTOFF_GRID(opts["--lambda-grid"])
             except ValueError as exc:
                 raise ConfigError([f"--lambda-grid: {exc}"]) from None
             cfg = MappingProxyType({**cfg, "regulator.lambda_grid": spec})
-        dispatch(args.command, cfg, args.out)
+        dispatch(command, cfg, opts["--out"])
         return 0
     except ConfigError as exc:
         _report(*(f"config error: {problem}" for problem in exc.problems))
@@ -851,11 +875,11 @@ def main(argv: list | None = None) -> int:
         return 3
 
 
-def _report(*lines: str) -> None:
-    """Print error lines on stderr; if stderr cannot be written, the exit code is the only report left."""
+def _report(*lines: str, file=None) -> None:
+    """Print lines on stderr (or file); if they cannot be written, the exit code is the only report left."""
     try:
         for line in lines:
-            print(line, file=sys.stderr)
+            print(line, file=file or sys.stderr)
     except OSError:
         pass
 
@@ -869,8 +893,8 @@ def run() -> None:
     object. A flush of stdout that fails (a closed pipe, a full disk) is an
     unwritable output, exit 2 as in main(). A failed flush of stderr turns
     only a success into 2: after a refusal the code is the one report that
-    still reaches the caller. An argparse SystemExit and an uncaught
-    exception leave by the normal exit path.
+    still reaches the caller. An uncaught exception, which main() lets
+    through only for a bug, leaves by the normal exit path.
     """
     code = main()
     try:

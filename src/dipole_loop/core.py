@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import KinematicDomainError
 
@@ -31,22 +30,29 @@ __all__ = [
 SIGNATURE = (-1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AtomPair:
+class _Frozen:
+    """Base of the read-only records: __init__ stores the fields in the instance
+    __dict__, and assigning or deleting one later raises AttributeError."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class AtomPair(_Frozen):
     """The two level masses and the derived expansion quantities.
 
     m1 is the upper level, m2 the lower, so omega12 = m1 - m2 >= 0 in the
     intended regime (the class itself only requires positivity).
     """
 
-    m1: float
-    m2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m1) and math.isfinite(self.m2)):
+    def __init__(self, m1: float, m2: float):
+        if not (math.isfinite(m1) and math.isfinite(m2)):
             raise ValueError("masses must be finite")
-        if self.m1 <= 0 or self.m2 <= 0:
-            raise ValueError(f"masses must be positive, got m1={self.m1}, m2={self.m2}")
+        if m1 <= 0 or m2 <= 0:
+            raise ValueError(f"masses must be positive, got m1={m1}, m2={m2}")
+        self.__dict__.update(m1=m1, m2=m2)
 
     @property
     def M2(self) -> float:
@@ -80,31 +86,22 @@ class AtomPair:
             raise KinematicDomainError(f"|b| = |delta|/M^2 = {abs(self.b):.3g} >= 1.0; expansion invalid")
 
 
-def _check_antisymmetric(m: np.ndarray, name: str) -> np.ndarray:
-    import numpy as np
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} must be finite")
-    if not np.array_equal(m, -m.T):
-        raise ValueError(f"{name} must be exactly antisymmetric")
-    return m
+class DipoleTensor(_Frozen):
+    """Antisymmetric coupling gamma^{mu nu} (components with indices up), read-only."""
 
-
-@dataclass(frozen=True)
-class DipoleTensor:
-    """Antisymmetric coupling gamma^{mu nu} (components with indices up)."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        comp = _check_antisymmetric(self.components, "gamma")
+    def __init__(self, components: np.ndarray):
+        import numpy as np
+        comp = np.array(components, dtype=float)  # a copy, frozen below
+        if comp.ndim != 2 or comp.shape[0] != comp.shape[1]:
+            raise ValueError(f"gamma must be a square matrix, got shape {comp.shape}")
+        if not np.isfinite(comp).all():
+            raise ValueError("gamma must be finite")
+        if not np.array_equal(comp, -comp.T):
+            raise ValueError("gamma must be exactly antisymmetric")
         if comp.shape[0] != 4:
             raise ValueError(f"gamma shape {comp.shape} does not match spacetime dimension 4")
-        comp = comp.copy()
         comp.flags.writeable = False
-        object.__setattr__(self, "components", comp)
+        self.__dict__.update(components=comp)
 
     @functools.cached_property
     def _contractions(self) -> dict:

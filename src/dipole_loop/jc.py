@@ -29,11 +29,10 @@ Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AtomPair, DipoleTensor
+from .core import AtomPair, DipoleTensor, _Frozen
 from .errors import DynamicsError, TruncationError
 
 __all__ = [
@@ -63,45 +62,34 @@ _GRID_POINTS = 600
 _GRID_CHUNK = 25
 
 
-@dataclass(frozen=True)
-class JCParams:
+class JCParams(_Frozen):
     """Parameters of the truncated Jaynes-Cummings Hamiltonian."""
 
-    g: float
-    omega12: float
-    Omega: float
-    n_max: int
-    rwa: bool = True
-    leak_threshold: float = 1e-8
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if not np.isfinite(self.omega12 - self.Omega):
+    def __init__(self, g: float, omega12: float, Omega: float, n_max: int, rwa: bool = True,
+                 leak_threshold: float = 1e-8):
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if not np.isfinite(omega12 - Omega):
             raise ValueError("detuning must be finite")
+        self.__dict__.update(g=g, omega12=omega12, Omega=Omega, n_max=n_max, rwa=rwa, leak_threshold=leak_threshold)
 
     @property
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class JCState:
+class JCState(_Frozen):
     """Complex amplitude vector over the (level, photon-number) basis."""
 
-    amplitudes: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (2 * (self.n_max + 1),):
-            raise ValueError(f"amplitude vector has shape {amp.shape}, expected ({2 * (self.n_max + 1)},)")
+    def __init__(self, amplitudes: np.ndarray, n_max: int):
+        amp = np.array(amplitudes, dtype=complex)  # a copy, frozen below
+        if amp.shape != (2 * (n_max + 1),):
+            raise ValueError(f"amplitude vector has shape {amp.shape}, expected ({2 * (n_max + 1)},)")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 by more than 1e-12")
-        amp = amp.copy()
         amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
+        self.__dict__.update(amplitudes=amp, n_max=n_max)
 
     @classmethod
     def basis(cls, level: str, n: int, n_max: int) -> "JCState":
@@ -255,17 +243,13 @@ def _monitor_weights(idx: np.ndarray, nb: int) -> np.ndarray:
     return np.array([idx < nb, np.ones_like(idx, dtype=bool), (idx == nb - 1) | (idx == 2 * nb - 1)], dtype=float)
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    times: np.ndarray
-    p_excited: np.ndarray
-    inversion: np.ndarray
-    norms: np.ndarray
-    top_band: np.ndarray
-    # eps*max|E|*t: the absolute error phase rounding may put in the populations
-    phase_estimate: float
-    params: JCParams = field(repr=False)
-    sectors: list = field(repr=False, compare=False)
+class EvolutionResult(_Frozen):
+    """Sampled populations of one evolution; phase_estimate is eps*max|E|*t,
+    the absolute error phase rounding may put in them."""
+
+    def __init__(self, times, p_excited, inversion, norms, top_band, phase_estimate, params, sectors):
+        self.__dict__.update(times=times, p_excited=p_excited, inversion=inversion, norms=norms,
+                             top_band=top_band, phase_estimate=phase_estimate, params=params, sectors=sectors)
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -290,14 +274,9 @@ def evolve(
     """Evolve exactly and sample every dt_report up to time t.
 
     Works per parity sector with real eigenvectors and accumulates the
-    populations in chunks of _CHUNK samples, so the full state array is
-    only built if EvolutionResult.states is read; both take their
-    amplitudes from _stepped, which computes every chunk of a sector into
-    the same buffers. Phases are stepped, one table of e^{-iE tau} per
-    sector and e^{-iE t0} per chunk, so a chunk costs O(k) trig calls
-    instead of O(chunk k). Each phase is rounded from E t0 and
-    E tau, both at most E t, so its error stays within the
-    eps*max|E|*t that the phase-precision check bounds.
+    populations in chunks of _CHUNK samples stepped by _stepped (see the
+    module docstring), so the full state array is only built if
+    EvolutionResult.states is read.
 
     Raises TruncationError if the top-band population ever exceeds
     p.leak_threshold (a single mode is assumed, not truncation

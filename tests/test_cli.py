@@ -269,9 +269,11 @@ class TestDispatchExitCodes:
         conf = write_conf(tmp_path, "")
         assert cli.main(["oracle-verify", "--config", conf, "--out", str(tmp_path)]) == 0
 
-    def test_unknown_command_rejected_by_argparse(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli.main(["fly", "--config", "x"])
+    def test_unknown_command_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["fly", "--config", "x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [cli._USAGE, f"error: unknown command 'fly'; expected one of {', '.join(cli.COMMANDS)}"]
 
     def test_builtin_error_escapes_main(self, tmp_path, monkeypatch):
         # exit 3 is a package error; any other exception is a bug and is not caught
@@ -363,12 +365,14 @@ class TestImportFloor:
         )
         assert _fresh_python(script)[-2:] == ["False", "[]"]
 
-    # of these seven modules, a command loads only the one it runs and
+    # of these nine modules, a command loads only the one it runs and
     # numpy if it computes with arrays, and importing cli loads none.
     # numpy.polynomial, which renorm's Gauss-Legendre rules once came from,
-    # and numpy.ma, which np.unique imports, no command needs
+    # and numpy.ma, which np.unique imports, no command needs; nor argparse
+    # and dataclasses, since main() reads argv itself and the records are
+    # plain classes
     WATCHED = ("numpy", "dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions",
-               "numpy.ma")
+               "numpy.ma", "argparse", "dataclasses")
     LOOP = ["numpy", "dipole_loop.renorm"]
     LOADS = {
         "jc-evolve": ["numpy", "dipole_loop.jc"],
@@ -393,9 +397,23 @@ class TestImportFloor:
         )
         assert _fresh_python(script)[-1] == repr(self.LOADS[command])
 
+    # what argparse and dataclasses brought in; numpy loads inspect itself,
+    # so only the bare import and check-dims are checked for these
+    FRONT_END = ("inspect", "gettext", "locale")
+
     def test_cli_import_loads_none(self):
-        script = f"import sys, dipole_loop.cli\nprint([m for m in {self.WATCHED!r} if m in sys.modules])"
+        script = f"import sys, dipole_loop.cli\nprint([m for m in {self.WATCHED + self.FRONT_END!r} if m in sys.modules])"
         assert _fresh_python(script) == ["[]"]
+
+    def test_check_dims_loads_no_inspect(self, tmp_path):
+        # check-dims loads no numpy, so nothing else brings inspect in
+        script = (
+            "import sys\n"
+            "from dipole_loop.cli import main\n"
+            f"assert main(['check-dims', '--config', {os.devnull!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"print([m for m in {self.FRONT_END!r} if m in sys.modules])\n"
+        )
+        assert _fresh_python(script)[-1] == "[]"
 
     def test_core_contractions_load_no_loop_layer(self):
         script = (
@@ -512,10 +530,7 @@ class TestProcessEntry:
     def in_process(argv, capsys):
         """(exit code, stdout, stderr) of main(argv) in this interpreter."""
         capsys.readouterr()
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
         out, err = capsys.readouterr()
         return code, out, err
 
@@ -551,9 +566,88 @@ class TestProcessEntry:
         assert expected[0] == code and expected[1] == ""
         assert self.process(argv) == expected
         last = expected[2].splitlines()[-1]
-        assert last.startswith(("config error: ", "error: ", "dipole-loop: error: "))
+        assert last.startswith(("config error: ", "error: "))
         assert "Traceback" not in expected[2]
         assert not any(tmp_path.glob("*.csv"))
+
+    # argv tables: {conf} is an empty config file, {out} the output
+    # directory and {tmp} the test's own directory
+    def both(self, template, tmp_path, capsys):
+        """(code, stdout, stderr, {CSV path: bytes}) of one argv, the same in-process and as a process."""
+        conf = write_conf(tmp_path, "")
+        argv = [token.format(conf=conf, out=str(tmp_path / "out"), tmp=str(tmp_path)) for token in template]
+        results = []
+        for run in (lambda: self.in_process(argv, capsys), lambda: self.process(argv)):
+            code, out, err = run()
+            csvs = {}
+            for path in sorted(tmp_path.rglob("*.csv")):
+                csvs[str(path.relative_to(tmp_path))] = path.read_bytes()
+                path.unlink()
+            results.append((code, out, err, csvs))
+        assert results[0] == results[1]
+        return results[0]
+
+    @pytest.mark.parametrize("template, canonical", [
+        pytest.param(["check-dims", "--config={conf}", "--out={out}"], None, id="equals-form"),
+        pytest.param(["--config", "{conf}", "--out", "{out}", "check-dims"], None, id="options-first"),
+        pytest.param(["--out={out}", "check-dims", "--config", "{conf}"], None, id="command-between"),
+        pytest.param(["check-dims", "--config", "{conf}", "--out", "{tmp}/first", "--out", "{out}"], None,
+                     id="last-wins"),
+        pytest.param(["--lambda-grid=10:1000:3,log", "loop-vertex", "--config={conf}", "--out", "{out}"],
+                     ["loop-vertex", "--config", "{conf}", "--out", "{out}", "--lambda-grid", "10:1000:3,log"],
+                     id="grid-equals-form"),
+    ])
+    def test_accepted_forms(self, tmp_path, capsys, template, canonical):
+        # each form runs as "<command> --config C --out O [--lambda-grid SPEC]" does
+        canonical = canonical or ["check-dims", "--config", "{conf}", "--out", "{out}"]
+        code, _, err, csvs = expected = self.both(canonical, tmp_path, capsys)
+        assert (code, err, list(csvs)) == (0, "", [f"out/{canonical[0].replace('-', '_')}.csv"])
+        assert self.both(template, tmp_path, capsys) == expected
+
+    @pytest.mark.parametrize("two_tokens", [False, True], ids=["equals-form", "two-tokens"])
+    def test_grid_value_starting_with_dash_is_read(self, tmp_path, capsys, two_tokens):
+        # the spec reaches the grid check, which refuses it as a config error
+        spec = "-10:1000:3,lin"
+        grid = ["--lambda-grid", spec] if two_tokens else [f"--lambda-grid={spec}"]
+        code, out, err, csvs = self.both(["loop-vertex", "--config", "{conf}", "--out", "{out}", *grid], tmp_path, capsys)
+        assert (code, out, err, csvs) == (2, "", "config error: --lambda-grid: cutoff grid values must be positive\n", {})
+
+    @pytest.mark.parametrize("template", [
+        pytest.param(["-h"], id="h"),
+        pytest.param(["--help"], id="help"),
+        pytest.param(["check-dims", "--config", "{conf}", "--out", "{out}", "-h"], id="after-options"),
+        pytest.param(["fly", "--help"], id="unknown-command"),
+        pytest.param(["--config", "--help"], id="as-a-value"),
+    ])
+    def test_help(self, tmp_path, capsys, template):
+        expected = f"{cli._USAGE}\ncommands: {', '.join(cli.COMMANDS)}\n"
+        assert self.both(template, tmp_path, capsys) == (0, expected, "", {})
+
+    @pytest.mark.parametrize("template, error", [
+        pytest.param([], "missing command", id="empty"),
+        pytest.param(["--config", "{conf}"], "missing command", id="no-command"),
+        pytest.param(["fly", "--config", "{conf}"], "unknown command 'fly'", id="unknown-command"),
+        pytest.param(["check-dims"], "missing option --config PATH", id="no-config"),
+        pytest.param(["check-dims", "--out", "{out}"], "missing option --config PATH", id="out-without-config"),
+        pytest.param(["check-dims", "--conf", "{conf}"], "unknown option '--conf'", id="abbreviation"),
+        pytest.param(["check-dims", "--config", "{conf}", "-o", "{out}"], "unknown option '-o'", id="short-option"),
+        pytest.param(["check-dims", "--config", "{conf}", "--verbose=1"], "unknown option '--verbose'",
+                     id="unknown-option"),
+        pytest.param(["check-dims", "--config"], "option --config needs a value", id="value-missing"),
+        pytest.param(["check-dims", "--config", "--out", "{out}"], "option --config needs a value",
+                     id="option-as-value"),
+        pytest.param(["check-dims", "--config", "{conf}", "--lambda-grid"], "option --lambda-grid needs a value",
+                     id="grid-value-missing"),
+        pytest.param(["check-dims", "nr-reduce", "--config", "{conf}"], "unexpected argument 'nr-reduce'",
+                     id="two-commands"),
+        pytest.param(["check-dims", "--config", "{conf}", "{out}"], "unexpected argument '", id="stray-word"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, template, error):
+        code, out, err, csvs = self.both(template, tmp_path, capsys)
+        assert (code, out, csvs) == (2, "", {})
+        usage, problem = err.splitlines()
+        assert usage == cli._USAGE
+        assert problem.startswith(f"error: {error}")
 
     def test_module_executes_once(self, tmp_path):
         # python -m runs cli as __main__: writing a float array must not
@@ -1298,3 +1392,45 @@ def test_fuzzed_exit_code_contract(config, command):
             assert not os.path.exists(csv_path)
         else:
             assert np.isfinite(_numbers(read_csv(csv_path)[2])).all()
+
+
+# The exit-code contract on random command lines: a command and options,
+# each written "--opt VALUE" or "--opt=VALUE", in any order, with junk
+# tokens (unknown options, extra words, a help flag) in some examples.
+# Relative paths land in a fresh working directory.
+_ARGV_OPTIONS = ("--config", "--out", "--lambda-grid")
+_ARGV_VALUES = st.sampled_from(
+    ["run.conf", "bad.conf", "missing.conf", "out", "", "-", "10:1000:3,log", "-10:1000:3,lin", "x"])
+_ARGV_JUNK = st.one_of(
+    st.sampled_from(cli.COMMANDS + ("fly",) + _ARGV_OPTIONS),
+    st.sampled_from(["--", "-x", "--conf", "--config=", "=", "-h", "--help", "--help=1"]),
+    _ARGV_VALUES,
+)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    groups = [[draw(st.sampled_from(cli.COMMANDS + ("fly",)))]]
+    for name in _ARGV_OPTIONS:
+        if draw(st.booleans()):
+            value = "run.conf" if name == "--config" and draw(st.booleans()) else draw(_ARGV_VALUES)
+            groups.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+    groups += [[token] for token in draw(st.lists(_ARGV_JUNK, max_size=1))]
+    return [token for group in draw(st.permutations(groups)) for token in group]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(argv=_fuzz_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_exit_codes(argv):
+    # main() returns a code for every command line and raises nothing
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in (("run.conf", ""), ("bad.conf", "atoms.m1 = abc\n")):
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            assert cli.main(argv) in (0, 2, 3, 4)
+        finally:
+            os.chdir(cwd)

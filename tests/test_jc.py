@@ -127,6 +127,83 @@ class TestState:
             JCState.basis("middle", 0, 4)
 
 
+class TestRecords:
+    """JCParams, JCState and EvolutionResult: construction, validation messages, read-only fields."""
+
+    def test_params_construction_and_defaults(self):
+        for p in (JCParams(0.002, 0.05, 0.04, 8), JCParams(n_max=8, Omega=0.04, omega12=0.05, g=0.002)):
+            assert (p.g, p.omega12, p.Omega, p.n_max, p.rwa, p.leak_threshold) == (0.002, 0.05, 0.04, 8, True, 1e-8)
+            assert p.dim == 18
+        p = JCParams(0.002, 0.05, 0.04, 8, False, 1e-6)
+        assert (p.rwa, p.leak_threshold) == (False, 1e-6)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.002, 0.05, 0.05, 0), "n_max must be >= 1, got 0"),
+        ((0.002, np.inf, 0.05, 4), "detuning must be finite"),
+        ((0.002, np.inf, np.inf, 4), "detuning must be finite"),
+    ])
+    def test_params_refusals(self, args, message):
+        with pytest.raises(ValueError) as info:
+            JCParams(*args)
+        assert info.value.args == (message,)
+
+    def test_state_construction(self):
+        amp = np.zeros(10)
+        amp[3] = 1.0
+        for state in (JCState(amp, 4), JCState(n_max=4, amplitudes=amp)):
+            assert state.n_max == 4 and state.amplitudes.dtype == complex
+            assert np.array_equal(state.amplitudes, amp)
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 1.0
+        amp[3] = 0.5
+        assert state.amplitudes[3] == 1.0  # a copy
+
+    @pytest.mark.parametrize("amp, message", [
+        (np.eye(1, 9, 0).ravel(), "amplitude vector has shape (9,), expected (10,)"),
+        (0.9 * np.eye(1, 10, 0).ravel(), "state norm 0.9 deviates from 1 by more than 1e-12"),
+    ])
+    def test_state_refusals(self, amp, message):
+        with pytest.raises(ValueError) as info:
+            JCState(amp, 4)
+        assert info.value.args == (message,)
+
+    def test_result_positional_order(self):
+        fields = ("times", "p_excited", "inversion", "norms", "top_band", "phase_estimate", "params", "sectors")
+        result = jc.EvolutionResult(*fields)
+        assert [getattr(result, name) for name in fields] == list(fields)
+
+    @pytest.mark.parametrize("record, field", [
+        (resonant(), "g"),
+        (resonant(), "n_max"),
+        (JCState.basis("upper", 0, 4), "amplitudes"),
+        (evolve(JCState.basis("upper", 0, 4), resonant(n_max=4), 10.0, 1.0), "times"),
+        (evolve(JCState.basis("upper", 0, 4), resonant(n_max=4), 10.0, 1.0), "states"),
+    ])
+    def test_fields_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    def test_states_cached(self, monkeypatch):
+        # built by the kernel on first read only, and the same bits on a
+        # second evolution of the same state
+        p = resonant()
+        state = JCState.basis("upper", 0, p.n_max)
+        calls, stepped = [], jc._stepped
+        monkeypatch.setattr(jc, "_stepped", lambda *args: calls.append(None) or stepped(*args))
+        result = evolve(state, p, 2.0 * rabi_period(p.g, 0), 0.5 * rabi_period(p.g, 0) / 100)
+        after_evolve = len(calls)
+        states = result.states
+        assert len(calls) == after_evolve + len(result.sectors)
+        assert result.states is states
+        assert len(calls) == after_evolve + len(result.sectors)
+        again = evolve(state, p, 2.0 * rabi_period(p.g, 0), 0.5 * rabi_period(p.g, 0) / 100).states
+        assert again.tobytes() == states.tobytes()
+        nb = p.n_max + 1
+        assert np.max(np.abs(np.sum(np.abs(states[:, :nb]) ** 2, axis=1) - result.p_excited)) < 1e-14
+
+
 class TestEvolution:
     def test_norm_conserved(self):
         p = resonant()

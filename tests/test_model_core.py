@@ -151,6 +151,70 @@ class TestDipoleTensor:
         )
 
 
+class TestRecords:
+    """AtomPair and DipoleTensor: construction, validation messages, read-only fields."""
+
+    def test_positional_and_keyword_construction(self):
+        assert (AtomPair(1.0, 0.95).m1, AtomPair(1.0, 0.95).m2) == (1.0, 0.95)
+        assert (AtomPair(m2=0.95, m1=1.0).m1, AtomPair(m2=0.95, m1=1.0).m2) == (1.0, 0.95)
+        m = antisym([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert np.array_equal(DipoleTensor(m).components, m)
+        assert np.array_equal(DipoleTensor(components=m).components, m)
+
+    @pytest.mark.parametrize("m1, m2, message", [
+        (np.inf, 1.0, "masses must be finite"),
+        (1.0, np.nan, "masses must be finite"),
+        (-1.0, 1.0, "masses must be positive, got m1=-1.0, m2=1.0"),
+        (1.0, 0.0, "masses must be positive, got m1=1.0, m2=0.0"),
+    ])
+    def test_atom_pair_refusals(self, m1, m2, message):
+        with pytest.raises(ValueError) as info:
+            AtomPair(m1, m2)
+        assert info.value.args == (message,)
+
+    @pytest.mark.parametrize("components, message", [
+        (np.zeros(4), "gamma must be a square matrix, got shape (4,)"),
+        (np.zeros((4, 3)), "gamma must be a square matrix, got shape (4, 3)"),
+        (antisym([np.inf, 0, 0, 0, 0, 0]), "gamma must be finite"),
+        (np.eye(4), "gamma must be exactly antisymmetric"),
+        (np.zeros((3, 3)), "gamma shape (3, 3) does not match spacetime dimension 4"),
+    ])
+    def test_dipole_tensor_refusals(self, components, message):
+        with pytest.raises(ValueError) as info:
+            DipoleTensor(components)
+        assert info.value.args == (message,)
+
+    def test_components_are_a_copy(self):
+        m = antisym([1.0, 0, 0, 0, 0, 0])
+        gamma = DipoleTensor(m)
+        m[0, 1] = 2.0
+        assert gamma.components[0, 1] == 1.0
+
+    @pytest.mark.parametrize("record, field", [
+        (AtomPair(1.0, 0.95), "m1"),
+        (AtomPair(1.0, 0.95), "m2"),
+        (AtomPair(1.0, 0.95), "other"),
+        (DipoleTensor(antisym([1.0, 0, 0, 0, 0, 0])), "components"),
+        (DipoleTensor(antisym([1.0, 0, 0, 0, 0, 0])), "_contractions"),
+    ])
+    def test_fields_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    def test_contractions_computed_once_per_tensor(self, monkeypatch):
+        cached = DipoleTensor.__dict__["_contractions"]
+        compute, calls = cached.func, []
+        monkeypatch.setattr(cached, "func", lambda gamma: calls.append(gamma) or compute(gamma))
+        gammas = [DipoleTensor(antisym([1.0, 0, 0, 0, 0, 0])), DipoleTensor(antisym([0, 2.0, 0, 0, 0, 0]))]
+        for gamma in gammas:
+            for _ in range(3):
+                contractions(gamma)
+                gamma_sq_dot(gamma, np.ones(4))
+        assert calls == gammas
+
+
 class TestAtomPair:
     def test_derived_quantities(self):
         atoms = AtomPair(m1=1.0, m2=0.95)
