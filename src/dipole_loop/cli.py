@@ -316,7 +316,7 @@ def parse_config(text: str) -> Mapping:
 # ---------------------------------------------------------------------------
 
 # CODATA 2018 (Tiesinga et al., Rev. Mod. Phys. 93, 025010 (2021))
-HBAR_SI = 1.054571817e-34  # J s
+HBAR_SI = 6.62607015e-34 / (2.0 * math.pi)  # J s: h / 2 pi, h exact in the SI
 C_SI = 299792458.0  # m / s
 EPS0_SI = 8.8541878128e-12  # F / m
 EV_SI = 1.602176634e-19  # J

@@ -1,5 +1,6 @@
 """Loop engine: closed forms vs quadrature, kinematics, measure checks."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from dipole_loop import loops
 from dipole_loop.errors import KinematicDomainError, QuadratureError
 from dipole_loop.loops import (
     PREFACTOR,
@@ -160,6 +162,51 @@ def symmetric_moments_sequential(n_samples, seed):
     return {"max_offdiag_z": float(z_off), "max_diag_z": float(z_diag), "n_samples": n_samples}
 
 
+def _two_product(a, b):
+    """hi + lo == a * b exactly, element by element (Dekker's product with Veltkamp's split)."""
+    def split(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    hi = a * b
+    (a1, a2), (b1, b2) = split(a), split(b)
+    return hi, a2 * b2 - (((hi - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _exact_sum(a, b):
+    """sum_k a_k b_k as an mpf, exact to about 32 digits: the products are split
+    error-free, math.fsum rounds their sum once and sums the residual once more."""
+    terms = np.concatenate(_two_product(a, b)).tolist()
+    head = math.fsum(terms)
+    terms.append(-head)
+    return mpmath.mpf(head) + mpmath.mpf(math.fsum(terms))
+
+
+def symmetric_moments_truth(n_samples, seed):
+    """The angular check's z-scores from the exact moments of the same unit draws.
+
+    The fourth moments take the products of the double-rounded squares, as
+    the check does; every sum is exact, and z is formed in 40-digit mpmath.
+    """
+    v = np.random.default_rng(seed).normal(size=(n_samples, 4))
+    n = v / np.linalg.norm(v, axis=1, keepdims=True)
+    sq = n * n
+    z_off = z_diag = 0
+    with mpmath.workdps(40):
+        size = mpmath.mpf(n_samples)
+        for i in range(4):
+            for j in range(i, 4):
+                mean = _exact_sum(n[:, i], n[:, j]) / size
+                var = (_exact_sum(sq[:, i], sq[:, j]) / size - mean * mean) * size / (size - 1)
+                z = abs(mean - (mpmath.mpf(1) / 4 if i == j else 0)) / mpmath.sqrt(var / size)
+                if i == j:
+                    z_diag = max(z_diag, z)
+                else:
+                    z_off = max(z_off, z)
+    return {"max_offdiag_z": z_off, "max_diag_z": z_diag}
+
+
 class TestRadialQuadrature:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_independent_quadratures(self, kind):
@@ -237,14 +284,41 @@ class TestMeasureOracles:
         n = np.random.default_rng(seed).normal(size=(n_samples, 4))
         assert np.array_equal(_row_norms(n), np.linalg.norm(n, axis=1))
 
+    @pytest.mark.parametrize("n_samples", [123_457, 20_000, 7])
+    def test_angular_check_streams_one_draw(self, monkeypatch, n_samples):
+        # the blocks the check draws, joined, are one (n_samples, 4) draw bit
+        # for bit, signs included, with a partial last block where one falls
+        blocks = []
+
+        def spy(n):
+            blocks.append(n.copy())
+            return _row_norms(n)
+
+        monkeypatch.setattr(loops, "_row_norms", spy)
+        symmetric_integration_check(n_samples, seed=99)
+        assert [len(b) for b in blocks[:-1]] == [loops._BLOCK] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= loops._BLOCK
+        one = np.random.default_rng(99).normal(size=(n_samples, 4))
+        assert np.array_equal(np.concatenate(blocks).view(np.uint64), one.view(np.uint64))
+
+    def test_angular_check_matches_exact_moments(self):
+        # oracle-verify's two z rows against z from error-free moments of the same draws
+        shipped = symmetric_integration_check()
+        truth = symmetric_moments_truth(200_000, 7)
+        for key in ("max_offdiag_z", "max_diag_z"):
+            error = abs(mpmath.mpf(shipped[key]) - truth[key])
+            print(f"{key}: shipped {shipped[key]!r}, error {mpmath.nstr(error, 3)}")
+            assert error <= 1e-12
+
     def test_angular_check_memory(self):
+        # one (200,000, 4) draw alone is 6.4 MB; the streamed blocks stay well below
         tracemalloc.start()
         try:
             symmetric_integration_check()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 25e6
+        assert peak <= 2e6
 
     def test_angular_second_moments_isotropic(self):
         out = symmetric_integration_check(n_samples=100_000, seed=11)

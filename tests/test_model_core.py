@@ -1,5 +1,7 @@
 """Covariant model core: tensor algebra, contractions, power counting."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -271,6 +273,13 @@ class TestUnits:
         assert scales["time"] == pytest.approx(6.582120e-16, rel=1e-6)
         # mass of one natural unit: 1 eV / c^2
         assert scales["mass"] == pytest.approx(EV_SI / C_SI**2, rel=1e-12)
+
+    def test_fine_structure_constant(self):
+        # alpha = e^2 / (4 pi eps0 hbar c) from the four SI constants against
+        # CODATA 2018's 1/137.035999084 (1.5e-10 relative uncertainty): a
+        # truncated hbar or eps0 is seen, and every SI scale is built from them
+        alpha = EV_SI**2 / (4.0 * math.pi * EPS0_SI * HBAR_SI * C_SI)
+        assert alpha == pytest.approx(1.0 / 137.035999084, rel=1e-10)
 
     @given(st.floats(1e-6, 1e6), st.sampled_from(("atoms.m1", "cavity.omega", "cavity.volume", "cavity.z", "jc.t_max")))
     @settings(max_examples=30, deadline=None)
