@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -446,11 +447,9 @@ def _write_csv(path: str, cfg: Mapping, command: str, header: list, rows) -> Non
 
 def _jc_params(cfg: Mapping, Omega: float | None = None):
     """The jc.JCParams of the config's cavity mode and atoms."""
-    import numpy as np
     from . import jc as jcmod
     atoms = cfg["atoms"]
-    with np.errstate(invalid="ignore", over="ignore"):
-        g = jcmod.rabi_coupling(_gamma(cfg), cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
+    g = jcmod.rabi_coupling(_gamma(cfg), cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
     if not math.isfinite(g):
         raise ConfigError([
             f"coupling g is {g!r} in natural units; it is built from dipole.dx, atoms.m1, atoms.m2, "
@@ -520,9 +519,8 @@ def _cmd_nr_reduce(cfg: Mapping):
     atoms = cfg["atoms"]
     targets = parse_grid(cfg["nr.lambda_grid"])
     k = atoms.m1 * np.sqrt(targets)
-    with np.errstate(over="ignore"):
-        gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
-        lam_max = float(np.max(nrmod.SmallParams.from_inputs(k, gdotF, atoms).max))
+    gdotF = cfg["nr.lambda3_ratio"] * targets * atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)
+    lam_max = float(np.max(nrmod.lambda_max(k, gdotF, atoms)))
     if not np.isfinite(gdotF).all():
         raise ConfigError(["nr-reduce: gamma.F is not finite in natural units; it is built from nr.lambda3_ratio, nr.lambda_grid, atoms.m1 and atoms.m2"])
     if not lam_max < 1.0:
@@ -569,7 +567,7 @@ def _cmd_loop_selfenergy(cfg: Mapping):
     blocks = []
     for lam in lambdas:
         reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
-        res = renorm.self_energy(level, p_sq, None, atoms, gamma, reg, path=path, b_order=b_order)
+        res = renorm.self_energy(level, p_sq, atoms, gamma, reg, path=path, b_order=b_order)
         columns = (s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, res.total - res.on_shell_value)
         blocks.append(np.column_stack((np.full_like(s_grid, lam), *columns)))
     rows = np.concatenate(blocks)
@@ -594,16 +592,11 @@ def _cmd_loop_vertex(cfg: Mapping):
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
-    m1 = atoms.m1
-    p_prime = np.array([m1, 0.0, 0.0, 0.0])
-    p_in = p_prime - q
+    p_prime = np.array([atoms.m1, 0.0, 0.0, 0.0])
 
     def one(lam: float):
         reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
-        v = renorm.vertex_one_loop(
-            p_in, p_prime, q, atoms, gamma, reg,
-            symmetric_masses=cfg["vertex.symmetric_masses"],
-        )
+        v = renorm.vertex_one_loop(p_prime, q, atoms, gamma, reg, symmetric_masses=cfg["vertex.symmetric_masses"])
         return (lam, v["q_sq"], v["J"], v["K0"], v["K1"], v["K2"], v["Gamma_I_coeff"], v["Z1_inv"])
 
     rows = np.array(_pmap(one, _lambda_values(cfg)))
@@ -781,8 +774,8 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     """Run one command, write its CSV, print the one-line summary.
 
     Returns the CSV path. Raises the package error types (an unwritable
-    CSV or summary line is a ConfigError, a non-finite row a
-    DipoleLoopError); exit-code mapping happens in main().
+    CSV or summary line is a ConfigError, a non-finite row or a handler's
+    RuntimeWarning a DipoleLoopError); main() maps them to exit codes.
     """
     if command not in _HANDLERS:
         raise ConfigError([f"unknown command {command!r}; expected one of {COMMANDS}"])
@@ -792,14 +785,23 @@ def dispatch(command: str, cfg: Mapping, out_dir: str = ".") -> str:
     default_threads = "OMP_NUM_THREADS" not in os.environ
     if default_threads:
         os.environ["OMP_NUM_THREADS"] = "1"
+    # a RuntimeWarning (numpy's floating-point exceptions) is recorded, not shown
     try:
-        header, rows, summary, problems = _HANDLERS[command](_physics(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            header, rows, summary, problems = _HANDLERS[command](_physics(cfg))
     finally:
         if default_threads:
             del os.environ["OMP_NUM_THREADS"]
+        for w in caught:
+            if not issubclass(w.category, RuntimeWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     bad = _nonfinite_column(header, rows)
     if bad is not None:
         raise DipoleLoopError(f"{command}: column {bad} holds a non-finite value; no CSV written")
+    floating = [w.message for w in caught if issubclass(w.category, RuntimeWarning)]
+    if floating:
+        raise DipoleLoopError(f"{command}: {floating[0]}; no CSV written")
     path = os.path.join(out_dir, command.replace("-", "_") + ".csv")
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -79,17 +79,17 @@ class JCParams(_Frozen):
 
 
 class JCState(_Frozen):
-    """Complex amplitude vector over the (level, photon-number) basis."""
+    """Complex amplitude vector over the (level, photon-number) basis; its length 2 (n_max + 1) fixes n_max."""
 
-    def __init__(self, amplitudes: np.ndarray, n_max: int):
+    def __init__(self, amplitudes: np.ndarray):
         amp = np.array(amplitudes, dtype=complex)  # a copy, frozen below
-        if amp.shape != (2 * (n_max + 1),):
-            raise ValueError(f"amplitude vector has shape {amp.shape}, expected ({2 * (n_max + 1)},)")
+        if amp.ndim != 1 or amp.size % 2 or amp.size < 4:
+            raise ValueError(f"amplitude vector has shape {amp.shape}, expected an even length of at least 4")
         norm = np.linalg.norm(amp)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 by more than 1e-12")
         amp.flags.writeable = False
-        self.__dict__.update(amplitudes=amp, n_max=n_max)
+        self.__dict__.update(amplitudes=amp)
 
     @classmethod
     def basis(cls, level: str, n: int, n_max: int) -> "JCState":
@@ -100,7 +100,7 @@ class JCState(_Frozen):
             raise ValueError(f"photon number {n} outside [0, {n_max}]")
         amp = np.zeros(2 * (n_max + 1), dtype=complex)
         amp[(0 if level == "upper" else 1) * (n_max + 1) + n] = 1.0
-        return cls(amp, n_max)
+        return cls(amp)
 
 
 def rabi_coupling(gamma: DipoleTensor, Omega: float, V: float, z: float, atoms: AtomPair) -> float:
@@ -278,14 +278,16 @@ def evolve(
     module docstring), so the full state array is only built if
     EvolutionResult.states is read.
 
-    Raises TruncationError if the top-band population ever exceeds
-    p.leak_threshold (a single mode is assumed, not truncation
-    artifacts). Raises DynamicsError when eps*max|E|*t exceeds
-    PHASE_PRECISION_BOUND; below it the estimate is kept as
-    EvolutionResult.phase_estimate.
+    Raises ValueError if the state's length is not p.dim, TruncationError
+    if the top-band population ever exceeds p.leak_threshold (a single
+    mode is assumed, not truncation artifacts), and DynamicsError when
+    eps*max|E|*t exceeds PHASE_PRECISION_BOUND; below it the estimate is
+    kept as EvolutionResult.phase_estimate.
     """
     if t < 0 or dt_report <= 0:
         raise ValueError("need t >= 0 and dt_report > 0")
+    if state.amplitudes.size != p.dim:
+        raise ValueError(f"state has {state.amplitudes.size} amplitudes, expected dim = {p.dim} for n_max = {p.n_max}")
     n_steps = int(np.floor(t / dt_report + 1e-9))
     times = np.arange(n_steps + 1) * dt_report
     sectors = _sector_eigen(p, state.amplitudes)

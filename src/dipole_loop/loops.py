@@ -264,4 +264,4 @@ def symmetric_integration_check(n_samples: int = 200_000, seed: int = 7) -> dict
     z = np.abs(mean - 0.25 * np.eye(4)) / np.sqrt(var / n_samples)
     z_off = z[~np.eye(4, dtype=bool)].max()
     z_diag = z.diagonal().max()
-    return {"max_offdiag_z": float(z_off), "max_diag_z": float(z_diag), "n_samples": n_samples}
+    return {"max_offdiag_z": float(z_off), "max_diag_z": float(z_diag)}

@@ -24,15 +24,13 @@ gives scalar results.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import AtomPair
 from .errors import KinematicDomainError
 
 __all__ = [
-    "SmallParams",
+    "lambda_max",
     "assemble_mode_hamiltonian",
     "similarity_transform",
     "decoupling_residual",
@@ -42,24 +40,10 @@ __all__ = [
 EPS_BAR = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-class SmallParams(NamedTuple):
-    """Magnitudes of the three expansion parameters at wavenumber k."""
-
-    lambda1: float | np.ndarray
-    lambda2: float | np.ndarray
-    lambda3: float | np.ndarray
-
-    @classmethod
-    def from_inputs(cls, k, gammaDotF, atoms: AtomPair) -> "SmallParams":
-        return cls(
-            lambda1=k**2 / atoms.m1**2,
-            lambda2=k**2 / atoms.m2**2,
-            lambda3=np.abs(gammaDotF) / (atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2)),
-        )
-
-    @property
-    def max(self):
-        return np.maximum(np.maximum(self.lambda1, self.lambda2), self.lambda3)
+def lambda_max(k, gammaDotF, atoms: AtomPair):
+    """The largest expansion parameter, max(k^2/m1^2, k^2/m2^2, |gamma.F|/(m_bar sqrt(m1 m2)))."""
+    lam3 = np.abs(gammaDotF) / (atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2))
+    return np.maximum(np.maximum(k**2 / atoms.m1**2, k**2 / atoms.m2**2), lam3)
 
 
 _OFFDIAG = np.kron(EPS_BAR, np.ones((2, 2)))  # the sector-coupling blocks of a 4x4 matrix
@@ -180,7 +164,7 @@ def decoupling_residual(k, gammaDotF, atoms: AtomPair) -> dict:
         "r_after": _norm(S * _OFFDIAG)[()],
         "error": _norm(S[..., :2, :2])[()],
         "h_norm": _norm(H)[()],
-        "lambda_max": SmallParams.from_inputs(k, gammaDotF, atoms).max[()],
+        "lambda_max": lambda_max(k, gammaDotF, atoms)[()],
     }
 
 

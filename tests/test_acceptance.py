@@ -42,7 +42,7 @@ from dipole_loop.loops import (
     master_integral,
     radial_quadrature,
 )
-from dipole_loop.nr import SmallParams, decoupling_residual, reduced_block_error
+from dipole_loop.nr import decoupling_residual, lambda_max, reduced_block_error
 from dipole_loop.renorm import (
     counterterm_report,
     divergence_fit,
@@ -72,7 +72,7 @@ def sigma_scan(atoms, gamma, grid, attr="sigma_I", s=None):
     p_sq = -atoms.mass(1) ** 2 if s is None else s - atoms.mass(1) ** 2
     vals = []
     for lam in grid:
-        res = self_energy(1, p_sq, None, atoms, gamma, RegScheme(Lambda=lam))
+        res = self_energy(1, p_sq, atoms, gamma, RegScheme(Lambda=lam))
         vals.append(getattr(res, attr) / gsq)
     return np.array(vals)
 
@@ -144,14 +144,13 @@ def test_criterion_04_vertex_structure():
     m = ATOMS_EQ.m1
     p_prime = np.array([m, 0.0, 0.0, 0.0])
     q = np.array([0.25 * m, 0.25 * m, 0.0, 0.0])  # lightlike, q^2 = 0
-    p_in = p_prime - q
     js = []
     for lam in GRID_LOG:
-        v = vertex_one_loop(p_in, p_prime, q, ATOMS_EQ, x_dipole(ATOMS_EQ), RegScheme(Lambda=lam))
+        v = vertex_one_loop(p_prime, q, ATOMS_EQ, x_dipole(ATOMS_EQ), RegScheme(Lambda=lam))
         js.append(v["J"])
     fit = divergence_fit(np.array(js), GRID_LOG, ATOMS_EQ.M2, model="log_const")
     j_ratio = fit.c_const / fit.c_log
-    v = vertex_one_loop(p_in, p_prime, q, ATOMS_EQ, x_dipole(ATOMS_EQ), RegScheme(Lambda=100.0))
+    v = vertex_one_loop(p_prime, q, ATOMS_EQ, x_dipole(ATOMS_EQ), RegScheme(Lambda=100.0))
     t_ratios = (-v["K1"] / v["K0"], v["K2"] / v["K0"])
     errs = [abs(j_ratio + 0.5), abs(t_ratios[0] + 0.5), abs(t_ratios[1] - 1.0 / 3.0)]
     ok = max(errs) <= 2e-2
@@ -239,7 +238,7 @@ def test_criterion_08_decoupling_residual_quadratic():
     slope = np.polyfit(np.log(lams), np.log(after), 1)[0]
     k, gdotF = 0.03, 1e-4
     blk = reduced_block_error(k, gdotF, ATOMS)
-    lam = SmallParams.from_inputs(k, gdotF, ATOMS).max
+    lam = lambda_max(k, gdotF, ATOMS)
     block_ok = blk["error"] <= lam**2 * blk["h_norm"]
     ok = abs(slope - 2.0) <= 0.1 and block_ok
     record(8, ok,

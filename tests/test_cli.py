@@ -3,9 +3,11 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -1209,6 +1211,56 @@ class TestNonFiniteRefused:
         assert not any(tmp_path.glob("*.csv"))
 
 
+class TestRuntimeWarningRefused:
+    """A RuntimeWarning raised in a handler is recorded, not shown, and refuses the run."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, handler):
+        monkeypatch.setitem(cli._HANDLERS, "check-dims", handler)
+        return cli.main(["check-dims", "--config", os.devnull, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("value, message", [
+        (1.0, "error: check-dims: overflow encountered in multiply; no CSV written\n"),
+        (np.inf, "error: check-dims: column x[natural] holds a non-finite value; no CSV written\n"),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, value, message):
+        # finite rows name numpy's message; a non-finite column keeps its own
+        def handler(cfg):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            warnings.warn("invalid value encountered in matmul", RuntimeWarning)
+            return ["x[natural]"], [(value,)], "never printed", []
+
+        assert self.run(tmp_path, monkeypatch, handler) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_numpy_overflow(self, tmp_path, capsys, monkeypatch):
+        def handler(cfg):
+            big = np.array([1e300]) * 1e300
+            return ["x[natural]"], [(float(big[0] > 0),)], "never printed", []
+
+        assert self.run(tmp_path, monkeypatch, handler) == 3
+        assert re.fullmatch(r"error: check-dims: overflow encountered in \w+; no CSV written\n", capsys.readouterr().err)
+
+    def test_refusal_keeps_its_code_and_text(self, tmp_path, capsys, monkeypatch):
+        def handler(cfg):
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            raise ConfigError(["check-dims: refused"])
+
+        assert self.run(tmp_path, monkeypatch, handler) == 2
+        assert capsys.readouterr().err == "config error: check-dims: refused\n"
+
+    def test_other_warnings_still_shown(self, tmp_path, capsys, monkeypatch):
+        def handler(cfg):
+            warnings.warn("a user warning", UserWarning)
+            return ["x[natural]"], [(1.0,)], "written", []
+
+        with pytest.warns(UserWarning, match="a user warning"):
+            assert self.run(tmp_path, monkeypatch, handler) == 0
+        assert capsys.readouterr().out == "written\n"
+
+
 # Exit-code probe table: every command on configs at the edges of the
 # double range, run once through main(). parse_config and dispatch are
 # watched on the way: each either lets a CSV of finite floats be written
@@ -1216,12 +1268,12 @@ class TestNonFiniteRefused:
 # code pinned in the row for that command (in cli.COMMANDS order: jc-evolve,
 # jc-rabi, nr-reduce, loop-selfenergy, loop-vertex, loop-polarization,
 # report-counterterms, check-dims, oracle-verify), without a traceback,
-# and leaves no CSV on 2 or 3. Cases marked OVERFLOWS overflow a double
-# inside the computation by design.
-OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# and leaves no CSV on 2 or 3. An exit 3 prints one line, whatever numpy
+# warned on the way (the dx, vertex-q, polarization-q and s_max rows
+# overflow a double inside the computation by design), and a success none.
 PROBES = [
-    pytest.param("dipole.dx = 1e300", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e300", marks=OVERFLOWS),
-    pytest.param("dipole.dx = 1e160", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e160", marks=OVERFLOWS),
+    pytest.param("dipole.dx = 1e300", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e300"),
+    pytest.param("dipole.dx = 1e160", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e160"),
     pytest.param("atoms.m1 = 1e200\natoms.m2 = 1e200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e200"),
     pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e-200"),
     # lambda_2 = k^2/m2^2 reaches 1 at the top of the default nr.lambda_grid
@@ -1240,13 +1292,13 @@ PROBES = [
     pytest.param("cavity.volume = 1e-300", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="volume-1e-300"),
     pytest.param("cavity.z = 1e300", (0, 0, 0, 0, 0, 0, 0, 0, 0), id="z-1e300"),
     pytest.param("vertex.q0 = 1e300\nvertex.q1 = 1e300\nvertex.q2 = 1e300\nvertex.q3 = 1e300",
-                 (0, 0, 0, 0, 3, 0, 0, 0, 0), id="vertex-q-1e300", marks=OVERFLOWS),
+                 (0, 0, 0, 0, 3, 0, 0, 0, 0), id="vertex-q-1e300"),
     pytest.param("polarization.q0 = 1e300\npolarization.q1 = 1e300\n"
                  "polarization.q2 = 1e300\npolarization.q3 = 1e300",
-                 (0, 0, 0, 0, 0, 3, 0, 0, 0), id="polarization-q-1e300", marks=OVERFLOWS),
+                 (0, 0, 0, 0, 0, 3, 0, 0, 0), id="polarization-q-1e300"),
     pytest.param("polarization.q0 = 5", (0, 0, 0, 0, 0, 3, 0, 0, 0), id="polarization-q0-5"),
     pytest.param("selfenergy.s_max = -1", (0, 0, 0, 3, 0, 0, 0, 0, 0), id="s_max--1"),
-    pytest.param("selfenergy.s_max = 1e300", (0, 0, 0, 3, 0, 0, 0, 0, 0), id="s_max-1e300", marks=OVERFLOWS),
+    pytest.param("selfenergy.s_max = 1e300", (0, 0, 0, 3, 0, 0, 0, 0, 0), id="s_max-1e300"),
     pytest.param("jc.t_max = 1e300", (3, 0, 0, 0, 0, 0, 0, 0, 0), id="t_max-1e300"),
     pytest.param("jc.t_max = inf", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="t_max-inf"),
     pytest.param("jc.t_max = 5e-324", (2, 0, 0, 0, 0, 0, 0, 0, 0), id="t_max-5e-324"),
@@ -1311,6 +1363,10 @@ def test_exit_code_probe(tmp_path, capsys, monkeypatch, text, codes, command):
     assert [exc for exc in raised if not isinstance(exc, DipoleLoopError)] == []
     assert code == codes[cli.COMMANDS.index(command)]
     assert "Traceback" not in err
+    if code == 3:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if code == 0:
+        assert err == ""
     csv_path = out / (command.replace("-", "_") + ".csv")
     if code in (2, 3):
         assert not csv_path.exists()
@@ -1372,7 +1428,6 @@ def _fuzz_config(draw):
     return "\n".join(draw(st.permutations(lines))) + "\n", lambda_grid
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(config=_fuzz_config(), command=st.sampled_from(cli.COMMANDS))
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_exit_code_contract(config, command):
@@ -1419,7 +1474,6 @@ def _fuzz_argv(draw):
     return [token for group in draw(st.permutations(groups)) for token in group]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @given(argv=_fuzz_argv())
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_argv_exit_codes(argv):

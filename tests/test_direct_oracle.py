@@ -186,7 +186,7 @@ def test_selfenergy_routing_surface_terms(alpha, p_abs):
     # level 1 has the level-2 mass in the loop; Sigma_I = 4 gamma^2 T_delta and
     # sigma_II_coeff = 4 T_pp on the shifted (documented) regulator
     res = self_energy(
-        1, p_sq, np.array([0.0, p_abs, 0.0, 0.0]), atoms, gamma,
+        1, p_sq, atoms, gamma,
         RegScheme(Lambda=lam, quad_tol=1e-12), path="exact",
     )
     shifted = (res.sigma_I / (4.0 * gsq), p_sq * res.sigma_II_coeff / 4.0)

@@ -118,7 +118,7 @@ class TestState:
         amp = np.zeros(10, dtype=complex)
         amp[0] = 0.9
         with pytest.raises(ValueError, match="norm"):
-            JCState(amp, 4)
+            JCState(amp)
 
     def test_basis_bounds(self):
         with pytest.raises(ValueError):
@@ -150,8 +150,8 @@ class TestRecords:
     def test_state_construction(self):
         amp = np.zeros(10)
         amp[3] = 1.0
-        for state in (JCState(amp, 4), JCState(n_max=4, amplitudes=amp)):
-            assert state.n_max == 4 and state.amplitudes.dtype == complex
+        for state in (JCState(amp), JCState(amplitudes=amp)):
+            assert state.amplitudes.dtype == complex and not hasattr(state, "n_max")
             assert np.array_equal(state.amplitudes, amp)
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 1.0
@@ -159,12 +159,15 @@ class TestRecords:
         assert state.amplitudes[3] == 1.0  # a copy
 
     @pytest.mark.parametrize("amp, message", [
-        (np.eye(1, 9, 0).ravel(), "amplitude vector has shape (9,), expected (10,)"),
+        (np.eye(1, 9, 0).ravel(), "amplitude vector has shape (9,), expected an even length of at least 4"),
         (0.9 * np.eye(1, 10, 0).ravel(), "state norm 0.9 deviates from 1 by more than 1e-12"),
+        (np.eye(1, 2, 0).ravel(), "amplitude vector has shape (2,), expected an even length of at least 4"),
+        (np.eye(1, 0).ravel(), "amplitude vector has shape (0,), expected an even length of at least 4"),
+        (np.eye(2, 2), "amplitude vector has shape (2, 2), expected an even length of at least 4"),
     ])
     def test_state_refusals(self, amp, message):
         with pytest.raises(ValueError) as info:
-            JCState(amp, 4)
+            JCState(amp)
         assert info.value.args == (message,)
 
     def test_result_positional_order(self):
@@ -240,6 +243,14 @@ class TestEvolution:
         with pytest.raises(TruncationError):
             evolve(state, p, 500.0, 1.0)
 
+    @pytest.mark.parametrize("n_max, size", [(10, 22), (6, 14)])
+    def test_state_from_another_truncation_refused(self, n_max, size):
+        # a longer state used to be re-indexed (|lower, 1> of n_max 10 read
+        # as |lower, 3> of n_max 8) and a shorter one to end in an IndexError
+        with pytest.raises(ValueError) as info:
+            evolve(JCState.basis("lower", 1, n_max), resonant(n_max=8), 10.0, 1.0)
+        assert info.value.args == (f"state has {size} amplitudes, expected dim = 18 for n_max = 8",)
+
     def test_time_validation(self):
         p = resonant()
         state = JCState.basis("upper", 0, p.n_max)
@@ -256,7 +267,7 @@ def _superposition(n_max):
     amp[n_max + 1 + 2] = 0.48j     # |lower, 2>, even
     amp[1] = -0.36 + 0.48j         # |upper, 1>, even
     amp[n_max + 1 + 4] = 0.2       # |lower, 4>, even
-    return JCState(amp / np.linalg.norm(amp), n_max)
+    return JCState(amp / np.linalg.norm(amp))
 
 
 # the cavity-scale benchmark's Hamiltonian (seed 0, rounded) and initial state |upper, 40>

@@ -159,7 +159,7 @@ def symmetric_moments_sequential(n_samples, seed):
                 z_diag = max(z_diag, z)
             else:
                 z_off = max(z_off, z)
-    return {"max_offdiag_z": float(z_off), "max_diag_z": float(z_diag), "n_samples": n_samples}
+    return {"max_offdiag_z": float(z_off), "max_diag_z": float(z_diag)}
 
 
 def _two_product(a, b):
@@ -275,7 +275,7 @@ class TestMeasureOracles:
         # loop; the z rows may differ by oracle-verify's 1e-11 absolute
         fast = symmetric_integration_check(n_samples, seed)
         slow = symmetric_moments_sequential(n_samples, seed)
-        assert fast["n_samples"] == slow["n_samples"] == n_samples
+        assert fast.keys() == slow.keys() == {"max_offdiag_z", "max_diag_z"}
         for key in ("max_offdiag_z", "max_diag_z"):
             assert fast[key] == pytest.approx(slow[key], rel=0.0, abs=1e-11)
 

@@ -9,9 +9,9 @@ from dipole_loop.core import AtomPair
 from dipole_loop.errors import KinematicDomainError
 from dipole_loop.nr import (
     EPS_BAR,
-    SmallParams,
     assemble_mode_hamiltonian,
     decoupling_residual,
+    lambda_max,
     reduced_block_error,
     similarity_transform,
 )
@@ -51,16 +51,24 @@ class TestAssembly:
             assert block[0, 1] == block[1, 0] == pytest.approx(coupling)
 
     def test_small_params(self):
-        sp = SmallParams.from_inputs(0.1, 1e-3, ATOMS)
-        assert sp.lambda1 == pytest.approx(0.01)
-        assert sp.lambda2 == pytest.approx(0.01 / 0.95**2)
-        assert sp.lambda3 == pytest.approx(1e-3 / (ATOMS.m_bar * np.sqrt(ATOMS.m1 * ATOMS.m2)))
-        assert sp.max == max(sp.lambda1, sp.lambda2, sp.lambda3)
+        # lambda_2 = k^2/m2^2 is the largest at k = 0.1, gamma.F = 1e-3
+        assert lambda_max(0.1, 1e-3, ATOMS) == pytest.approx(0.01 / 0.95**2)
+        # lambda_3 = |gamma.F|/(m_bar sqrt(m1 m2)) at k = 0.01
+        assert lambda_max(0.01, -1e-3, ATOMS) == pytest.approx(1e-3 / (ATOMS.m_bar * np.sqrt(ATOMS.m1 * ATOMS.m2)))
 
     def test_small_params_stack(self):
-        lam = SmallParams.from_inputs(K_STACK, F_STACK, ATOMS).max
-        expect = [SmallParams.from_inputs(k, f, ATOMS).max for k, f in zip(K_STACK, F_STACK)]
+        lam = lambda_max(K_STACK, F_STACK, ATOMS)
+        expect = [lambda_max(k, f, ATOMS) for k, f in zip(K_STACK, F_STACK)]
         assert np.array_equal(lam, expect)
+
+    @pytest.mark.parametrize("atoms", [ATOMS, AtomPair(m1=1.0, m2=1.0), AtomPair(m1=3.7, m2=0.2)])
+    def test_lambda_max_is_max_of_three_bit_for_bit(self, atoms):
+        # the largest of lambda_1 = k^2/m1^2, lambda_2 = k^2/m2^2 and
+        # lambda_3 = |gamma.F|/(m_bar sqrt(m1 m2)), each rounded on its own
+        k, f = np.meshgrid(np.geomspace(1e-6, 3.0, 41), np.concatenate([-np.geomspace(1e-8, 2.0, 20), [0.0],
+                                                                        np.geomspace(1e-8, 2.0, 20)]))
+        three = np.stack([k**2 / atoms.m1**2, k**2 / atoms.m2**2, np.abs(f) / (atoms.m_bar * np.sqrt(atoms.m1 * atoms.m2))])
+        assert np.array_equal(lambda_max(k, f, atoms), three.max(axis=0))
 
 
 class TestGenerator:
@@ -76,14 +84,13 @@ class TestGenerator:
     def test_generator_split(self):
         k, gdotF = 0.05, 2e-4
         Lam = build_lambda(k, gdotF, ATOMS)
-        sp = SmallParams.from_inputs(k, gdotF, ATOMS)
         block = Lam[:2, 2:] / 1j
         assert np.array_equal(Lam[2:, :2], Lam[:2, 2:])
         assert not Lam[:2, :2].any() and not Lam[2:, 2:].any()
         # kinetic part on the level diagonal: -(1/4) k^2/m_a^2, no level mixing
-        assert np.allclose(np.diag(block), -0.25 * np.array([sp.lambda1, sp.lambda2]))
+        assert np.allclose(np.diag(block), -0.25 * np.array([k**2 / ATOMS.m1**2, k**2 / ATOMS.m2**2]))
         # field part purely off-diagonal in the level index: -(1/4) lambda3
-        assert np.allclose([block[0, 1], block[1, 0]], -0.25 * sp.lambda3)
+        assert np.allclose([block[0, 1], block[1, 0]], -0.25 * gdotF / (ATOMS.m_bar * np.sqrt(ATOMS.m1 * ATOMS.m2)))
 
 
 class TestTransform:
@@ -139,7 +146,7 @@ class TestTransform:
     def test_reduced_block_matches_reference(self):
         k, gdotF = 0.03, 1e-4
         out = reduced_block_error(k, gdotF, ATOMS)
-        lam = SmallParams.from_inputs(k, gdotF, ATOMS).max
+        lam = lambda_max(k, gdotF, ATOMS)
         assert out["error"] <= lam**2 * out["h_norm"]
 
     def test_zero_coupling_already_block_diagonal(self):
@@ -184,7 +191,7 @@ def _mp_truth(k, gdotF, atoms):
     working precision grows with |log10 lambda|; at 60 fixed digits the
     error column's truth is itself off by 32% at lambda = 1e-40.
     """
-    lam = SmallParams.from_inputs(k, gdotF, atoms).max
+    lam = lambda_max(k, gdotF, atoms)
     with mpmath.workdps(int(2.2 * abs(np.log10(lam))) + 30):
         m1, m2 = mpmath.mpf(atoms.m1), mpmath.mpf(atoms.m2)
         k2, c = mpmath.mpf(k) ** 2, mpmath.mpf(gdotF) / (2 * mpmath.sqrt(m1 * m2))

@@ -117,7 +117,7 @@ class TestVertex:
     @pytest.mark.parametrize("q", [(0.25, 0.25), (0.5, 0.1), (0.0, 0.3)])
     def test_matches_dblquad(self, lam, symmetric, q):
         q = np.array([q[0], q[1], 0.0, 0.0])
-        v = vertex_one_loop(P_PRIME - q, P_PRIME, q, SPLIT, GAMMA, reg(lam), symmetric_masses=symmetric)
+        v = vertex_one_loop(P_PRIME, q, SPLIT, GAMMA, reg(lam), symmetric_masses=symmetric)
         m2_sq, delta = (SPLIT.M2, 0.0) if symmetric else (SPLIT.m2**2, SPLIT.delta)
         J, K = oracle_vertex(v["q_sq"], m2_sq, delta, lam)
         assert [v["J"], v["K0"], v["K1"], v["K2"]] == pytest.approx([J, *K], rel=REL)
@@ -128,7 +128,7 @@ class TestVertex:
         # at y = 1/2 when q^2 = -4 M^2
         q0 = np.sqrt(frac * 4.0 * SPLIT.M2)
         q = np.array([q0, 0.0, 0.0, 0.0])
-        v = vertex_one_loop(P_PRIME - q, P_PRIME, q, SPLIT, GAMMA, reg(100.0))
+        v = vertex_one_loop(P_PRIME, q, SPLIT, GAMMA, reg(100.0))
         J, K = oracle_vertex(v["q_sq"], SPLIT.M2, 0.0, 100.0)
         assert [v["J"], v["K0"], v["K1"], v["K2"]] == pytest.approx([J, *K], rel=REL)
 
@@ -138,7 +138,7 @@ class TestVertex:
         # there, and the rule could not reach quad_tol 1e-12
         threshold = 4.0 * SPLIT.M2 if symmetric else (SPLIT.m1 + SPLIT.m2) ** 2
         q = np.array([np.sqrt(0.999999 * threshold), 0.0, 0.0, 0.0])
-        v = vertex_one_loop(P_PRIME - q, P_PRIME, q, SPLIT, GAMMA, reg(100.0), symmetric_masses=symmetric)
+        v = vertex_one_loop(P_PRIME, q, SPLIT, GAMMA, reg(100.0), symmetric_masses=symmetric)
         m2_sq, delta = (SPLIT.M2, 0.0) if symmetric else (SPLIT.m2**2, SPLIT.delta)
         J, K = oracle_vertex(v["q_sq"], m2_sq, delta, 100.0)
         assert [v["J"], v["K0"], v["K1"], v["K2"]] == pytest.approx([J, *K], rel=REL)
@@ -148,7 +148,7 @@ class TestVertex:
         # the central nodes of a 32-node rule; the exact minimum sees it
         q = np.array([np.sqrt(1.0001 * 4.0 * SPLIT.M2), 0.0, 0.0, 0.0])
         with pytest.raises(KinematicDomainError, match="threshold"):
-            vertex_one_loop(P_PRIME - q, P_PRIME, q, SPLIT, GAMMA, reg(100.0))
+            vertex_one_loop(P_PRIME, q, SPLIT, GAMMA, reg(100.0))
 
     def test_closed_forms(self):
         # the u = x^2 integrals the vertex uses, against sympy
