@@ -449,12 +449,10 @@ def _jc_params(cfg: Mapping, Omega: float | None = None):
     """The jc.JCParams of the config's cavity mode and atoms."""
     from . import jc as jcmod
     atoms = cfg["atoms"]
-    g = jcmod.rabi_coupling(_gamma(cfg), cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"], atoms)
+    g = jcmod.rabi_coupling(cfg["dipole.dx"], cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"])
     if not math.isfinite(g):
-        raise ConfigError([
-            f"coupling g is {g!r} in natural units; it is built from dipole.dx, atoms.m1, atoms.m2, "
-            "cavity.omega, cavity.volume and cavity.z"
-        ])
+        raise ConfigError([f"coupling g is {g!r} in natural units; it is built from dipole.dx, cavity.omega, "
+                           "cavity.volume and cavity.z"])
     return jcmod.JCParams(
         g=g,
         omega12=atoms.omega12,
@@ -498,7 +496,11 @@ def _cmd_jc_rabi(cfg: Mapping):
     atoms = cfg["atoms"]
     if atoms.omega12 <= 0:
         raise ConfigError(["jc-rabi: needs atoms.m1 > atoms.m2 (resonance tunes the mode to omega12)"])
-    params = _jc_params(cfg, Omega=atoms.omega12)  # exact resonance
+    # Tuned to resonance, Omega = omega12, but g stays the configured mode's,
+    # at cavity.omega and cavity.z (by default its antinode). Both period
+    # columns use this g, so rel_err holds; the tuned cavity's g would be
+    # sqrt(omega12 / Omega) sin(omega12 z) / sin(Omega z) times this one.
+    params = _jc_params(cfg, Omega=atoms.omega12)
     if abs(params.g) < 1e-300:
         raise ConfigError(["jc-rabi: coupling g vanishes (dipole zero or node of the mode)"])
 

@@ -32,7 +32,7 @@ import functools
 
 import numpy as np
 
-from .core import AtomPair, DipoleTensor, _Frozen
+from .core import _Frozen
 from .errors import DynamicsError, TruncationError
 
 __all__ = [
@@ -103,15 +103,14 @@ class JCState(_Frozen):
         return cls(amp)
 
 
-def rabi_coupling(gamma: DipoleTensor, Omega: float, V: float, z: float, atoms: AtomPair) -> float:
-    """Rabi coupling g = -gamma_x sqrt(Omega / V) sin(K z) / sqrt(m1 m2).
+def rabi_coupling(d_x: float, Omega: float, V: float, z: float) -> float:
+    """Rabi coupling g = -d_x sqrt(Omega / V) sin(K z).
 
     The mode has K = Omega (c = 1) and field per photon sqrt(Omega / V) in
-    volume V; z is the atom's position. gamma_x is the electric dipole
-    component along the polarization (taken as the first spatial axis).
+    volume V; z is the atom's position. d_x is the electric dipole moment
+    along the polarization (taken as the first spatial axis).
     """
-    gamma_x = gamma.components[0, 1]
-    return float(-gamma_x * np.sqrt(Omega / V) * np.sin(Omega * z) / np.sqrt(atoms.m1 * atoms.m2))
+    return float(-d_x * np.sqrt(Omega / V) * np.sin(Omega * z))
 
 
 def rabi_period(g: float, n: int) -> float:

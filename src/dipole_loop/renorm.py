@@ -331,39 +331,34 @@ def wavefunction_Z(
     """Extract the wavefunction factor from the subtracted self-energy.
 
     Fits Sigma(p^2) - Sigma(-m^2) = s * f on a one-sided grid of
-    Z_GRID_POINTS offsets s = p^2 + m^2 in [0, Z_S_MAX_FRAC * M^2]. The scalar
-    part of f comes from the I_A integrals, the tensor part (coefficient
-    of gamma^2_{tau lambda} p^tau p^lambda) from the I_E integrals. The
-    fit is rejected if the rounding of the integrals, or the curvature
-    residual, exceeds Z_CURVATURE_LIMIT of the spread or of the slope.
+    Z_GRID_POINTS offsets s = p^2 + m^2 in [0, Z_S_MAX_FRAC * M^2], all
+    from one self_energy call, returned under "self_energy" (its first
+    point is on the mass shell). f's scalar part is the slope of sigma_I,
+    its tensor part that of sigma_II_coeff. The fit is rejected if a
+    part's rounding, or the curvature residual, exceeds Z_CURVATURE_LIMIT
+    of its spread or of the slope.
     """
-    atoms.require_small_b()
-    gsq = contractions(gamma)["gamma_sq"]
     s_grid = np.linspace(0.0, Z_S_MAX_FRAC * atoms.M2, Z_GRID_POINTS)
-    int_a, int_e = _sigma_integrals_expansion(s_grid, level, atoms, reg, b_order)
-    sub_a = gsq * (int_a - int_a[0])
-    sub_e = 4.0 * (int_e - int_e[0])
-    # each difference carries about eps |int| of rounding; int_a grows as
-    # Lambda^2 while its spread over the s grid does not
-    for ints in (int_a, int_e):
-        spread = float(np.max(np.abs(ints - ints[0])))
-        rounding = np.finfo(float).eps * float(np.max(np.abs(ints))) / spread if spread > 0 else np.inf
-        if not rounding <= Z_CURVATURE_LIMIT:
+    sigma = self_energy(level, s_grid - atoms.mass(level) ** 2, atoms, gamma, reg, b_order=b_order)
+    fits = []
+    for part in (sigma.sigma_I, sigma.sigma_II_coeff):
+        # offset 0 shares the on-shell row, so the difference starts at
+        # exactly 0. It carries about eps |Sigma| of rounding; Sigma grows as
+        # Lambda^2 while its spread over the s grid does not. A part whose
+        # rounding is 0 (no dipole, or one so small it underflows) loses
+        # nothing; a NaN spread (gamma^2 overflowed) is left to the row check
+        sub = part - part[0]
+        rounding, spread = np.finfo(float).eps * float(np.max(np.abs(part))), float(np.max(np.abs(sub)))
+        if rounding > Z_CURVATURE_LIMIT * spread:
             raise FitError(
-                f"Sigma(s) - Sigma(-m^2) over the s grid is lost to rounding ({rounding:.3e} of its spread); "
-                f"the cutoff Lambda = {reg.Lambda:.6g} is too large for this fit"
+                f"Sigma(s) - Sigma(-m^2) over the s grid is lost to rounding ({rounding / spread if spread else np.inf:.3e} "
+                f"of its spread); the cutoff Lambda = {reg.Lambda:.6g} is too large for this fit"
             )
-
-    def fit_through_origin(y):
-        denom = float(s_grid @ s_grid)
-        slope = float(s_grid @ y) / denom
-        resid = y - slope * s_grid
+        # a line through the origin, and its largest residual against the slope
+        slope = float(s_grid @ sub) / float(s_grid @ s_grid)
         scale = abs(slope) * s_grid[-1]
-        curvature = float(np.max(np.abs(resid))) / scale if scale > 0 else 0.0
-        return slope, curvature
-
-    f_scalar, curv_scalar = fit_through_origin(sub_a)
-    f_tensor, curv_tensor = fit_through_origin(sub_e)
+        fits.append((slope, float(np.max(np.abs(sub - slope * s_grid))) / scale if scale > 0 else 0.0))
+    (f_scalar, curv_scalar), (f_tensor, curv_tensor) = fits
     curvature = max(curv_scalar, curv_tensor)
     if not curvature <= Z_CURVATURE_LIMIT:
         raise FitError(
@@ -376,6 +371,7 @@ def wavefunction_Z(
         "f_tensor_coeff": f_tensor,
         "curvature_residual": curvature,
         "s_grid": s_grid,
+        "self_energy": sigma,
     }
 
 
@@ -609,23 +605,24 @@ def counterterm_report(
 
     The mass shifts Delta m^2 = Sigma(-m^2) (contracted at rest on the
     mass shell) and the Z factors renormalize operators already in the
-    action ("original"). Two genuinely new structures are induced at one
-    loop ("induced"): F_F, (1/4) gamma^{lam mu} gamma^{tau nu} F_{lam mu}
+    action ("original"); both come from wavefunction_Z's one self_energy
+    call per level. Two genuinely new structures are induced at one loop
+    ("induced"): F_F, (1/4) gamma^{lam mu} gamma^{tau nu} F_{lam mu}
     F_{tau nu} (from the polarization), and dphi_dphi, gamma^2_{mu nu}
     d^mu phi d^nu phi (from the self-energy tensor part); their
     coefficients are the corresponding divergent integrals.
     """
     rows = []
     for level in (1, 2):
-        shift = self_energy(level, -atoms.mass(level) ** 2, atoms, gamma, reg, b_order=b_order)
+        z = wavefunction_Z(level, atoms, gamma, reg, b_order=b_order)
+        shift = z["self_energy"]  # its first point is on the mass shell
         if level == 1:
             # induced d phi d phi operator: divergent coefficient of gamma^2_{mu nu} p^mu p^nu
-            induced_phi = shift.sigma_II_coeff
-        z = wavefunction_Z(level, atoms, gamma, reg, b_order=b_order)
+            induced_phi = shift.sigma_II_coeff[0]
         rows += [
-            (f"delta_m_sq.{level}.total", shift.total, "original"),
-            (f"delta_m_sq.{level}.scalar", shift.sigma_I, "original"),
-            (f"delta_m_sq.{level}.tensor", shift.sigma_II, "original"),
+            (f"delta_m_sq.{level}.total", shift.total[0], "original"),
+            (f"delta_m_sq.{level}.scalar", shift.sigma_I[0], "original"),
+            (f"delta_m_sq.{level}.tensor", shift.sigma_II[0], "original"),
             (f"Z_phi_inv.{level}.scalar", 1.0 + z["f_scalar"], "original"),
             (f"Z_phi_inv.{level}.tensor_coeff", z["f_tensor_coeff"], "original"),
         ]

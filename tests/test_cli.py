@@ -743,9 +743,10 @@ class TestRuleCount:
         # and its on-shell reference
         ("loop-selfenergy", "10:10000:24,log", 24),
         ("loop-selfenergy", None, 1),
-        # 2 mass shifts, 2 wavefunction fits, vertex, polarization and
-        # the 12-cutoff prefactor fit
-        ("report-counterterms", None, 18),
+        # 2 wavefunction fits (each level's mass shift is the on-shell
+        # point of its fit), vertex, polarization and the 12-cutoff
+        # prefactor fit
+        ("report-counterterms", None, 16),
     ])
     def test_rule_count(self, tmp_path, monkeypatch, command, grid, rules):
         calls = []
@@ -1325,6 +1326,10 @@ PROBES = [
                  id="masses-1e100-dx-1e300"),
     # the loop commands run without a dipole; the cavity commands need a coupling
     pytest.param("dipole.dx = 0", (2, 2, 0, 0, 0, 0, 0, 0, 0), id="dx-0"),
+    # gamma = d sqrt(m1 m2) underflows to 0, but g = -d sqrt(Omega / V) sin(K z)
+    # does not: the cavity commands reach the phase-precision refusal
+    pytest.param("atoms.m1 = 1e-150\natoms.m2 = 0.9e-150\ndipole.dx = 1e-175", (3, 3, 0, 3, 0, 3, 3, 0, 0),
+                 id="masses-1e-150-dx-1e-175"),
 ]
 
 

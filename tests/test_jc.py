@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipole_loop import jc
-from dipole_loop.core import AtomPair, dipole_from_moment
 from dipole_loop.errors import DynamicsError, TruncationError
 from dipole_loop.jc import (
     JCParams,
@@ -36,19 +35,38 @@ def resonant(g=0.002, omega12=0.05, n_max=8, rwa=True, leak_threshold=1e-8):
 
 class TestCoupling:
     def test_antinode_value(self):
-        atoms = AtomPair(m1=1.0, m2=0.95)
-        gamma = dipole_from_moment(np.array([0.01, 0.0, 0.0]), atoms)
         omega = 0.05
-        g = rabi_coupling(gamma, omega, 2.0, np.pi / (2 * omega), atoms)
-        # g = -gamma_x sqrt(Omega/V) sin(K z) / sqrt(m1 m2), K = Omega
-        expect = -0.01 * np.sqrt(atoms.m1 * atoms.m2) * np.sqrt(omega / 2.0) / np.sqrt(atoms.m1 * atoms.m2)
+        g = rabi_coupling(0.01, omega, 2.0, np.pi / (2 * omega))
+        # g = -d_x sqrt(Omega/V) sin(K z), K = Omega
+        expect = -0.01 * np.sqrt(omega / 2.0)
         assert g == pytest.approx(expect, rel=1e-12)
 
     def test_node_kills_coupling(self):
-        atoms = AtomPair(m1=1.0, m2=0.95)
-        gamma = dipole_from_moment(np.array([0.01, 0.0, 0.0]), atoms)
         omega = 0.05
-        assert rabi_coupling(gamma, omega, 1.0, np.pi / omega, atoms) == pytest.approx(0.0, abs=1e-15)  # sin(pi) = 0
+        assert rabi_coupling(0.01, omega, 1.0, np.pi / omega) == pytest.approx(0.0, abs=1e-15)  # sin(pi) = 0
+
+    @pytest.mark.parametrize("d_x, omega, volume, z", [
+        (0.01, 0.05, 1.0, np.pi / (2 * 0.05)),  # the defaults: the mode's antinode
+        (0.0117, 0.0537, 3.7, 12.3),
+        (-0.0083, 0.0461, 0.25, 40.0),
+        (0.01, 1e-4, 1e6, 1.0),
+        # the dipole moment alone sets g: no sqrt(m1 m2) is multiplied in and
+        # divided out again, so a moment whose gamma = d sqrt(m1 m2) would be
+        # subnormal (or 0) at masses near 1e-150 keeps every digit
+        (1e-168, 0.05, 1.0, np.pi / (2 * 0.05)),
+        (1e-175, 0.05, 1.0, np.pi / (2 * 0.05)),
+    ])
+    def test_matches_mpmath(self, d_x, omega, volume, z):
+        # 40-digit -d_x sqrt(Omega / V) sin(Omega z) of the same float inputs.
+        # Bound, fixed beforehand: 4 eps of g, plus 4 eps of the argument
+        # Omega z carried through sin's slope
+        g = rabi_coupling(d_x, omega, volume, z)
+        with mpmath.workdps(40):
+            amp = -mpmath.mpf(d_x) * mpmath.sqrt(mpmath.mpf(omega) / volume)
+            arg = mpmath.mpf(omega) * z
+            truth = amp * mpmath.sin(arg)
+            bound = 4 * np.finfo(float).eps * (abs(truth) + abs(amp * arg * mpmath.cos(arg)))
+        assert abs(g - truth) <= bound
 
 
 class TestHamiltonian:

@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dipole_loop import nr
-from dipole_loop.core import AtomPair
+from dipole_loop import cli, jc, nr
+from dipole_loop.core import AtomPair, dipole_from_moment
 from dipole_loop.errors import KinematicDomainError
 from dipole_loop.nr import (
     EPS_BAR,
@@ -232,6 +232,60 @@ class TestAgainstMpmath:
         # far outside lambda_max < 1 the series does not settle in its cap of terms
         with pytest.raises(KinematicDomainError, match="not converged"):
             decoupling_residual(10.0, 0.0, ATOMS)
+
+
+class TestJaynesCummingsBlock:
+    """The NR reduction's upper block is the Jaynes-Cummings block of the cavity mode.
+
+    The field n photons put on the atom, sign included. jc's mode has K =
+    Omega (c = 1), polarization along x and field per photon sqrt(Omega / V)
+    at the atom's z: E_x = sqrt(Omega / V) sin(K z) (a + a^dag). The dipole
+    energy -d.E = -d_x (sigma_+ + sigma_-) E_x keeps sigma_+ a + a^dag sigma_-
+    under the RWA with coefficient g = -d_x sqrt(Omega / V) sin(K z), which
+    is jc.rabi_coupling. Between |upper, n> and |lower, n+1> the field's
+    matrix element is E_n = <n| E_x |n+1> = sqrt(Omega / V) sin(K z)
+    sqrt(n+1), so the JC block's off-diagonal is -d_x E_n = g sqrt(n+1).
+
+    nr takes the field as gamma.F = gamma^{mu nu} F_{mu nu}. With signature
+    (-,+,+,+), A_0 = -phi and E = -grad phi - d_t A, the field tensor has
+    F_{0i} = d_t A_i - d_i A_0 = -E_i. With gamma^{0i} = d_i sqrt(m1 m2),
+    gamma.F = 2 gamma^{0i} F_{0i} = -2 sqrt(m1 m2) d.E, and B's off-diagonal
+    gamma.F / (2 sqrt(m1 m2)) is -d.E, the same dipole energy. So n photons
+    put F_{0x} = -E_n, F_{x0} = +E_n on the atom, gamma.F = 2 sqrt(m1 m2)
+    g sqrt(n+1), and lambda_3 = |gamma.F| / (m_bar sqrt(m1 m2)) = 2 |g|
+    sqrt(n+1) / m_bar. The atom's wavenumber is the mode's, k = K = Omega.
+
+    Bounds, fixed beforehand: B against the JC block to 4 eps of the entry
+    (or, for the splitting, of the rest masses it is taken from), lambda_3
+    to 4 eps, and the decoupled block's error to lambda_max^2 |H|, as
+    acceptance check 8 holds it.
+    """
+
+    @pytest.mark.parametrize("source", ["default", "cavity-scale-0"])
+    def test_upper_block_is_the_jc_block(self, workloads, source):
+        cavity_scale = workloads.config_text(workloads.generate("cavity-scale", 0))
+        cfg = cli._physics(cli.parse_config("" if source == "default" else cavity_scale))
+        atoms, omega, volume, z = cfg["atoms"], cfg["cavity.omega"], cfg["cavity.volume"], cfg["cavity.z"]
+        g = jc.rabi_coupling(cfg["dipole.dx"], omega, volume, z)
+        gamma = dipole_from_moment([cfg[key] for key in cli._DIPOLE], atoms)
+        eps = np.finfo(float).eps
+        for n in cli.parse_config(cavity_scale)["jc.n_list"]:
+            F = np.zeros((4, 4))
+            F[1, 0] = np.sqrt(omega / volume) * np.sin(omega * z) * np.sqrt(n + 1.0)  # E_n
+            F[0, 1] = -F[1, 0]
+            gdotF = float(np.sum(gamma.components * F))
+
+            B = assemble_mode_hamiltonian(omega, gdotF, atoms)[:2, :2]
+            coupling = g * np.sqrt(n + 1.0)
+            assert B[0, 1] == B[1, 0]
+            assert abs(B[0, 1] - coupling) <= 4 * eps * abs(coupling)
+            splitting = atoms.omega12 + (omega**2 / (2 * atoms.m1) - omega**2 / (2 * atoms.m2))
+            assert abs((B[0, 0] - B[1, 1]) - splitting) <= 4 * eps * max(atoms.m1, atoms.m2)
+
+            lam3 = 2 * abs(g) * np.sqrt(n + 1.0) / atoms.m_bar
+            assert abs(lambda_max(0.0, gdotF, atoms) - lam3) <= 4 * eps * lam3  # at k = 0, lambda_3 is the largest
+            res = decoupling_residual(omega, gdotF, atoms)
+            assert res["error"] <= res["lambda_max"] ** 2 * res["h_norm"]
 
 
 class TestConstants:

@@ -365,6 +365,25 @@ class TestMassShiftAndZ:
         assert out["f_tensor_coeff"] == pytest.approx(f_tensor, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("b_order", [0, 1])
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_z_refuses_unknown_level(self, level, b_order):
+        # the level goes through AtomPair.mass; at first order in b an unknown
+        # level used to take level 2's sign of the mass splitting
+        with pytest.raises(ValueError, match=f"level must be 1 or 2, got {level}"):
+            wavefunction_Z(level, SPLIT, gamma_for(SPLIT), REG, b_order=b_order)
+
+    @pytest.mark.parametrize("b_order", [0, 1])
+    def test_z_fits_its_self_energy(self, b_order):
+        # the slopes are fitted to the returned self_energy, whose first
+        # offset is the mass shell and shares the on-shell reference's row
+        out = wavefunction_Z(2, SPLIT, gamma_for(SPLIT), REG, b_order=b_order)
+        sigma = out["self_energy"]
+        assert sigma.total[0] == sigma.on_shell_value
+        s = out["s_grid"]
+        assert out["f_scalar"] == float(s @ (sigma.sigma_I - sigma.sigma_I[0])) / float(s @ s)
+        assert out["f_tensor_coeff"] == float(s @ (sigma.sigma_II_coeff - sigma.sigma_II_coeff[0])) / float(s @ s)
+
+    @pytest.mark.parametrize("b_order", [0, 1])
     def test_z_is_one_rule(self, monkeypatch, b_order):
         calls = []
         rule = renorm._fixed_rule
@@ -561,6 +580,28 @@ class TestCounterterms:
         zero = counterterm_report(SPLIT, gamma_for(SPLIT, d=0.0), REG)
         assert zero.prefactor_measured == report.prefactor_measured
         assert zero.prefactor_ratio_to_printed == report.prefactor_ratio_to_printed
+
+    def test_one_self_energy_call_per_level(self, monkeypatch):
+        # each level's mass shift is the on-shell point of its Z fit's self-energy
+        levels = []
+        compute = renorm.self_energy
+
+        def counting(level, *args, **kwargs):
+            levels.append(level)
+            return compute(level, *args, **kwargs)
+
+        monkeypatch.setattr(renorm, "self_energy", counting)
+        counterterm_report(SPLIT, gamma_for(SPLIT), REG)
+        assert levels == [1, 2]
+
+    def test_zero_dipole_still_fits(self, table):
+        # the scalar part is identically zero, which loses nothing to rounding;
+        # the tensor coefficient carries no gamma, so it does not move
+        zero = {name: value for name, value, _ in counterterm_report(SPLIT, gamma_for(SPLIT, d=0.0), REG).rows}
+        for level in (1, 2):
+            assert zero[f"delta_m_sq.{level}.total"] == 0.0
+            assert zero[f"Z_phi_inv.{level}.scalar"] == 1.0
+            assert zero[f"Z_phi_inv.{level}.tensor_coeff"] == table[f"Z_phi_inv.{level}.tensor_coeff"][0]
 
     def test_row_order(self, report):
         per_level = [
