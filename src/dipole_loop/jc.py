@@ -130,15 +130,12 @@ def build_hamiltonian(p: JCParams) -> np.ndarray:
     ns = np.arange(nb)
     H[ns, ns] = ns * p.Omega + 0.5 * p.omega12
     H[nb + ns, nb + ns] = ns * p.Omega - 0.5 * p.omega12
-    for n in range(p.n_max):
-        c = p.g * np.sqrt(n + 1.0)
-        # sigma_+ a : |lower, n+1> -> |upper, n>
-        H[n, nb + n + 1] = c
-        H[nb + n + 1, n] = c
-        if not p.rwa:
-            # sigma_+ a^dag : |lower, n> -> |upper, n+1>
-            H[n + 1, nb + n] = c
-            H[nb + n, n + 1] = c
+    n, c = ns[:-1], p.g * np.sqrt(ns[1:])
+    # sigma_+ a : |lower, n+1> -> |upper, n>
+    H[n, nb + n + 1] = H[nb + n + 1, n] = c
+    if not p.rwa:
+        # sigma_+ a^dag : |lower, n> -> |upper, n+1>
+        H[n + 1, nb + n] = H[nb + n, n + 1] = c
     return H
 
 

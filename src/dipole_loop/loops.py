@@ -101,14 +101,13 @@ def _tanh_sinh_integral(rule_sum, tol: float, what: str) -> float:
     levels agree within tol relative; raise QuadratureError past h = 2^-8."""
     if tol < sys.float_info.epsilon:
         raise QuadratureError(f"{what} cannot reach {tol:.2e} relative in double precision")
-    h = 0.5
-    prev = rule_sum(*_tanh_sinh(h))
-    while h > 2.0**-8:
-        h /= 2.0
-        value = rule_sum(*_tanh_sinh(h))
-        change = abs(value - prev)
-        if change <= tol * abs(value):
-            return float(value)
+    prev = None
+    for k in range(1, 9):
+        value = rule_sum(*_tanh_sinh(2.0**-k))
+        if prev is not None:
+            change = abs(value - prev)
+            if change <= tol * abs(value):
+                return float(value)
         prev = value
     raise QuadratureError(f"{what} did not reach {tol:.2e} relative by step 2^-8 (last change {change:.2e})")
 

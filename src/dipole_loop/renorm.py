@@ -97,73 +97,61 @@ _RULE_CAP = 1024
 # rule size in turn, so rule n starts at column n - 32. The file holds
 # numpy's rules bit for bit; it was written by
 #   np.save(path, np.concatenate([np.stack(leggauss(32 << k)) for k in range(6)], axis=1))
-# with leggauss from numpy.polynomial.legendre.
+# with leggauss from numpy.polynomial.legendre. _rule builds a rule from
+# it once per size and grading point and keeps it.
 _LEGGAUSS = np.load(os.path.join(os.path.dirname(__file__), "_leggauss.npy"))
 _LEGGAUSS.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=None)
-def _graded_rule(n: int):
-    """n-node Gauss-Legendre rule in t on [0, 1], mapped to u = t^2."""
-    t, w = _LEGGAUSS[:, n - _RULE_START:2 * n - _RULE_START]
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    u, w = t * t, 2.0 * t * w
-    u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
-
-
+@functools.lru_cache(maxsize=32)
 def _rule(n: int, at: float):
     """Nodes and weights on [0, 1], graded quadratically towards x = at.
 
-    Each side of `at` gets the n-node graded rule, so nodes cluster where
-    a Feynman-parameter scale is smallest and the integrand has its log
-    or near-pole there.
+    Each side of `at` gets the n-node Gauss-Legendre rule in t on [0, 1]
+    mapped to u = t^2, so nodes cluster where a Feynman-parameter scale is
+    smallest and the integrand has its log or near-pole there. Built once
+    per size and grading point; the cached arrays are read-only.
     """
-    u, w = _graded_rule(n)
+    t, w = _LEGGAUSS[:, n - _RULE_START:2 * n - _RULE_START]
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    u, w = t * t, 2.0 * t * w
     sides = [length for length in (-at, 1.0 - at) if length != 0.0]
-    return (
-        np.concatenate([at + length * u for length in sides]),
-        np.concatenate([abs(length) * w for length in sides]),
-    )
+    x = np.concatenate([at + length * u for length in sides])
+    w = np.concatenate([abs(length) * w for length in sides])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _fixed_rule(f, tol: float, at: float = 0.0) -> np.ndarray:
     """Integrals over [0, 1] of the rows of f(x), by rule doubling.
 
     f maps the node array to an array of shape (k, n) (or (n,) for one
-    integrand); nodes are graded towards x = at. Each row is accepted
-    when the rules of n and 2n nodes agree within tol times its L1 norm
-    sum w |f|, which keeps integrands that change sign from failing on a
-    small net value. A tol below double-precision epsilon is refused
+    integrand); nodes are graded towards x = at, with n = 32, 64, ..., 1024
+    per side, each rule built once per size and grading point. Each row is
+    accepted when the rules of n and 2n nodes agree within tol times its
+    L1 norm sum w |f|, which keeps integrands that change sign from failing
+    on a small net value. A tol below double-precision epsilon is refused
     before f is called, and a non-finite rule value as soon as it appears.
     """
     if tol < np.finfo(float).eps:
         raise QuadratureError(f"Feynman-parameter rule cannot reach requested {tol:.2e} relative in double precision")
-    x, w = _rule(_RULE_START, at)
-    prev = _finite_rule_value(f(x) @ w, _RULE_START)
-    n = _RULE_START
-    while n < _RULE_CAP:
-        n *= 2
+    n, prev = _RULE_START, None
+    while n <= _RULE_CAP:
         x, w = _rule(n, at)
         vals = f(x)
-        cur = _finite_rule_value(vals @ w, n)
-        change = np.abs(cur - prev) / np.maximum(np.abs(vals) @ w, np.finfo(float).tiny)
-        if np.all(change <= tol):
-            return cur
-        prev = cur
+        cur = vals @ w
+        bad = np.extract(~np.isfinite(cur), cur)
+        if bad.size:
+            raise QuadratureError(f"Feynman-parameter rule value is {float(bad[0])} at {n} nodes per side")
+        if prev is not None:
+            change = np.abs(cur - prev) / np.maximum(np.abs(vals) @ w, np.finfo(float).tiny)
+            if np.all(change <= tol):
+                return cur
+        n, prev = 2 * n, cur
     raise QuadratureError(
         f"Feynman-parameter rule reached {float(np.max(change)):.2e} relative at {_RULE_CAP} "
         f"nodes, requested {tol:.2e}"
     )
-
-
-def _finite_rule_value(value: np.ndarray, n: int) -> np.ndarray:
-    """value, or QuadratureError naming its first non-finite entry."""
-    bad = np.extract(~np.isfinite(value), value)
-    if bad.size:
-        raise QuadratureError(f"Feynman-parameter rule value is {float(bad[0])} at {n} nodes per side")
-    return value
 
 
 def _quadratic_min(c0: float, c1: float, c2: float) -> tuple:
@@ -348,23 +336,33 @@ def wavefunction_Z(
         # rounding is 0 (no dipole, or one so small it underflows) loses
         # nothing; a NaN spread (gamma^2 overflowed) is left to the row check
         sub = part - part[0]
-        rounding, spread = np.finfo(float).eps * float(np.max(np.abs(part))), float(np.max(np.abs(sub)))
+        largest, spread = float(np.max(np.abs(part))), float(np.max(np.abs(sub)))
+        rounding = np.finfo(float).eps * largest
+        # sigma_I is gamma^2 times the I_A integral. Where it is subnormal its
+        # rounding guard underflows, and its differences are a count of the
+        # smallest double's quanta: a check that fails there says so
+        why = part is sigma.sigma_I and largest < np.finfo(float).tiny and (
+            f"gamma^2 int I_A is subnormal (at most {largest:.3g}), so Sigma(s) - Sigma(-m^2) over the "
+            f"s grid holds only {spread / np.finfo(float).smallest_subnormal:.3g} quanta of the smallest double"
+        )
         if rounding > Z_CURVATURE_LIMIT * spread:
-            raise FitError(
+            raise FitError(why or (
                 f"Sigma(s) - Sigma(-m^2) over the s grid is lost to rounding ({rounding / spread if spread else np.inf:.3e} "
                 f"of its spread); the cutoff Lambda = {reg.Lambda:.6g} is too large for this fit"
-            )
+            ))
         # a line through the origin, and its largest residual against the slope
         slope = float(s_grid @ sub) / float(s_grid @ s_grid)
         scale = abs(slope) * s_grid[-1]
-        fits.append((slope, float(np.max(np.abs(sub - slope * s_grid))) / scale if scale > 0 else 0.0))
-    (f_scalar, curv_scalar), (f_tensor, curv_tensor) = fits
+        fits.append((slope, float(np.max(np.abs(sub - slope * s_grid))) / scale if scale > 0 else 0.0, why))
+    (f_scalar, curv_scalar, why), (f_tensor, curv_tensor, _) = fits
     curvature = max(curv_scalar, curv_tensor)
     if not curvature <= Z_CURVATURE_LIMIT:
         raise FitError(
-            f"curvature residual {curvature:.3e} exceeds {Z_CURVATURE_LIMIT:.0e} of the slope: the fixed "
-            f"s grid [0, {Z_S_MAX_FRAC:.0e} M^2] is not small against Lambda^2 = {reg.Lambda**2:.3g} or "
-            f"against the mass splitting delta = m1^2 - m2^2 = {atoms.delta:.3g}"
+            f"curvature residual {curvature:.3e} exceeds {Z_CURVATURE_LIMIT:.0e} of the slope: "
+            + (why if why and not curv_scalar <= Z_CURVATURE_LIMIT else (
+                f"the fixed s grid [0, {Z_S_MAX_FRAC:.0e} M^2] is not small against Lambda^2 = {reg.Lambda**2:.3g} "
+                f"or against the mass splitting delta = m1^2 - m2^2 = {atoms.delta:.3g}"
+            ))
         )
     return {
         "f_scalar": f_scalar,

@@ -763,6 +763,17 @@ class TestRuleCount:
         assert cli.main(argv) == 0
         assert len(calls) == rules
 
+    def test_loop_vertex_builds_each_rule_once(self, tmp_path):
+        # all 24 cutoffs grade towards one point and converge at 64 nodes,
+        # so their 48 rules are the two (size, grading point) pairs, each
+        # built once and then read from renorm._rule's cache
+        renorm._rule.cache_clear()
+        argv = ["loop-vertex", "--config", write_conf(tmp_path, ""), "--out", str(tmp_path),
+                "--lambda-grid", "10:10000:24,log"]
+        assert cli.main(argv) == 0
+        info = renorm._rule.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 46, 2)
+
 
 class TestTransformCount:
     @pytest.mark.parametrize("grid", [None, "1e-4:1e-2:200,log"])
@@ -905,6 +916,21 @@ class TestCountertermCutoff:
         err = capsys.readouterr().err
         assert err.startswith("error: Sigma(s) - Sigma(-m^2) over the s grid is lost to rounding")
         assert "the cutoff Lambda = 1e+07 is too large for this fit" in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("dx", ["1e-158", "3e-158", "1e-157"])
+    def test_subnormal_gamma_sq_is_named(self, tmp_path, capsys, dx):
+        # gamma^2 ~ 1e-314 is subnormal: sigma_I's differences over the s grid
+        # hold some 1e3 to 1e5 quanta of the smallest double, and the line
+        # fitted through them curves; the refusal says so, not that the grid
+        # is too wide
+        conf = write_conf(tmp_path, f"dipole.dx = {dx}\n")
+        assert cli.main(["report-counterterms", "--config", conf, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: curvature residual \S+ exceeds 1e-03 of the slope: gamma\^2 int I_A is subnormal \(at most "
+            r"\S+\), so Sigma\(s\) - Sigma\(-m\^2\) over the s grid holds only \S+ quanta of the smallest double\n",
+            err)
         assert not any(tmp_path.glob("*.csv"))
 
     def test_large_cutoff_still_runs(self, tmp_path):
@@ -1330,6 +1356,15 @@ PROBES = [
     # does not: the cavity commands reach the phase-precision refusal
     pytest.param("atoms.m1 = 1e-150\natoms.m2 = 0.9e-150\ndipole.dx = 1e-175", (3, 3, 0, 3, 0, 3, 3, 0, 0),
                  id="masses-1e-150-dx-1e-175"),
+    # gamma^2 is subnormal from dipole.dx ~ 1e-154 down: the Z fit's differences
+    # round to 0 below 1e-159, hold too few quanta for a line from 1e-158 to
+    # 1e-157, and enough from 3e-157 on
+    pytest.param("dipole.dx = 1e-160", (3, 3, 0, 0, 0, 0, 0, 0, 0), id="dx-1e-160"),
+    pytest.param("dipole.dx = 1e-159", (3, 3, 0, 0, 0, 0, 0, 0, 0), id="dx-1e-159"),
+    pytest.param("dipole.dx = 1e-158", (3, 3, 0, 0, 0, 0, 3, 0, 0), id="dx-1e-158"),
+    pytest.param("dipole.dx = 3e-158", (3, 3, 0, 0, 0, 0, 3, 0, 0), id="dx-3e-158"),
+    pytest.param("dipole.dx = 1e-157", (3, 3, 0, 0, 0, 0, 3, 0, 0), id="dx-1e-157"),
+    pytest.param("dipole.dx = 3e-157", (3, 3, 0, 0, 0, 0, 0, 0, 0), id="dx-3e-157"),
 ]
 
 

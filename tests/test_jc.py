@@ -69,7 +69,32 @@ class TestCoupling:
         assert abs(g - truth) <= bound
 
 
+def _per_photon_hamiltonian(p):
+    """build_hamiltonian's matrix, its couplings set one photon number at a time."""
+    nb = p.n_max + 1
+    H = np.zeros((2 * nb, 2 * nb))
+    ns = np.arange(nb)
+    H[ns, ns] = ns * p.Omega + 0.5 * p.omega12
+    H[nb + ns, nb + ns] = ns * p.Omega - 0.5 * p.omega12
+    for n in range(p.n_max):
+        c = p.g * np.sqrt(n + 1.0)
+        # sigma_+ a : |lower, n+1> -> |upper, n>
+        H[n, nb + n + 1] = c
+        H[nb + n + 1, n] = c
+        if not p.rwa:
+            # sigma_+ a^dag : |lower, n> -> |upper, n+1>
+            H[n + 1, nb + n] = c
+            H[nb + n, n + 1] = c
+    return H
+
+
 class TestHamiltonian:
+    @pytest.mark.parametrize("rwa", [True, False])
+    @pytest.mark.parametrize("n_max", [1, 8, 120])
+    def test_matches_per_photon_loop(self, n_max, rwa):
+        p = JCParams(g=-0.0123456789, omega12=0.0537, Omega=0.0461, n_max=n_max, rwa=rwa)
+        assert build_hamiltonian(p).tobytes() == _per_photon_hamiltonian(p).tobytes()
+
     def test_hermitian(self):
         for rwa in (True, False):
             H = build_hamiltonian(resonant(rwa=rwa))

@@ -287,17 +287,28 @@ class TestRuleTable:
         # bit for bit; the file is read here, not through renorm
         x, v = np.load(os.path.join(os.path.dirname(renorm.__file__), "_leggauss.npy"))[:, n - 32:2 * n - 32]
         t, v = 0.5 * (x + 1.0), 0.5 * v
-        u, w = renorm._graded_rule(n)
+        # graded towards 0, the merged rule returns the map's bytes unchanged
+        u, w = renorm._rule(n, 0.0)
         assert u.tobytes() == (t * t).tobytes() and w.tobytes() == (2.0 * t * v).tobytes()
 
     def test_table_read_only(self):
         assert renorm._LEGGAUSS.shape == (2, sum(RULE_SIZES))
         assert not renorm._LEGGAUSS.flags.writeable
         for n in RULE_SIZES:
-            for a in renorm._graded_rule(n):
+            for a in renorm._rule(n, 0.0):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0.0
+
+    @pytest.mark.parametrize("at", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [32, 1024])
+    def test_rule_built_once(self, n, at):
+        # a repeated call returns the arrays built by the first, read-only
+        x, w = renorm._rule(n, at)
+        again = renorm._rule(n, at)
+        assert again[0] is x and again[1] is w
+        assert x.shape == w.shape == ((1 if at in (0.0, 1.0) else 2) * n,)
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 class TestMassShiftAndZ:
