@@ -355,8 +355,9 @@ def _physics(cfg: Mapping) -> dict:
     With units.mode = SI the apparatus keys are divided by their scales
     here, and the converted values must pass the table's checks again.
     cavity.z defaults to the mode's antinode, and "atoms" (AtomPair) is
-    built from the converted values. Every physics refusal happens here, in
-    pure Python, for every command; _gamma then cannot fail.
+    built from the converted values. It refuses, in pure Python, a mass
+    whose square is not finite and nonzero and a non-finite gamma, so
+    _gamma cannot fail; the command handlers, renorm and loops refuse the rest.
     """
     natural = dict(cfg)
     if cfg["units.mode"] == "SI":

@@ -123,14 +123,13 @@ def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
     """Build gamma^{mu nu} from an electric dipole moment vector.
 
     gamma^{0i} = d_i sqrt(m1 m2), gamma^{i0} = -gamma^{0i}, spatial
-    components zero (laboratory frame).
+    components zero (laboratory frame). d needs 3 components, as numpy
+    would broadcast fewer; DipoleTensor refuses a non-finite one.
     """
     import numpy as np
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
         raise ValueError(f"dipole moment must have 3 components, got {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValueError("dipole moment must be finite")
     scale = np.sqrt(atoms.m1 * atoms.m2)
     comp = np.zeros((4, 4))
     comp[0, 1:] = d * scale

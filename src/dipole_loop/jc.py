@@ -18,9 +18,9 @@ coefficients and one real matrix product with the eigenvectors, computed
 into buffers allocated once per sector; a second, small product sums the
 squares into P_e, norm^2 and the top band. evolve and
 EvolutionResult.states run the kernel on one grid; measure_resonant_period
-runs it on one bracket grid per photon number, every grid of a parity
-sector in the same chunk steps, and bisects every crossing of the sector
-in lockstep.
+checks every photon number, then runs it per parity sector: one bracket
+grid per photon number, all in the same chunk steps, and every crossing
+of the sector bisected in lockstep.
 
 Basis ordering: index = level * (n_max + 1) + n with level 0 the upper
 (excited) state and level 1 the lower state.
@@ -324,23 +324,21 @@ def measure_resonant_period(p: JCParams, n):
     _GRID_CHUNK by the kernel evolve uses, every grid of a parity sector
     in the same chunk steps. All crossings of one parity sector are then
     bisected in lockstep, one evaluation of P_e at all their midpoints
-    per step. Each sector the photon numbers need is diagonalised once
-    per call, when its first photon number comes up.
+    per step. Every photon number is checked before any sector is built;
+    then each sector needed takes one pass, from its spectrum to bisection.
     """
-    ns, spectra = list(map(int, np.atleast_1d(n))), {}
+    ns = list(map(int, np.atleast_1d(n)))
     for k in ns:
         if k + 2 > p.n_max:
             raise ValueError(f"need n_max >= n + 2 for a clean truncation monitor, got n_max={p.n_max}")
         if k < 0:
             raise ValueError(f"photon number {k} outside [0, {p.n_max}]")
-        parity = (k + 1) % 2  # |upper, k> holds k + 1 excitations
-        if parity not in spectra:
-            spectra[parity] = _sector_spectrum(p, parity)
+    parities = [(k + 1) % 2 for k in ns]  # |upper, k> holds k + 1 excitations
     periods = np.empty(len(ns))
-    for parity, spectrum in spectra.items():
-        ours = [i for i, k in enumerate(ns) if (k + 1) % 2 == parity]
-        rows, mids, lo, hi = _crossing_brackets(p, [ns[i] for i in ours], *spectrum)
-        evals = spectrum[1]
+    for parity in dict.fromkeys(parities):
+        ours = [i for i, q in enumerate(parities) if q == parity]
+        idx, evals, vecs = _sector_spectrum(p, parity)
+        rows, mids, lo, hi = _crossing_brackets(p, [ns[i] for i in ours], idx, evals, vecs)
         # two crossings per photon number, each with its own rows and level
         rows, mids = np.repeat(rows, 2, axis=0), np.repeat(mids, 2)
 

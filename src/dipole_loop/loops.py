@@ -42,12 +42,16 @@ PREFACTOR = 1.0 / (16.0 * math.pi**2)
 _BLOCK = 10_000
 
 
+def _check_cutoff(Lambda: float) -> None:
+    if not 0 < Lambda < math.inf:  # NaN fails too
+        raise ValueError(f"Lambda must be finite and positive, got {Lambda}")
+
+
 class RegScheme:
     """Hard radial cutoff |l| <= Lambda with a quadrature tolerance."""
 
     def __init__(self, Lambda: float, quad_tol: float = 1e-10):
-        if Lambda <= 0:
-            raise ValueError(f"Lambda must be positive, got {Lambda}")
+        _check_cutoff(Lambda)
         if not 0 < quad_tol < 1e-2:
             raise ValueError(f"quad_tol out of range: {quad_tol}")
         self.Lambda = float(Lambda)
@@ -116,10 +120,10 @@ def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
     """Oracle: integrate f(l^2) over the 4-ball numerically.
 
     f takes an array of u = l^2 and must be continuous on [0, Lambda^2].
-    Deterministic for fixed (f, Lambda, tol).
+    Deterministic for fixed (f, Lambda, tol); Lambda = 0 gives 0.0.
     """
-    if Lambda < 0:
-        raise ValueError("Lambda must be >= 0")
+    if not 0 <= Lambda < math.inf:
+        raise ValueError(f"Lambda must be finite and >= 0, got {Lambda}")
     if Lambda == 0:
         return 0.0
     L2 = Lambda**2
@@ -129,8 +133,7 @@ def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
 
 def _check_scale(scale_sq, Lambda: float) -> None:
     import numpy as np
-    if Lambda <= 0:
-        raise ValueError(f"Lambda must be positive, got {Lambda}")
+    _check_cutoff(Lambda)
     scale_sq = np.asarray(scale_sq)
     bad = ~(np.isfinite(scale_sq) & (scale_sq > 0))
     if np.any(bad):

@@ -542,8 +542,9 @@ def divergence_fit(
 ) -> DivergenceFit:
     """Fit cutoff dependence against the divergence basis.
 
-    The grid must span at least two decades with min(Lambda)/M >= 10 so
-    the basis is well conditioned; otherwise the grid is rejected.
+    The grid is rejected unless its cutoffs are finite, span two decades
+    with min(Lambda)/M >= 10, and give a design whose condition number
+    s_max/s_min, from the singular values of the one solve, is <= 1e12.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -552,19 +553,17 @@ def divergence_fit(
     if model not in ("quad_log_const", "log_const"):
         raise ValueError(f"unknown model {model!r}")
     M = np.sqrt(M_sq)
-    if lambdas.min() < 10.0 * M or lambdas.max() < 100.0 * lambdas.min():
-        raise ValueError(
-            "rejected grid: need min(Lambda) >= 10 M and a span of at least two decades"
-        )
+    if not (10.0 * M <= lambdas.min() and 100.0 * lambdas.min() <= lambdas.max() < np.inf):
+        raise ValueError("rejected grid: need min(Lambda) >= 10 M and a span of at least two decades")
     logs = np.log(lambdas**2 / M_sq)
     if model == "quad_log_const":
         design = np.column_stack([lambdas**2, M_sq * logs, M_sq * np.ones_like(lambdas)])
     else:
         design = np.column_stack([M_sq * logs, M_sq * np.ones_like(lambdas)])
-    cond = np.linalg.cond(design)
+    coeffs, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
+    cond = sv[0] / sv[-1]
     if cond > 1e12:
         raise ValueError(f"rejected grid: design matrix condition number {cond:.2e}")
-    coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
     resid = float(np.max(np.abs(design @ coeffs - values)))
     if model == "quad_log_const":
         c_quad, c_log, c_const = (float(c) for c in coeffs)
@@ -652,9 +651,8 @@ def counterterm_report(
     measured = fit.c_quad
     ratio = measured / (1.0 / (2.0 * np.pi) ** 3)
 
-    gsq = contractions(gamma)["gamma_sq"]
     rows += [
-        ("Z1_inv.scalar", 1.0 - 2.0 * gsq * vert["J"], "original"),
+        ("Z1_inv.scalar", 1.0 + 0.5 * vert["Gamma_I_coeff"], "original"),
         ("Z1_inv.tensor_contracted", -8.0 * vert["tensor_contracted"], "original"),
         ("Z1_inv.total", vert["Z1_inv"], "original"),
         ("induced.F_F", 4.0 * pol["P_coeff"], "induced"),

@@ -127,6 +127,11 @@ class TestParseConfig:
         assert any("line 4" in p and "key = value" in p for p in problems)
         assert any("line 5" in p and "duplicate" in p for p in problems)
 
+    def test_int_list_error(self):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config("jc.n_list = 0,x\n")
+        assert err.value.problems == ["line 1: jc.n_list: expected comma-separated integers, got '0,x'"]
+
     def test_mass_ordering(self):
         with pytest.raises(ConfigError, match="m1 must be >="):
             cli.parse_config("atoms.m1 = 0.9\natoms.m2 = 0.95\n")

@@ -39,6 +39,10 @@ INTEGRANDS = {
 }
 
 
+# cutoffs every loops entry point refuses (radial_quadrature takes 0)
+BAD_CUTOFFS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
 class TestRegScheme:
     def test_validation(self):
         RegScheme(Lambda=10.0)
@@ -46,6 +50,42 @@ class TestRegScheme:
             RegScheme(Lambda=-1.0)
         with pytest.raises(ValueError):
             RegScheme(Lambda=10.0, quad_tol=0.5)
+
+
+class TestCutoffRefusals:
+    """A NaN, infinite, zero or negative cutoff is refused before anything is integrated."""
+
+    @pytest.mark.parametrize("lam", BAD_CUTOFFS)
+    def test_reg_scheme(self, lam):
+        with pytest.raises(ValueError, match="Lambda must be finite and positive, got"):
+            RegScheme(Lambda=lam)
+
+    @pytest.mark.parametrize("lam", BAD_CUTOFFS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_master_integral(self, kind, lam):
+        with pytest.raises(ValueError, match="Lambda must be finite and positive, got"):
+            master_integral(kind, 1.0, lam)
+
+    @pytest.mark.parametrize("lam", BAD_CUTOFFS)
+    @pytest.mark.parametrize("kind", [MasterIntegralKind.I_A, MasterIntegralKind.I_E])
+    def test_master_integral_d_scale(self, kind, lam):
+        with pytest.raises(ValueError, match="Lambda must be finite and positive, got"):
+            master_integral_d_scale(kind, 1.0, lam)
+
+    @pytest.mark.parametrize("lam", BAD_CUTOFFS)
+    def test_radial_quadrature(self, lam):
+        calls = []
+
+        def f(u):
+            calls.append(u)
+            return np.ones_like(u)
+
+        if lam == 0.0:
+            assert radial_quadrature(f, lam) == 0.0
+        else:
+            with pytest.raises(ValueError, match="Lambda must be finite and >= 0, got"):
+                radial_quadrature(f, lam)
+        assert calls == []
 
 
 class TestClosedForms:

@@ -186,6 +186,20 @@ class TestRecords:
             DipoleTensor(components)
         assert info.value.args == (message,)
 
+    @pytest.mark.parametrize("d, message", [
+        (0.5, "dipole moment must have 3 components, got ()"),
+        ([0.5], "dipole moment must have 3 components, got (1,)"),
+        ([np.nan, 0.0, 0.0], "gamma must be finite"),
+        ([0.0, np.inf, 0.0], "gamma must be finite"),
+        ([0.0, 0.0, -np.inf], "gamma must be finite"),
+    ])
+    def test_dipole_from_moment_refusals(self, d, message):
+        # numpy would broadcast a 0-d or one-element moment, so its shape is
+        # checked; a non-finite one is refused by DipoleTensor
+        with pytest.raises(ValueError) as info:
+            dipole_from_moment(d, AtomPair(1.0, 0.95))
+        assert info.value.args == (message,)
+
     def test_components_are_a_copy(self):
         m = antisym([1.0, 0, 0, 0, 0, 0])
         gamma = DipoleTensor(m)

@@ -551,6 +551,15 @@ class TestDivergenceFit:
             divergence_fit(np.ones(5), np.linspace(100, 150, 5), 1.0)  # narrow span
         with pytest.raises(ValueError, match="rejected grid"):
             divergence_fit(np.ones(5), np.geomspace(2, 4000, 5), 1.0)  # starts below 10 M
+        # six decades on five points: the solve's singular values give 1.09e14
+        with pytest.raises(ValueError, match="rejected grid: design matrix condition number 1.09e"):
+            divergence_fit(np.ones(5), np.geomspace(10, 1e7, 5), 1.0)
+        divergence_fit(np.ones(8), np.geomspace(10, 1e5, 8), 1.0)  # about 1e10, accepted
+        for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            lams = np.geomspace(10, 1e5, 8)
+            lams[3] = bad
+            with pytest.raises(ValueError, match="rejected grid: need min"):
+                divergence_fit(np.ones(8), lams, 1.0)
 
     @pytest.mark.parametrize("model", ["quad_log_const", "log_const"])
     def test_vanishing_lead_is_fit_error(self, model):
@@ -641,6 +650,25 @@ class TestCounterterms:
         # attractive at this kinematic point: gamma_sq < 0 dominates
         assert table["delta_m_sq.1.total"][0] < 0
         assert table["delta_m_sq.2.total"][0] < 0
+
+    @pytest.mark.parametrize("source", ["split", "default"])
+    def test_z1_scalar_is_one_minus_two_gamma_sq_j(self, table, source):
+        # the row halves the vertex's Gamma_I_coeff = -4 gamma^2 J, which is
+        # exact, so it equals 1 - 2 gamma^2 J bit for bit
+        if source == "split":
+            atoms, gamma, reg, row = SPLIT, gamma_for(SPLIT), REG, table["Z1_inv.scalar"][0]
+        else:
+            from dipole_loop import cli
+            cfg = cli._physics(cli.parse_config(""))
+            atoms, gamma = cfg["atoms"], cli._gamma(cfg)
+            reg = RegScheme(Lambda=cfg["regulator.lambda"], quad_tol=cfg["regulator.quad_tol"])
+            rows = counterterm_report(atoms, gamma, reg, b_order=cfg["selfenergy.b_order"]).rows
+            row = {name: value for name, value, _ in rows}["Z1_inv.scalar"]
+        p_prime = np.array([atoms.m1, 0.0, 0.0, 0.0])
+        q = np.array([0.25 * atoms.m1, 0.25 * atoms.m1, 0.0, 0.0])
+        vert = vertex_one_loop(p_prime, q, atoms, gamma, reg)
+        expected = 1.0 - 2.0 * contractions(gamma)["gamma_sq"] * vert["J"]
+        assert row == expected and row != 1.0
 
     def test_mass_shift_rows_are_onshell_self_energy(self, table):
         gamma = gamma_for(SPLIT)
