@@ -88,8 +88,8 @@ MAX_N_MAX = 1200
 MAX_N_TIMES = 200_000
 MAX_S_COUNT = 100
 MAX_N_LIST = 100
-# Lambda^4 (T**2 in loops.master_integral_d_scale, the first closed form
-# to overflow) must stay below the largest double, 1.8e308 = (1.16e77)^4
+# Lambda^4 (T**2 in loops.master_integral's I_C bracket, Lambda^2/T^2, the first
+# closed form to overflow) must stay below the largest double, 1.8e308 = (1.16e77)^4
 MAX_LAMBDA = 1e76
 # the SI electric-field scale goes through (base energy)^4: it overflows
 # past about 1.7e74 eV and underflows to zero below about 1e-83 eV
@@ -390,17 +390,18 @@ def _gamma(cfg: Mapping):
     return dipole_from_moment([cfg[key] for key in _DIPOLE], cfg["atoms"])
 
 
-def _lambda_values(cfg: Mapping):
-    spec = cfg["regulator.lambda_grid"]
-    if spec is None:
-        import numpy as np
-        return np.array([cfg["regulator.lambda"]])
-    return parse_grid(spec)
-
-
 def _pmap(fn, items):
     """Order-preserving map over a sweep; bench/tracing.py wraps it by name."""
     return [fn(x) for x in items]
+
+
+def _sweep(cfg: Mapping, rows_at):
+    """rows_at(reg), a row or a block, stacked over the config's cutoffs, each RegScheme mapped by _pmap."""
+    import numpy as np
+    spec = cfg["regulator.lambda_grid"]
+    lambdas = [cfg["regulator.lambda"]] if spec is None else parse_grid(spec)
+    regs = [RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"]) for lam in lambdas]
+    return np.vstack(_pmap(rows_at, regs))
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +562,18 @@ def _cmd_loop_selfenergy(cfg: Mapping):
     level = cfg["selfenergy.level"]
     path = cfg["selfenergy.path"]
     b_order = cfg["selfenergy.b_order"]
-    lambdas = _lambda_values(cfg)
     s_max = cfg["selfenergy.s_max"]
     if s_max is None:
         s_max = 1e-3 * atoms.M2
     s_grid = np.linspace(0.0, s_max, cfg["selfenergy.s_count"])
     p_sq = s_grid - atoms.mass(level) ** 2
-    blocks = []
-    for lam in lambdas:
-        reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
+
+    def block(reg):
         res = renorm.self_energy(level, p_sq, atoms, gamma, reg, path=path, b_order=b_order)
         columns = (s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, res.total - res.on_shell_value)
-        blocks.append(np.column_stack((np.full_like(s_grid, lam), *columns)))
-    rows = np.concatenate(blocks)
+        return np.column_stack((np.full_like(s_grid, reg.Lambda), *columns))
+
+    rows = _sweep(cfg, block)
     header = [
         "lambda[natural]",
         "s[natural^2]",
@@ -584,7 +584,7 @@ def _cmd_loop_selfenergy(cfg: Mapping):
         "sigma_subtracted[natural^2]",
     ]
     summary = (
-        f"loop-selfenergy: level {level}, {path} path, {len(lambdas)} cutoff(s) x "
+        f"loop-selfenergy: level {level}, {path} path, {len(rows) // len(s_grid)} cutoff(s) x "
         f"{len(s_grid)} offsets, Sigma(-m^2) = {rows[0][5]:.9e}"
     )
     return header, rows, summary, []
@@ -597,12 +597,11 @@ def _cmd_loop_vertex(cfg: Mapping):
     q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
     p_prime = np.array([atoms.m1, 0.0, 0.0, 0.0])
 
-    def one(lam: float):
-        reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
+    def row(reg):
         v = renorm.vertex_one_loop(p_prime, q, atoms, gamma, reg, symmetric_masses=cfg["vertex.symmetric_masses"])
-        return (lam, v["q_sq"], v["J"], v["K0"], v["K1"], v["K2"], v["Gamma_I_coeff"], v["Z1_inv"])
+        return (reg.Lambda, v["q_sq"], v["J"], v["K0"], v["K1"], v["K2"], v["Gamma_I_coeff"], v["Z1_inv"])
 
-    rows = np.array(_pmap(one, _lambda_values(cfg)))
+    rows = _sweep(cfg, row)
     header = [
         "lambda[natural]",
         "q_sq[natural^2]",
@@ -626,14 +625,11 @@ def _cmd_loop_polarization(cfg: Mapping):
         cfg["polarization.q2"], cfg["polarization.q3"],
     ])
 
-    def one(lam: float):
-        reg = RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"])
+    def row(reg):
         pol = renorm.photon_polarization(q, atoms, gamma, reg)
-        row = [lam, pol["q_sq"], pol["P_coeff"], pol["transversality"]]
-        row.extend(pol["Pi"].reshape(-1))
-        return tuple(row)
+        return (reg.Lambda, pol["q_sq"], pol["P_coeff"], pol["transversality"], *pol["Pi"].reshape(-1))
 
-    rows = np.array(_pmap(one, _lambda_values(cfg)))
+    rows = _sweep(cfg, row)
     header = ["lambda[natural]", "q_sq[natural^2]", "P_coeff[1]", "transversality[1]"]
     header.extend(f"Pi_{mu}{nu}[natural^2]" for mu in range(4) for nu in range(4))
     summary = (

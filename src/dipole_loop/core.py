@@ -124,13 +124,16 @@ def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
 
     gamma^{0i} = d_i sqrt(m1 m2), gamma^{i0} = -gamma^{0i}, spatial
     components zero (laboratory frame). d needs 3 components, as numpy
-    would broadcast fewer; DipoleTensor refuses a non-finite one.
+    would broadcast fewer; a non-finite gamma is refused in pure Python, as
+    cli._physics refuses it, before numpy's product could warn of an overflow.
     """
     import numpy as np
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
         raise ValueError(f"dipole moment must have 3 components, got {d.shape}")
-    scale = np.sqrt(atoms.m1 * atoms.m2)
+    scale = math.sqrt(atoms.m1 * atoms.m2)
+    if not all(math.isfinite(x * scale) for x in d.tolist()):
+        raise ValueError("gamma must be finite")
     comp = np.zeros((4, 4))
     comp[0, 1:] = d * scale
     comp[1:, 0] = -d * scale

@@ -7,7 +7,9 @@ Every loop integral reduces by 4D spherical symmetry to
 
 the factor 1/(16 pi^2) being 2 pi^2 / (2 pi)^4 from the 3-sphere area
 times 1/2 from u = l^2. The closed forms below are exact antiderivatives
-at finite Lambda (all boundary terms kept) and take arrays of scales;
+at finite Lambda (all boundary terms kept) and take arrays of scales.
+As d/ds (l^2 + s)^-k = -k (l^2 + s)^-(k+1) under the integral, the scale
+derivatives are master integrals too: dI_A/ds = -2 I_D, dI_E/ds = -2 I_C.
 radial_quadrature, tanh-sinh quadrature in numpy (Takahasi & Mori, Publ.
 RIMS 9, 721, 1974), is the independent oracle they are tested against:
 it shares no rule with them or with renorm's Gauss-Legendre rules.
@@ -159,9 +161,9 @@ def master_integral(kind: MasterIntegralKind, scale_sq, Lambda: float):
     elif kind is MasterIntegralKind.I_B:
         bracket = L2 - s * log
     elif kind is MasterIntegralKind.I_C:
-        bracket = 0.5 / s - 1.0 / T + 0.5 * s / T**2
+        bracket = -0.5 * (1.0 / T - 1.0 / s + L2 / T**2)
     elif kind is MasterIntegralKind.I_D:
-        bracket = log - 1.5 + 2.0 * s / T - 0.5 * s**2 / T**2
+        bracket = -0.5 * (3.0 - 2.0 * log - 4.0 * s / T + (s / T) ** 2)
     elif kind is MasterIntegralKind.I_E:
         bracket = log - L2 / T
     else:
@@ -172,23 +174,15 @@ def master_integral(kind: MasterIntegralKind, scale_sq, Lambda: float):
 def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
     """Exact derivative of master_integral with respect to the scale.
 
-    Needed by the first-order mass-splitting expansion of the
-    self-energy; only the kinds that enter it are provided. Takes a
-    scalar or an array scale like master_integral.
+    dI_A/ds = -2 I_D and dI_E/ds = -2 I_C, the kinds the first-order
+    mass-splitting expansion of the self-energy needs (the module
+    docstring derives them). Takes a scalar or an array scale.
     """
-    import numpy as np
-    _check_scale(scale_sq, Lambda)
-    s = scale_sq
-    L2 = Lambda**2
-    T = L2 + s
-    log = np.log(T / s)
     if kind is MasterIntegralKind.I_A:
-        d = 3.0 - 2.0 * log - 4.0 * s / T + (s / T) ** 2
-    elif kind is MasterIntegralKind.I_E:
-        d = 1.0 / T - 1.0 / s + L2 / T**2
-    else:
-        raise ValueError(f"scale derivative not implemented for {kind!r}")
-    return PREFACTOR * d
+        return -2.0 * master_integral(MasterIntegralKind.I_D, scale_sq, Lambda)
+    if kind is MasterIntegralKind.I_E:
+        return -2.0 * master_integral(MasterIntegralKind.I_C, scale_sq, Lambda)
+    raise ValueError(f"scale derivative not implemented for {kind!r}")
 
 
 def a_sq(x: float, p_sq: float, m_sq: float) -> float:

@@ -543,8 +543,9 @@ def divergence_fit(
     """Fit cutoff dependence against the divergence basis.
 
     The grid is rejected unless its cutoffs are finite, span two decades
-    with min(Lambda)/M >= 10, and give a design whose condition number
-    s_max/s_min, from the singular values of the one solve, is <= 1e12.
+    with min(Lambda)/M >= 10, outnumber the model's coefficients (else the
+    residual vanishes by construction), and give a design whose condition
+    number s_max/s_min, from the singular values of the one solve, is <= 1e12.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -560,6 +561,8 @@ def divergence_fit(
         design = np.column_stack([lambdas**2, M_sq * logs, M_sq * np.ones_like(lambdas)])
     else:
         design = np.column_stack([M_sq * logs, M_sq * np.ones_like(lambdas)])
+    if lambdas.size <= design.shape[1]:
+        raise ValueError(f"rejected grid: {lambdas.size} cutoffs cannot overdetermine the {design.shape[1]} coefficients of {model}")
     coeffs, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
     cond = sv[0] / sv[-1]
     if cond > 1e12:
@@ -572,7 +575,7 @@ def divergence_fit(
         c_quad = 0.0
         c_log, c_const = (float(c) for c in coeffs)
         scale = abs(c_log * M_sq * logs.max())
-    accepted = scale > 0 and resid / scale <= 1e-4
+    accepted = bool(scale > 0 and resid / scale <= 1e-4)
     return DivergenceFit(
         c_quad=c_quad,
         c_log=c_log,

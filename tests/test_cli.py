@@ -483,6 +483,9 @@ class TestHarnessPatchPoints:
         (jc, "measure_resonant_period", "jc-rabi"),
         (nr, "decoupling_residual", "nr-reduce"),
         (renorm, "self_energy", "loop-selfenergy"),
+        (cli, "_pmap", "loop-selfenergy"),
+        (cli, "_pmap", "loop-vertex"),
+        (cli, "_pmap", "loop-polarization"),
         (renorm, "counterterm_report", "report-counterterms"),
         (cli, "symmetric_integration_check", "oracle-verify"),
     ], ids=lambda v: v if isinstance(v, str) else None)
@@ -902,13 +905,16 @@ class TestNonFiniteInputs:
 class TestCountertermCutoff:
     def test_rejected_prefactor_fit_is_3(self, tmp_path, capsys, monkeypatch):
         fit = renorm.divergence_fit
+        fits = []
 
         def rejecting(*args, **kwargs):
-            return fit(*args, **kwargs)._replace(fit_residual=0.5, accepted=False)
+            fits.append(fit(*args, **kwargs)._replace(fit_residual=0.5, accepted=False))
+            return fits[-1]
 
         monkeypatch.setattr(renorm, "divergence_fit", rejecting)
         conf = write_conf(tmp_path, "")
         assert cli.main(["report-counterterms", "--config", conf, "--out", str(tmp_path)]) == 3
+        assert len(fits) == 1 and fits[0].accepted is False
         assert capsys.readouterr().err == (
             "error: prefactor fit rejected: residual 5.000e-01 above 1e-4 of its Lambda^2 term\n"
         )

@@ -147,6 +147,40 @@ class TestClosedForms:
         with pytest.raises(KinematicDomainError, match="non-positive integrand scale"):
             master_integral_d_scale(MasterIntegralKind.I_A, scales, 10.0)
 
+    @staticmethod
+    def mp_bracket(kind, s, lam):
+        """The antiderivative bracket of kind in 50-digit mpmath, at the exact s and Lambda^2."""
+        with mpmath.workdps(50):
+            s, L2 = mpmath.mpf(s), mpmath.mpf(lam) ** 2
+            T = L2 + s
+            log = mpmath.log(T / s)
+            return {
+                MasterIntegralKind.I_A: L2 + s - 2 * s * log - s**2 / T,
+                MasterIntegralKind.I_B: L2 - s * log,
+                MasterIntegralKind.I_C: 1 / (2 * s) - 1 / T + s / (2 * T**2),
+                MasterIntegralKind.I_D: log - mpmath.mpf(3) / 2 + 2 * s / T - s**2 / (2 * T**2),
+                MasterIntegralKind.I_E: log - L2 / T,
+            }[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 100.0, 1e5])
+    def test_mpmath_50_digits(self, kind, lam):
+        # relative error against the exact antiderivative: 1e-15 up to s = 0.1 Lambda^2,
+        # 2e-12 up to 10 Lambda^2, where the brackets cancel (ROADMAP item 2)
+        ratios = np.geomspace(1e-12, 10.0, 131)
+        got = master_integral(kind, ratios * lam**2, lam)
+        with mpmath.workdps(50):
+            prefactor = 1 / (16 * mpmath.pi**2)
+            errs = np.array([float(abs(mpmath.mpf(g) / (prefactor * self.mp_bracket(kind, s, lam)) - 1))
+                             for g, s in zip(got, ratios * lam**2)])
+        near = ratios <= 0.1
+        assert errs[near].max() <= 1e-15
+        assert errs[~near].max() <= 2e-12
+        # so the scale derivatives carry these errors: dI_A/ds = -2 I_D, dI_E/ds = -2 I_C
+        of = {MasterIntegralKind.I_D: MasterIntegralKind.I_A, MasterIntegralKind.I_C: MasterIntegralKind.I_E}
+        if kind in of:
+            assert np.array_equal(master_integral_d_scale(of[kind], ratios * lam**2, lam), -2.0 * got)
+
     @given(st.floats(1e-4, 1e2), st.floats(0.5, 200.0))
     @settings(max_examples=30, deadline=None)
     def test_all_positive_scales(self, s, lam):

@@ -1,6 +1,7 @@
 """Covariant model core: tensor algebra, contractions, power counting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,10 +196,27 @@ class TestRecords:
     ])
     def test_dipole_from_moment_refusals(self, d, message):
         # numpy would broadcast a 0-d or one-element moment, so its shape is
-        # checked; a non-finite one is refused by DipoleTensor
+        # checked; a non-finite gamma is refused before numpy forms it
         with pytest.raises(ValueError) as info:
             dipole_from_moment(d, AtomPair(1.0, 0.95))
         assert info.value.args == (message,)
+
+    @pytest.mark.parametrize("d", [(1e300, 0.0, 0.0), (0.0, -1e300, 0.0), (np.nan, 0.0, 0.0)])
+    def test_nonfinite_gamma_refused_without_warning(self, d):
+        # d_i sqrt(m1 m2) overflows (or is NaN) and is refused before numpy's
+        # product, which would warn "overflow encountered in multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                dipole_from_moment(d, AtomPair(1e10, 1e10))
+        assert info.value.args == ("gamma must be finite",)
+
+    @given(st.lists(finite, min_size=3, max_size=3), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    def test_gamma_bits(self, d, m1, m2):
+        # gamma^{0i} is the one product d_i sqrt(m1 m2), numpy's square root included
+        up = dipole_from_moment(d, AtomPair(m1, m2)).components
+        expect = np.array(d) * np.sqrt(m1 * m2)
+        assert np.array_equal(up[0, 1:], expect) and np.array_equal(up[1:, 0], -expect)
 
     def test_components_are_a_copy(self):
         m = antisym([1.0, 0, 0, 0, 0, 0])

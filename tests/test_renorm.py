@@ -532,11 +532,18 @@ class TestDivergenceFit:
         M_sq = 2.0
         vals = 3.0 * lams**2 + 2.0 * M_sq * np.log(lams**2 / M_sq) - 7.0 * M_sq
         fit = divergence_fit(vals, lams, M_sq)
-        assert fit.accepted
+        assert fit.accepted is True  # a Python bool, not numpy's
         assert fit.c_quad == pytest.approx(3.0, rel=1e-10)
         assert fit.c_log == pytest.approx(2.0, rel=1e-8)
         assert fit.c_const == pytest.approx(-7.0, rel=1e-8)
         assert fit.normalized() == pytest.approx((1.0, 2.0 / 3.0, -7.0 / 3.0), rel=1e-8)
+
+    def test_curved_data_rejected(self):
+        # a Lambda^3 term the basis cannot absorb leaves a residual far above 1e-4
+        lams = np.geomspace(20.0, 4000.0, 15)
+        fit = divergence_fit(3.0 * lams**2 + 1e-2 * lams**3, lams, 2.0)
+        assert fit.fit_residual > 1e-4 * abs(fit.c_quad) * lams.max() ** 2
+        assert fit.accepted is False
 
     def test_log_const_model(self):
         lams = np.geomspace(20.0, 4000.0, 15)
@@ -555,6 +562,14 @@ class TestDivergenceFit:
         with pytest.raises(ValueError, match="rejected grid: design matrix condition number 1.09e"):
             divergence_fit(np.ones(5), np.geomspace(10, 1e7, 5), 1.0)
         divergence_fit(np.ones(8), np.geomspace(10, 1e5, 8), 1.0)  # about 1e10, accepted
+        # no more cutoffs than coefficients: the residual would vanish whatever the data
+        with pytest.raises(ValueError, match="^rejected grid: 2 cutoffs cannot overdetermine the 3 coefficients"):
+            divergence_fit([3e2, 5e6], [10, 1000], 1.0)
+        with pytest.raises(ValueError, match="^rejected grid: 3 cutoffs cannot overdetermine the 3 coefficients"):
+            divergence_fit(np.ones(3), np.geomspace(10, 1e3, 3), 1.0)
+        with pytest.raises(ValueError, match="^rejected grid: 2 cutoffs cannot overdetermine the 2 coefficients"):
+            divergence_fit([3e2, 5e6], [10, 1000], 1.0, model="log_const")
+        assert divergence_fit(np.geomspace(1, 5, 3), np.geomspace(10, 1e3, 3), 1.0, model="log_const").model == "log_const"
         for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
             lams = np.geomspace(10, 1e5, 8)
             lams[3] = bad
