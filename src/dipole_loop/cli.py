@@ -64,6 +64,7 @@ from .errors import (
     OracleError,
 )
 from .loops import (
+    MAX_LAMBDA,
     MasterIntegralKind,
     RegScheme,
     feynman_identity_check,
@@ -88,9 +89,6 @@ MAX_N_MAX = 1200
 MAX_N_TIMES = 200_000
 MAX_S_COUNT = 100
 MAX_N_LIST = 100
-# Lambda^4 (T**2 in loops.master_integral's I_C bracket, Lambda^2/T^2, the first
-# closed form to overflow) must stay below the largest double, 1.8e308 = (1.16e77)^4
-MAX_LAMBDA = 1e76
 # the SI electric-field scale goes through (base energy)^4: it overflows
 # past about 1.7e74 eV and underflows to zero below about 1e-83 eV
 MIN_BASE_ENERGY_EV = 1e-70
@@ -678,28 +676,19 @@ def _cmd_check_dims(cfg: Mapping):
 def _cmd_oracle_verify(cfg: Mapping):
     """Closed forms vs the tanh-sinh quadrature oracle, plus the measure checks."""
     tol = min(cfg["regulator.quad_tol"], 1e-10)  # a case passes within 1e-10, so the oracle runs as tight
-    kinds = list(MasterIntegralKind)
-    # g(u) such that the master integral is (1/16 pi^2) int u g(u) du,
-    # the weight radial_quadrature applies
-    integrands = {
-        MasterIntegralKind.I_A: lambda u, s: u / (u + s) ** 2,
-        MasterIntegralKind.I_B: lambda u, s: 1.0 / (u + s),
-        MasterIntegralKind.I_C: lambda u, s: 1.0 / (u + s) ** 3,
-        MasterIntegralKind.I_D: lambda u, s: u / (u + s) ** 3,
-        MasterIntegralKind.I_E: lambda u, s: 1.0 / (u + s) ** 2,
-    }
 
     def one(case):
         kind, ratio, lam = case
         s = (ratio * lam) ** 2
+        a, b = kind.value  # the integrand u^a / (u + s)^b
         closed = master_integral(kind, s, lam)
-        quad = radial_quadrature(lambda u: integrands[kind](u, s), lam, tol)
+        quad = radial_quadrature(lambda u: u**a / (u + s) ** b, lam, tol)
         rel = abs(closed - quad) / max(abs(closed), abs(quad))
         return (kind.name, ratio, lam, closed, quad, rel)
 
     cases = [
         (kind, ratio, lam)
-        for kind in kinds
+        for kind in MasterIntegralKind
         for ratio in (1e-3, 1e-2, 0.1, 0.3)
         for lam in (1.0, 10.0, 100.0)
     ]

@@ -8,8 +8,6 @@ Every loop integral reduces by 4D spherical symmetry to
 the factor 1/(16 pi^2) being 2 pi^2 / (2 pi)^4 from the 3-sphere area
 times 1/2 from u = l^2. The closed forms below are exact antiderivatives
 at finite Lambda (all boundary terms kept) and take arrays of scales.
-As d/ds (l^2 + s)^-k = -k (l^2 + s)^-(k+1) under the integral, the scale
-derivatives are master integrals too: dI_A/ds = -2 I_D, dI_E/ds = -2 I_C.
 radial_quadrature, tanh-sinh quadrature in numpy (Takahasi & Mori, Publ.
 RIMS 9, 721, 1974), is the independent oracle they are tested against:
 it shares no rule with them or with renorm's Gauss-Legendre rules.
@@ -26,6 +24,7 @@ from .errors import KinematicDomainError, QuadratureError
 
 __all__ = [
     "PREFACTOR",
+    "MAX_LAMBDA",
     "RegScheme",
     "MasterIntegralKind",
     "radial_quadrature",
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 PREFACTOR = 1.0 / (16.0 * math.pi**2)
+# Lambda^4 (T**2 in master_integral's I_C bracket, Lambda^2/T^2, the first
+# closed form to overflow) must stay below the largest double, 1.8e308 = (1.16e77)^4
+MAX_LAMBDA = 1e76
 # rows per draw in symmetric_integration_check: on a 2 vCPU Xeon a fresh process
 # peaked at 34.5 MB with 10,000 against 42.7 with one draw (numpy alone 33.0),
 # and no block size ran faster (23.7 against 25.2 ms warm)
@@ -47,6 +49,8 @@ _BLOCK = 10_000
 def _check_cutoff(Lambda: float) -> None:
     if not 0 < Lambda < math.inf:  # NaN fails too
         raise ValueError(f"Lambda must be finite and positive, got {Lambda}")
+    if Lambda > MAX_LAMBDA:
+        raise ValueError(f"Lambda must be <= {MAX_LAMBDA:g}, got {Lambda:g}")
 
 
 class RegScheme:
@@ -66,22 +70,17 @@ class RegScheme:
 class MasterIntegralKind(Enum):
     """The inner l-integrals appearing at one loop.
 
-    Integrands are over the Euclidean 4-ball of radius Lambda with
-    measure d^4 l / (2 pi)^4:
-
-    I_A: l^2 / (l^2 + s)^2    (quadratic divergence, self-energy l l term)
-    I_B: 1 / (l^2 + s)        (quadratic divergence)
-    I_C: 1 / (l^2 + s)^3      (convergent, vertex momentum term)
-    I_D: l^2 / (l^2 + s)^3    (log divergence, vertex l l term)
-    I_E: 1 / (l^2 + s)^2      (log divergence, self-energy momentum term
-                               and photon polarization)
+    Each value (a, b) gives the integrand g(u) = u^a / (u + s)^b of u = l^2
+    over the Euclidean 4-ball of radius Lambda, measure d^4 l / (2 pi)^4.
+    d/ds maps (a, b) to -b (a, b + 1) under the integral, so the scale
+    derivatives are master integrals too: dI_A/ds = -2 I_D, dI_E/ds = -2 I_C.
     """
 
-    I_A = "I_A"
-    I_B = "I_B"
-    I_C = "I_C"
-    I_D = "I_D"
-    I_E = "I_E"
+    I_A = (1, 2)  # l^2 / (l^2 + s)^2: quadratic divergence, self-energy l l term
+    I_B = (0, 1)  # 1 / (l^2 + s): quadratic divergence
+    I_C = (0, 3)  # 1 / (l^2 + s)^3: convergent, vertex momentum term
+    I_D = (1, 3)  # l^2 / (l^2 + s)^3: log divergence, vertex l l term
+    I_E = (0, 2)  # 1 / (l^2 + s)^2: log divergence, self-energy momentum term and photon polarization
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,8 +174,8 @@ def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
     """Exact derivative of master_integral with respect to the scale.
 
     dI_A/ds = -2 I_D and dI_E/ds = -2 I_C, the kinds the first-order
-    mass-splitting expansion of the self-energy needs (the module
-    docstring derives them). Takes a scalar or an array scale.
+    mass-splitting expansion of the self-energy needs (MasterIntegralKind
+    derives them). Takes a scalar or an array scale.
     """
     if kind is MasterIntegralKind.I_A:
         return -2.0 * master_integral(MasterIntegralKind.I_D, scale_sq, Lambda)

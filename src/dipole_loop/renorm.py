@@ -44,6 +44,7 @@ import numpy as np
 from .core import SIGNATURE, AtomPair, DipoleTensor, contractions, gamma_sq_dot, minkowski_dot
 from .errors import FitError, KinematicDomainError, QuadratureError
 from .loops import (
+    MAX_LAMBDA,
     PREFACTOR,
     MasterIntegralKind,
     RegScheme,
@@ -644,6 +645,8 @@ def counterterm_report(
     # endpoints and, for some m, falls short of the two decades
     # divergence_fit requires
     lam_grid = 50.0 * m1 * np.geomspace(1.0, 100.0, 12)
+    if lam_grid[-1] > MAX_LAMBDA:
+        raise FitError(f"prefactor fit grid reaches Lambda = 5000 m1 = {lam_grid[-1]:.3g}, above the cutoff cap {MAX_LAMBDA:g}")
     vals = np.array([
         _sigma_integrals_expansion(0.0, 1, atoms, RegScheme(Lambda=lam, quad_tol=reg.quad_tol), b_order)[0]
         for lam in lam_grid

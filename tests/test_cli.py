@@ -1321,6 +1321,10 @@ PROBES = [
     pytest.param("atoms.m2 = 1e-3", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-1e-3"),
     pytest.param("regulator.lambda = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="lambda-1e300"),
     pytest.param("regulator.lambda = 1e-300", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="lambda-1e-300"),
+    # the report's prefactor fit runs up to Lambda = 5000 m1, past loops.MAX_LAMBDA;
+    # a zero dipole keeps wavefunction_Z's fit finite, so the report reaches that grid
+    pytest.param("atoms.m1 = 1e74\natoms.m2 = 1e74\nregulator.lambda = 1e76\ndipole.dx = 0",
+                 (2, 2, 0, 0, 0, 0, 3, 0, 0), id="masses-1e74-dx-0"),
     # wavefunction_Z's fixed s grid [0, 1e-3 M^2] is not small against Lambda^2,
     # or against the mass splitting at first order in it
     pytest.param("regulator.lambda = 0.1", (0, 0, 0, 0, 0, 0, 3, 0, 0), id="lambda-0.1"),

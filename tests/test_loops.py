@@ -1,12 +1,14 @@
 """Loop engine: closed forms vs quadrature, kinematics, measure checks."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import truth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -41,6 +43,8 @@ INTEGRANDS = {
 
 # cutoffs every loops entry point refuses (radial_quadrature takes 0)
 BAD_CUTOFFS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+# cutoffs above loops.MAX_LAMBDA, which the closed forms refuse (radial_quadrature takes them)
+ABOVE_CAP = [1.2e77, 1e150]
 
 
 class TestRegScheme:
@@ -53,7 +57,8 @@ class TestRegScheme:
 
 
 class TestCutoffRefusals:
-    """A NaN, infinite, zero or negative cutoff is refused before anything is integrated."""
+    """A NaN, infinite, zero or negative cutoff, or one above loops.MAX_LAMBDA, is refused
+    before anything is integrated."""
 
     @pytest.mark.parametrize("lam", BAD_CUTOFFS)
     def test_reg_scheme(self, lam):
@@ -70,6 +75,23 @@ class TestCutoffRefusals:
     @pytest.mark.parametrize("kind", [MasterIntegralKind.I_A, MasterIntegralKind.I_E])
     def test_master_integral_d_scale(self, kind, lam):
         with pytest.raises(ValueError, match="Lambda must be finite and positive, got"):
+            master_integral_d_scale(kind, 1.0, lam)
+
+    @pytest.mark.parametrize("lam", ABOVE_CAP)
+    def test_reg_scheme_above_cap(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"Lambda must be <= 1e+76, got {lam:g}")):
+            RegScheme(Lambda=lam)
+
+    @pytest.mark.parametrize("lam", ABOVE_CAP)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_master_integral_above_cap(self, kind, lam):
+        with pytest.raises(ValueError, match=re.escape(f"Lambda must be <= 1e+76, got {lam:g}")):
+            master_integral(kind, 1.0, lam)
+
+    @pytest.mark.parametrize("lam", ABOVE_CAP)
+    @pytest.mark.parametrize("kind", [MasterIntegralKind.I_A, MasterIntegralKind.I_E])
+    def test_master_integral_d_scale_above_cap(self, kind, lam):
+        with pytest.raises(ValueError, match=re.escape(f"Lambda must be <= 1e+76, got {lam:g}")):
             master_integral_d_scale(kind, 1.0, lam)
 
     @pytest.mark.parametrize("lam", BAD_CUTOFFS)
@@ -147,21 +169,6 @@ class TestClosedForms:
         with pytest.raises(KinematicDomainError, match="non-positive integrand scale"):
             master_integral_d_scale(MasterIntegralKind.I_A, scales, 10.0)
 
-    @staticmethod
-    def mp_bracket(kind, s, lam):
-        """The antiderivative bracket of kind in 50-digit mpmath, at the exact s and Lambda^2."""
-        with mpmath.workdps(50):
-            s, L2 = mpmath.mpf(s), mpmath.mpf(lam) ** 2
-            T = L2 + s
-            log = mpmath.log(T / s)
-            return {
-                MasterIntegralKind.I_A: L2 + s - 2 * s * log - s**2 / T,
-                MasterIntegralKind.I_B: L2 - s * log,
-                MasterIntegralKind.I_C: 1 / (2 * s) - 1 / T + s / (2 * T**2),
-                MasterIntegralKind.I_D: log - mpmath.mpf(3) / 2 + 2 * s / T - s**2 / (2 * T**2),
-                MasterIntegralKind.I_E: log - L2 / T,
-            }[kind]
-
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("lam", [0.1, 1.0, 100.0, 1e5])
     def test_mpmath_50_digits(self, kind, lam):
@@ -170,8 +177,7 @@ class TestClosedForms:
         ratios = np.geomspace(1e-12, 10.0, 131)
         got = master_integral(kind, ratios * lam**2, lam)
         with mpmath.workdps(50):
-            prefactor = 1 / (16 * mpmath.pi**2)
-            errs = np.array([float(abs(mpmath.mpf(g) / (prefactor * self.mp_bracket(kind, s, lam)) - 1))
+            errs = np.array([float(abs(mpmath.mpf(g) / truth.master_integral(kind, s, mpmath.mpf(lam) ** 2) - 1))
                              for g, s in zip(got, ratios * lam**2)])
         near = ratios <= 0.1
         assert errs[near].max() <= 1e-15
@@ -187,6 +193,23 @@ class TestClosedForms:
         # every master integral is positive on its domain
         for kind in KINDS:
             assert master_integral(kind, s, lam) > 0.0
+
+
+class TestTruthModule:
+    """tests/truth.py's closed forms against the integrals they state."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("ratio", [1e-6, 1.0, 10.0])
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_master_integral_is_its_integrand_integrated(self, kind, ratio, lam):
+        # (1 / 16 pi^2) int_0^{Lambda^2} u g(u) du with g(u) = u^a / (u + s)^b read from
+        # kind.value, at 40 digits; 1e-30 relative, a bound fixed before measuring
+        a, b = kind.value
+        with mpmath.workdps(40):
+            lam_sq = mpmath.mpf(lam) ** 2
+            s = ratio * lam_sq
+            integral = truth.prefactor() * mpmath.quad(lambda u: u * u**a / (u + s) ** b, [0, s, lam_sq])
+            assert abs(truth.master_integral(kind, s, lam_sq) / integral - 1) <= 1e-30
 
 
 class TestFarAboveCutoff:

@@ -5,13 +5,14 @@ import os
 import mpmath
 import numpy as np
 import pytest
+import truth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipole_loop import renorm
 from dipole_loop.core import AtomPair, contractions, dipole_from_moment, gamma_sq_dot
 from dipole_loop.errors import FitError, KinematicDomainError, QuadratureError
-from dipole_loop.loops import PREFACTOR, RegScheme
+from dipole_loop.loops import PREFACTOR, MasterIntegralKind, RegScheme
 from dipole_loop.renorm import (
     DivergenceFit,
     counterterm_report,
@@ -353,15 +354,12 @@ class TestMassShiftAndZ:
         out = wavefunction_Z(1, SPLIT, gamma, REG)
         with mpmath.workdps(30):
             m_sq, lam_sq = mpmath.mpf(SPLIT.M2), mpmath.mpf(REG.Lambda) ** 2
-            pref = 1 / (16 * mpmath.pi**2)
 
             def i_a(a):
-                t = lam_sq + a
-                return pref * (lam_sq + a - 2 * a * mpmath.log(t / a) - a * a / t)
+                return truth.master_integral(MasterIntegralKind.I_A, a, lam_sq)
 
             def x2_i_e(a, x):
-                t = lam_sq + a
-                return x * x * pref * (mpmath.log(t / a) - lam_sq / t)
+                return x * x * truth.master_integral(MasterIntegralKind.I_E, a, lam_sq)
 
             s_grid = [k * m_sq / 8000 for k in range(1, 9)]  # s = 0 adds nothing to the fit
 
