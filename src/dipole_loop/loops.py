@@ -30,8 +30,6 @@ __all__ = [
     "radial_quadrature",
     "master_integral",
     "master_integral_d_scale",
-    "a_sq",
-    "b_sq",
     "feynman_identity_check",
     "symmetric_integration_check",
 ]
@@ -182,16 +180,6 @@ def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
     if kind is MasterIntegralKind.I_E:
         return -2.0 * master_integral(MasterIntegralKind.I_C, scale_sq, Lambda)
     raise ValueError(f"scale derivative not implemented for {kind!r}")
-
-
-def a_sq(x: float, p_sq: float, m_sq: float) -> float:
-    """Self-energy Feynman-parameter scale a^2 = m^2 x + p^2 x (1 - x)."""
-    return m_sq * x + p_sq * x * (1.0 - x)
-
-
-def b_sq(x: float, y: float, q_sq: float, m2_sq: float, delta: float) -> float:
-    """Vertex scale b^2 = x^2 m2^2 + delta x^2 (1 - y) + x^2 y (1 - y) q^2."""
-    return x * x * m2_sq + delta * x * x * (1.0 - y) + x * x * y * (1.0 - y) * q_sq
 
 
 def feynman_identity_check(A: float, B: float, C: float | None = None) -> float:

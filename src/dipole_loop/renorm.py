@@ -36,6 +36,7 @@ scipy is not imported here; the adaptive oracles live in the tests.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from typing import NamedTuple
 
@@ -48,8 +49,6 @@ from .loops import (
     PREFACTOR,
     MasterIntegralKind,
     RegScheme,
-    a_sq,
-    b_sq,
     master_integral,
     master_integral_d_scale,
 )
@@ -155,12 +154,28 @@ def _fixed_rule(f, tol: float, at: float = 0.0) -> np.ndarray:
     )
 
 
-def _quadratic_min(c0: float, c1: float, c2: float) -> tuple:
-    """Minimum of c0 + c1 t + c2 t^2 over t in [0, 1] and where it sits."""
-    ts = [0.0, 1.0]
-    if c2 > 0.0 and 0.0 < -c1 / (2.0 * c2) < 1.0:
-        ts.append(-c1 / (2.0 * c2))
-    return min((c0 + c1 * t + c2 * t * t, t) for t in ts)
+def _quadratic(c0: tuple, c1: tuple, c2: tuple) -> tuple:
+    """(values, minimum, where) of the scale c0 + c1 t + c2 t^2 on [0, 1], each
+    coefficient the tuple of doubles it is the exact sum of; values maps t to it.
+
+    An interior minimum and its position t* are rounded once from exact
+    rationals, and values is minimum + c2 (t - t*)^2, which keeps the digits
+    the expanded quadratic loses to cancellation near threshold. Otherwise
+    the coefficients and an endpoint minimum are correctly rounded sums.
+    """
+    try:  # inf - inf, and a finite sum past the largest double, raise
+        a, b, c, at_one = (math.fsum(cs) for cs in (c0, c1, c2, c0 + c1 + c2))
+    except (OverflowError, ValueError):
+        a = b = c = at_one = math.nan
+    if not all(map(math.isfinite, (a, b, c, at_one))):
+        raise KinematicDomainError(f"Feynman-parameter scale coefficients {c0}, {c1}, {c2} do not sum to finite doubles")
+    if c > 0.0 and 0.0 < -b < 2.0 * c:
+        from fractions import Fraction
+        e0, e1, e2 = (sum(map(Fraction, cs)) for cs in (c0, c1, c2))
+        minimum, where = float(e0 - e1 * e1 / (4 * e2)), float(-e1 / (2 * e2))
+        return (lambda t: minimum + c * (t - where) ** 2), minimum, where
+    minimum, where = min((a, 0.0), (at_one, 1.0))
+    return (lambda t: a + b * t + c * t * t), minimum, where
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +221,7 @@ def _sigma_integrals_exact(p_sq, m_inner_sq: float, reg: RegScheme):
         )
 
     def f(x, p):
-        a2 = a_sq(x, p, m_inner_sq)
+        a2 = m_inner_sq * x + p * x * (1.0 - x)
         return np.stack([master_integral(I_A, a2, reg.Lambda), x * x * master_integral(I_E, a2, reg.Lambda)])
 
     return _integrate_offsets(f, p_sq, reg.quad_tol)
@@ -335,7 +350,7 @@ def wavefunction_Z(
         # exactly 0. It carries about eps |Sigma| of rounding; Sigma grows as
         # Lambda^2 while its spread over the s grid does not. A part whose
         # rounding is 0 (no dipole, or one so small it underflows) loses
-        # nothing; a NaN spread (gamma^2 overflowed) is left to the row check
+        # nothing; a NaN spread (gamma^2 overflowed) fails the moment check below
         sub = part - part[0]
         largest, spread = float(np.max(np.abs(part))), float(np.max(np.abs(sub)))
         rounding = np.finfo(float).eps * largest
@@ -352,7 +367,10 @@ def wavefunction_Z(
                 f"of its spread); the cutoff Lambda = {reg.Lambda:.6g} is too large for this fit"
             ))
         # a line through the origin, and its largest residual against the slope
-        slope = float(s_grid @ sub) / float(s_grid @ s_grid)
+        moment = float(s_grid @ sub)
+        if not math.isfinite(moment):
+            raise FitError(f"Sigma(s) - Sigma(-m^2) over the s grid overflows a double: its moment against s is {moment}")
+        slope = moment / float(s_grid @ s_grid)
         scale = abs(slope) * s_grid[-1]
         fits.append((slope, float(np.max(np.abs(sub - slope * s_grid))) / scale if scale > 0 else 0.0, why))
     (f_scalar, curv_scalar, why), (f_tensor, curv_tensor, _) = fits
@@ -411,24 +429,7 @@ def vertex_one_loop(
     m2_sq = atoms.M2 if symmetric_masses else atoms.m2**2
     delta = 0.0 if symmetric_masses else atoms.delta
     # b^2 = x^2 beta(y), beta(y) = (m2^2 + delta) + (q^2 - delta) y - q^2 y^2
-    beta_min, y_min = _quadratic_min(m2_sq + delta, q_sq - delta, -q_sq)
-    if 0.0 < y_min < 1.0:
-        # Timelike q: near threshold beta_min << m2^2, and the expanded
-        # quadratic loses to cancellation the digits the rule needs. The
-        # vertex form beta_min + (-q^2) (y - y*)^2, with beta_min and y*
-        # rounded once from exact rationals, keeps full relative precision.
-        from fractions import Fraction
-        q_frac, d_frac = Fraction(q_sq), Fraction(delta)
-        beta_min = float(Fraction(m2_sq) + d_frac + (q_frac - d_frac) ** 2 / (4 * q_frac))
-        y_min = float((q_frac - d_frac) / (2 * q_frac))
-
-        def beta_of(y):
-            return beta_min - q_sq * (y - y_min) ** 2
-    else:
-
-        def beta_of(y):
-            return b_sq(1.0, y, q_sq, m2_sq, delta)
-
+    beta_of, beta_min, y_min = _quadratic((m2_sq, delta), (q_sq, -delta), (-q_sq,))
     if beta_min <= 0.0:
         raise KinematicDomainError(
             f"b^2(x, y={y_min:.3g}) = {beta_min:.3g} x^2 <= 0; timelike q beyond threshold"
@@ -485,16 +486,12 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
     q_sq = minkowski_dot(q, q)
     m1_sq, m2_sq = atoms.m1**2, atoms.m2**2
     # M^2(x) = m1^2 + (m2^2 - m1^2 + q^2) x - q^2 x^2
-    m_min, x_min = _quadratic_min(m1_sq, m2_sq - m1_sq + q_sq, -q_sq)
+    m_sq_of, m_min, x_min = _quadratic((m1_sq,), (m2_sq, -m1_sq, q_sq), (-q_sq,))
     if m_min <= 0.0:
         raise KinematicDomainError(
             f"M^2(x={x_min:.3g}) = {m_min:.3g} <= 0; q^2 = {q_sq:.3g} beyond the pair threshold"
         )
-
-    def f(x):
-        return master_integral(I_E, m1_sq * (1.0 - x) + m2_sq * x + q_sq * x * (1.0 - x), reg.Lambda)
-
-    P = float(_fixed_rule(f, reg.quad_tol, at=x_min))
+    P = float(_fixed_rule(lambda x: master_integral(I_E, m_sq_of(x), reg.Lambda), reg.quad_tol, at=x_min))
     q_low = METRIC @ q  # q with the index down equals g q for this metric
     w = gamma.components.T @ q_low  # w^nu = gamma^{alpha nu} q_alpha
     Pi = 4.0 * P * np.outer(w, w)

@@ -21,6 +21,9 @@ documented failures as strict xfails. The truths live in tests/truth.py.
 
 import csv
 import math
+import random
+import re
+from fractions import Fraction
 
 import pytest
 from truth import polarization_truth, selfenergy_truth, vertex_truth
@@ -35,6 +38,11 @@ def _command_rows(tmp_path, command, text):
     conf = tmp_path / "run.conf"
     conf.write_text(text, encoding="utf-8")
     assert cli.main([command, "--config", str(conf), "--out", str(tmp_path)]) == 0
+    return _csv_rows(tmp_path, command, text)
+
+
+def _csv_rows(tmp_path, command, text):
+    """The resolved config and the data rows of the CSV that command wrote to tmp_path from text."""
     with open(tmp_path / (command.replace("-", "_") + ".csv"), encoding="utf-8") as fh:
         body = [line for line in fh if not line.startswith("#")]
     return cli._physics(cli.parse_config(text)), [{k: float(v) for k, v in row.items()} for row in csv.DictReader(body)]
@@ -103,6 +111,13 @@ def test_polarization_p_coeff_far_above_cutoff(tmp_path, text):
     assert abs(row["P_coeff[1]"] - truth) <= BOUND_PER_TOL * cfg["regulator.quad_tol"] * abs(truth), (row, truth)
 
 
+def test_polarization_p_coeff_at_subnormal_m2_sq(tmp_path):
+    # M^2(x = 1) = m2^2 = 1e-320 is subnormal but positive: the spacelike q runs
+    cfg, (row,) = _command_rows(tmp_path, "loop-polarization", "atoms.m2 = 1e-160\n")
+    truth = polarization_truth(cfg, row["lambda[natural]"])
+    assert abs(row["P_coeff[1]"] - truth) <= BOUND_PER_TOL * cfg["regulator.quad_tol"] * abs(truth), (row, truth)
+
+
 @pytest.mark.parametrize("source", SOURCES)
 def test_vertex_j_and_k(tmp_path, workloads, source):
     cfg, rows = _ledger_rows(tmp_path, workloads, "loop-vertex", source)
@@ -166,3 +181,51 @@ def test_selfenergy_sigma_subtracted(request, selfenergy):
     worst, lam = _worst("loop-selfenergy", source, "sigma_subtracted[natural^2]", errors["sigma_subtracted[natural^2]"],
                         bound)
     assert worst <= bound, (lam, worst)
+
+
+# A truth-checked fuzz of the two commands whose Feynman-parameter scale is a
+# quadratic (ROADMAP item 21's tier-1 slice). Natural-unit configs, FUZZ_CONFIGS
+# per command from a fixed seed: m1 log-uniform in [1e-3, 1e3], m2 / m1 in
+# [1e-10, 1], Lambda / m1 in [0.1, 1e5] (below that M^2 >> Lambda^2, item 2's
+# regime), every momentum component uniform in [-m1, m1], and the vertex's
+# masses split or symmetric, at quad_tol FUZZ_TOL. No drawn q^2 passes a pair
+# threshold (-q^2 <= m1^2), but where m2^2 is below the rounding of m1^2 a
+# scale summed in double would invent one. Every exit-0 row is held to the
+# ledger's bound, and a refusal may name a threshold only where q^2 < 0.
+FUZZ_CONFIGS = 40
+FUZZ_TOL = 1e-10
+FUZZ_COLUMNS = {
+    "loop-polarization": ("polarization", ["P_coeff[1]"], lambda cfg, lam: [polarization_truth(cfg, lam)]),
+    "loop-vertex": ("vertex", ["J[1]", "K0[natural^-2]", "K1[natural^-2]", "K2[natural^-2]"], vertex_truth),
+}
+
+
+@pytest.mark.parametrize("command, seed", [("loop-polarization", 0), ("loop-vertex", 1)])
+def test_fuzzed_rows_within_bound(tmp_path, capsys, command, seed):
+    section, columns, truth_of = FUZZ_COLUMNS[command]
+    rng = random.Random(seed)
+    conf = tmp_path / "fuzz.conf"
+    codes, errors, causes = [], [], set()
+    for _ in range(FUZZ_CONFIGS):
+        m1 = 10.0 ** rng.uniform(-3.0, 3.0)
+        q = [rng.uniform(-m1, m1) for _ in range(4)]
+        text = (f"atoms.m1 = {m1!r}\natoms.m2 = {m1 * 10.0 ** rng.uniform(-10.0, 0.0)!r}\n"
+                f"regulator.lambda = {m1 * 10.0 ** rng.uniform(-1.0, 5.0)!r}\n"
+                f"regulator.quad_tol = {FUZZ_TOL!r}\nvertex.symmetric_masses = {rng.choice(['true', 'false'])}\n"
+                + "".join(f"{section}.q{mu} = {q[mu]!r}\n" for mu in range(4)))
+        conf.write_text(text, encoding="utf-8")
+        code = cli.main([command, "--config", str(conf), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        assert code in (0, 3), (text, err)
+        if code == 3:
+            causes.add(re.sub(r"\d[\d.]*(e[-+]\d+)?", "N", err.strip()))
+            q_sq = sum(Fraction(v) ** 2 for v in q[1:]) - Fraction(q[0]) ** 2
+            assert "threshold" not in err or q_sq < 0, (text, err)
+            continue
+        cfg, (row,) = _csv_rows(tmp_path, command, text)
+        for column, truth in zip(columns, truth_of(cfg, row["lambda[natural]"])):
+            errors.append((_rel(row[column], truth), row["lambda[natural]"]))
+    print(f"fuzz {command}: {codes.count(0)} of {FUZZ_CONFIGS} configs exit 0, refusals {sorted(causes)}")
+    worst, lam = _worst(command, f"fuzz-{seed}", "every column", errors, BOUND_PER_TOL * FUZZ_TOL)
+    assert worst <= BOUND_PER_TOL * FUZZ_TOL, (lam, worst)

@@ -255,6 +255,16 @@ class TestDispatchExitCodes:
         assert code == 3
         assert "decay threshold" in capsys.readouterr().err
 
+    def test_split_vertex_at_subnormal_m2_sq_names_no_threshold(self, tmp_path, capsys):
+        # beta(y = 1) = m2^2 is subnormal but positive for this spacelike q,
+        # so no threshold is crossed: the rule fails on the 1 / beta near-pole
+        conf = write_conf(tmp_path, "atoms.m2 = 1e-160\nvertex.symmetric_masses = false\n"
+                                    "vertex.q0 = 0.1\nvertex.q1 = 0.3\n")
+        assert cli.main(["loop-vertex", "--config", conf, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: Feynman-parameter rule reached ")
+        assert "threshold" not in err
+
     def test_oracle_failure_is_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "master_integral", lambda kind, s, lam: 0.0)
         conf = write_conf(tmp_path, "")
@@ -403,6 +413,27 @@ class TestImportFloor:
             f"print([m for m in {self.WATCHED!r} if m in sys.modules])\n"
         )
         assert _fresh_python(script)[-1] == repr(self.LOADS[command])
+
+    # the Feynman-parameter scales take fractions only for an interior
+    # minimum: timelike momenta, as in the edge-kinematics workload
+    @pytest.mark.parametrize("command, timelike", [
+        pytest.param("loop-vertex", "vertex.symmetric_masses = false\nvertex.q0 = 0.5\nvertex.q1 = 0.1\n",
+                     id="loop-vertex"),
+        pytest.param("loop-polarization", "polarization.q0 = 1.6\npolarization.q1 = 0\n", id="loop-polarization"),
+    ])
+    def test_fractions_only_for_an_interior_minimum(self, tmp_path, command, timelike):
+        script = (
+            "import sys\n"
+            "from dipole_loop.cli import main\n"
+            "for conf in sys.argv[1:]:\n"
+            f"    assert main([{command!r}, '--config', conf, '--out', {str(tmp_path)!r}]) == 0\n"
+            "    print('fractions' in sys.modules)\n"
+        )
+        confs = [write_conf(tmp_path, "", "default.conf"), write_conf(tmp_path, timelike, "timelike.conf")]
+        out = subprocess.run([sys.executable, "-c", script, *confs], env=_child_env(), capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[1::2] == ["False", "True"]  # each after its summary line
 
     # what argparse and dataclasses brought in; numpy loads inspect itself,
     # so only the bare import and check-dims are checked for these
@@ -929,6 +960,19 @@ class TestCountertermCutoff:
         assert "the cutoff Lambda = 1e+07 is too large for this fit" in err
         assert not any(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("text, moment", [
+        # s reaches 1e117 and Sigma 1e238: the fit's moment against s overflows
+        pytest.param("atoms.m1 = 1e60\natoms.m2 = 1e60\nregulator.lambda = 1e62\n", "inf", id="masses-1e60"),
+        # gamma^2 overflows, so Sigma(s) - Sigma(-m^2) is inf - inf
+        pytest.param("dipole.dx = 1e300\n", "nan", id="dx-1e300"),
+    ])
+    def test_z_fit_overflow_is_named(self, tmp_path, capsys, text, moment):
+        conf = write_conf(tmp_path, text)
+        assert cli.main(["report-counterterms", "--config", conf, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: Sigma(s) - Sigma(-m^2) over the s grid overflows a double: its moment against s is {moment}\n"
+        assert not any(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("dx", ["1e-158", "3e-158", "1e-157"])
     def test_subnormal_gamma_sq_is_named(self, tmp_path, capsys, dx):
         # gamma^2 ~ 1e-314 is subnormal: sigma_I's differences over the s grid
@@ -1316,8 +1360,9 @@ PROBES = [
     pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e-200"),
     # lambda_2 = k^2/m2^2 reaches 1 at the top of the default nr.lambda_grid
     pytest.param("atoms.m2 = 0.1", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-0.1"),
-    # lambda_2 overflows to inf (m2^2 is subnormal), and reaches 1e4
-    pytest.param("atoms.m2 = 1e-160", (0, 0, 3, 3, 0, 3, 3, 0, 0), id="m2-1e-160"),
+    # lambda_2 overflows to inf (m2^2 is subnormal), and reaches 1e4; M^2(x = 1) = m2^2
+    # is subnormal but positive, so the spacelike polarization runs
+    pytest.param("atoms.m2 = 1e-160", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-1e-160"),
     pytest.param("atoms.m2 = 1e-3", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-1e-3"),
     pytest.param("regulator.lambda = 1e300", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="lambda-1e300"),
     pytest.param("regulator.lambda = 1e-300", (0, 0, 0, 3, 0, 0, 3, 0, 0), id="lambda-1e-300"),

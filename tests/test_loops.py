@@ -1,4 +1,4 @@
-"""Loop engine: closed forms vs quadrature, kinematics, measure checks."""
+"""Loop engine: closed forms vs quadrature and measure checks."""
 
 import math
 import re
@@ -20,8 +20,6 @@ from dipole_loop.loops import (
     _row_norms,
     MasterIntegralKind,
     RegScheme,
-    a_sq,
-    b_sq,
     feynman_identity_check,
     master_integral,
     master_integral_d_scale,
@@ -329,26 +327,6 @@ class TestRadialQuadrature:
             warnings.simplefilter("ignore")
             with pytest.raises(QuadratureError):
                 radial_quadrature(lambda u: np.sin(5e4 * u), 100.0)
-
-
-class TestKinematics:
-    def test_a_sq_formula(self):
-        assert a_sq(0.3, 2.0, 1.5) == pytest.approx(1.5 * 0.3 + 2.0 * 0.3 * 0.7)
-
-    def test_a_sq_onshell_equal_masses(self):
-        # p^2 = -m^2 with the same inner mass collapses to m^2 x^2
-        m2 = 0.81
-        for x in (0.1, 0.5, 0.9):
-            assert a_sq(x, -m2, m2) == pytest.approx(m2 * x * x)
-
-    def test_b_sq_formula(self):
-        x, y, q2, m2, delta = 0.4, 0.6, -0.3, 0.9, 0.1
-        expect = x * x * m2 + delta * x * x * (1 - y) + x * x * y * (1 - y) * q2
-        assert b_sq(x, y, q2, m2, delta) == pytest.approx(expect)
-
-    def test_b_sq_reduces_to_a_like(self):
-        # at q^2 = 0 and no splitting: b^2 = x^2 m^2
-        assert b_sq(0.7, 0.2, 0.0, 1.3, 0.0) == pytest.approx(1.3 * 0.49)
 
 
 class TestMeasureOracles:

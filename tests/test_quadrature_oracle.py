@@ -18,8 +18,6 @@ from dipole_loop.errors import KinematicDomainError, QuadratureError
 from dipole_loop.loops import (
     MasterIntegralKind,
     RegScheme,
-    a_sq,
-    b_sq,
     master_integral,
     master_integral_d_scale,
 )
@@ -51,7 +49,7 @@ def dblquad(f):
 
 
 def oracle_sigma_exact(p_sq, m_inner_sq, lam):
-    a2 = lambda x: a_sq(x, p_sq, m_inner_sq)
+    a2 = lambda x: m_inner_sq * x + p_sq * x * (1.0 - x)
     return (
         quad(lambda x: master_integral(I_A, a2(x), lam)),
         quad(lambda x: x * x * master_integral(I_E, a2(x), lam)),
@@ -70,7 +68,7 @@ def oracle_sigma_expansion(s, level, atoms, lam, order):
 
 
 def oracle_vertex(q_sq, m2_sq, delta, lam):
-    b2 = lambda x, y: b_sq(x, y, q_sq, m2_sq, delta)
+    b2 = lambda x, y: x * x * m2_sq + delta * x * x * (1.0 - y) + x * x * y * (1.0 - y) * q_sq
     J = dblquad(lambda y, x: x * master_integral(I_D, b2(x, y), lam))
     K = [dblquad(lambda y, x: x**3 * y**m * master_integral(I_C, b2(x, y), lam)) for m in (0, 1, 2)]
     return J, K

@@ -1,6 +1,7 @@
 """One-loop layer: self-energy, vertex, polarization, fits, counterterms."""
 
 import os
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import truth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipole_loop import renorm
+from dipole_loop import cli, renorm
 from dipole_loop.core import AtomPair, contractions, dipole_from_moment, gamma_sq_dot
 from dipole_loop.errors import FitError, KinematicDomainError, QuadratureError
 from dipole_loop.loops import PREFACTOR, MasterIntegralKind, RegScheme
@@ -522,6 +523,52 @@ class TestPolarization:
         q = np.array([2.5, 0.0, 0.0, 0.0])  # q^2 = -6.25 < -(m1+m2)^2
         with pytest.raises(KinematicDomainError, match="threshold"):
             photon_polarization(q, SPLIT, gamma_for(SPLIT), REG)
+
+
+class TestQuadratic:
+    """renorm._quadratic, the one owner of the vertex's beta(y) and the polarization's M^2(x)."""
+
+    @staticmethod
+    def coefficients(cfg, which):
+        """(c0, c1, c2) of beta(y) or M^2(x) as the loop commands build them from a config."""
+        atoms = cfg["atoms"]
+        q = np.array([cfg[f"{which}.q{mu}"] for mu in range(4)])
+        q_sq = float(-q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2)
+        if which == "vertex":
+            m2_sq, delta = (atoms.M2, 0.0) if cfg["vertex.symmetric_masses"] else (atoms.m2**2, atoms.delta)
+            return (m2_sq, delta), (q_sq, -delta), (-q_sq,)
+        return (atoms.m1**2,), (atoms.m2**2, -atoms.m1**2, q_sq), (-q_sq,)
+
+    @pytest.mark.parametrize("which", ["vertex", "polarization"])
+    def test_interior_minimum_is_exact(self, workloads, which):
+        # the edge-kinematics momenta are timelike, with the minimum inside:
+        # c0 - c1^2 / (4 c2) and -c1 / (2 c2), each rounded once
+        cfg = cli._physics(cli.parse_config(workloads.config_text(workloads.generate("edge-kinematics", 0))))
+        coeffs = self.coefficients(cfg, which)
+        values, minimum, where = renorm._quadratic(*coeffs)
+        c0, c1, c2 = (sum(map(Fraction, c)) for c in coeffs)
+        assert 0.0 < where < 1.0
+        assert (minimum, where) == (float(c0 - c1 * c1 / (4 * c2)), float(-c1 / (2 * c2)))
+        assert values(np.array([where]))[0] == minimum
+
+    def test_endpoint_minimum_is_exact(self):
+        # M^2(x = 1) = m1^2 + (m2^2 - m1^2 + q^2) - q^2 is m2^2, subnormal here;
+        # summed in double it cancels to -2.78e-17 at the default spacelike q
+        cfg = cli._physics(cli.parse_config("atoms.m2 = 1e-160\n"))
+        _, minimum, where = renorm._quadratic(*self.coefficients(cfg, "polarization"))
+        assert (minimum, where) == (cfg["atoms"].m2 ** 2, 1.0)
+        assert minimum > 0.0
+
+    @pytest.mark.parametrize("coeffs", [
+        pytest.param(((0.95, 0.0), (np.inf, -0.0), (-np.inf,)), id="inf-minus-inf"),
+        pytest.param(((0.95, 0.0), (np.nan, -0.0), (np.nan,)), id="nan"),
+        # finite coefficients whose exact value at t = 1 passes the largest double on the way
+        pytest.param(((1e308, 6.9e307), (1e308, -6.9e307), (-1e308,)), id="intermediate-overflow"),
+    ])
+    def test_non_finite_sums_refused(self, coeffs):
+        # a q^2 that overflows a double is a domain error, not fsum's ValueError or OverflowError
+        with pytest.raises(KinematicDomainError, match="do not sum to finite doubles"):
+            renorm._quadratic(*coeffs)
 
 
 class TestDivergenceFit:
