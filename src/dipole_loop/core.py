@@ -44,7 +44,7 @@ class AtomPair(_Frozen):
     """The two level masses and the derived expansion quantities.
 
     m1 is the upper level, m2 the lower, so omega12 = m1 - m2 >= 0 in the
-    intended regime (the class itself only requires positivity).
+    intended regime (the class itself requires positive masses with double squares).
     """
 
     def __init__(self, m1: float, m2: float):
@@ -52,6 +52,9 @@ class AtomPair(_Frozen):
             raise ValueError("masses must be finite")
         if m1 <= 0 or m2 <= 0:
             raise ValueError(f"masses must be positive, got m1={m1}, m2={m2}")
+        for name, m in (("m1", m1), ("m2", m2)):
+            if not 0.0 < m * m < math.inf:
+                raise ValueError(f"{name} = {m!r}: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)")
         self.__dict__.update(m1=m1, m2=m2)
 
     @property

@@ -6,15 +6,18 @@ The self-energy of level a with the other level's mass m in the loop is
     Sigma(p^2) = gamma^2 int_0^1 dx I_A(a^2(x))
                + 4 gamma^2_{tau lambda} p^tau p^lambda int_0^1 dx x^2 I_E(a^2(x)),
 
-with a^2(x) = m^2 x + p^2 x (1 - x). The physical-mass condition
-Delta m^2 = Sigma(-m^2) and the slope of the subtracted self-energy in
-s = p^2 + m^2 give the mass shift and the wavefunction factor. The
-tensor structure gamma^2_{tau lambda} p^tau p^lambda is carried as a
-separate coefficient throughout (it renormalizes a different operator).
+with a^2(x) = m^2 x + p^2 x (1 - x) = x (alpha + beta x), where alpha =
+(m^2 - m_a^2) + s and beta = m_a^2 - s in the offset s = p^2 + m_a^2 from
+the level's mass shell. The physical-mass condition Delta m^2 = Sigma(-m_a^2)
+and the slope of the subtracted self-energy in s give the mass shift and
+the wavefunction factor. The tensor structure gamma^2_{tau lambda} p^tau
+p^lambda is carried as a separate coefficient throughout (it renormalizes
+a different operator).
 
-Two evaluation paths exist. The default expands in the mass splitting
-b = delta/M^2 about the symmetric point (order 0 keeps M^2 only, order 1
-adds the exact first derivative in delta). The exact path integrates
+Two evaluation paths integrate this one scale (_sigma_integrals). The
+default expands in the mass splitting b = delta/M^2 about the symmetric
+point: order 0 is the exact integrand at m^2 = m_a^2 = M^2, and order 1
+adds its exact first derivative in delta. The exact path integrates
 with the true masses and raises a kinematic domain error where the
 integrand scale turns negative, which happens for the heavier level
 exactly on shell: that is the physical decay threshold with a massless
@@ -199,61 +202,29 @@ class SelfEnergyResult(NamedTuple):
     on_shell_value: float
 
 
-def _integrate_offsets(f, offsets, tol: float) -> np.ndarray:
-    """Integrals of the r rows of f(x, o) at every offset o, on one rule.
+def _sigma_integrals(s, m_inner_sq: float, m_level_sq: float, reg: RegScheme, half_delta: float | None = None):
+    """x-integrals of I_A and x^2 I_E at every offset s, (2,) + shape(s).
 
-    f maps the nodes (n,) and a column (k, 1) of the distinct offsets to
-    r blocks of (k, n) rows; the result is (r,) + shape(offsets). Equal
-    offsets share one row, so their integrals are bitwise equal.
+    alpha and beta of the scale are formed once per distinct offset, and
+    equal offsets share one row, so their integrals are bitwise equal. With
+    half_delta (delta/2 for level 1, -delta/2 for level 2) the expansion's
+    delta-derivative at fixed s is added: a^2 moves by -half_delta x(2-x).
     """
-    distinct, inverse = np.unique(offsets, return_inverse=True)
-    ints = _fixed_rule(lambda x: f(x, distinct[:, None]).reshape(-1, x.size), tol)
-    return ints.reshape(-1, distinct.size)[:, inverse].reshape((-1,) + np.shape(offsets))
+    distinct, inverse = np.unique(s, return_inverse=True)
+    alpha = ((m_inner_sq - m_level_sq) + distinct)[:, None]
+    beta = (m_level_sq - distinct)[:, None]
 
+    def f(x):
+        a2 = x * (alpha + beta * x)
+        rows = [master_integral(I_A, a2, reg.Lambda), x * x * master_integral(I_E, a2, reg.Lambda)]
+        if half_delta is not None:
+            rows.append(x * (2.0 - x) * master_integral_d_scale(I_A, a2, reg.Lambda))
+            rows.append(x * x * x * (2.0 - x) * master_integral_d_scale(I_E, a2, reg.Lambda))
+        return np.stack(rows).reshape(-1, x.size)
 
-def _sigma_integrals_exact(p_sq, m_inner_sq: float, reg: RegScheme):
-    """x-integrals of I_A and x^2 I_E at the true masses, per p^2."""
-    lowest = np.min(p_sq)
-    if lowest < -m_inner_sq:
-        raise KinematicDomainError(
-            f"p^2 = {lowest} below -m_inner^2 = {-m_inner_sq}: the loop scale a^2(x) turns "
-            "negative (decay threshold); use the expansion path"
-        )
-
-    def f(x, p):
-        a2 = m_inner_sq * x + p * x * (1.0 - x)
-        return np.stack([master_integral(I_A, a2, reg.Lambda), x * x * master_integral(I_E, a2, reg.Lambda)])
-
-    return _integrate_offsets(f, p_sq, reg.quad_tol)
-
-
-def _sigma_integrals_expansion(s, level: int, atoms: AtomPair, reg: RegScheme, order: int):
-    """x-integrals expanded about the symmetric mass point, per offset.
-
-    s = p^2 + m_level^2 is the off-shell offset. At order 0 the scale is
-    a0^2 = M^2 x^2 + s x(1-x); order 1 adds the exact delta-derivative,
-    which shifts both the inner mass and the on-shell reference.
-    """
-    lowest = np.min(s)
-    if lowest < 0:
-        raise KinematicDomainError(
-            f"s = p^2 + m^2 = {lowest} < 0: below the massless-photon branch point"
-        )
-    if order not in (0, 1):
-        raise ValueError(f"expansion order must be 0 or 1, got {order}")
-
-    def f(x, s):
-        a0 = atoms.M2 * x * x + s * x * (1.0 - x)
-        rows = [master_integral(I_A, a0, reg.Lambda), x * x * master_integral(I_E, a0, reg.Lambda)]
-        if order == 1:
-            rows.append(x * (2.0 - x) * master_integral_d_scale(I_A, a0, reg.Lambda))
-            rows.append(x * x * x * (2.0 - x) * master_integral_d_scale(I_E, a0, reg.Lambda))
-        return np.stack(rows)
-
-    ints = _integrate_offsets(f, s, reg.quad_tol)
-    if order == 1:
-        half_delta = (0.5 if level == 1 else -0.5) * atoms.delta
-        return ints[0] - half_delta * ints[2], ints[1] - half_delta * ints[3]
+    ints = _fixed_rule(f, reg.quad_tol).reshape(-1, distinct.size)[:, inverse].reshape((-1,) + np.shape(s))
+    if half_delta is not None:
+        return ints[:2] - half_delta * ints[2:]
     return ints
 
 
@@ -289,17 +260,30 @@ def self_energy(
     gsq = contractions(gamma)["gamma_sq"]
     gpp = gamma_sq_dot(gamma, _onshell_momentum(level, atoms))
 
-    # the points, flattened, then the on-shell reference
+    # the points' offsets, flattened, then the on-shell reference's
+    s = np.append(np.add(p_sq, m_level_sq), 0.0)
     if path == "exact":
+        lowest = np.min(p_sq)
+        if lowest < -m_inner_sq:
+            raise KinematicDomainError(
+                f"p^2 = {lowest} below -m_inner^2 = {-m_inner_sq}: the loop scale a^2(x) turns "
+                "negative (decay threshold); use the expansion path"
+            )
         if m_level_sq > m_inner_sq:
             # the heavier level's mass shell sits below the decay
             # threshold, so the subtraction point is unreachable here
-            int_a, int_e = (np.append(v, np.nan) for v in _sigma_integrals_exact(p_sq, m_inner_sq, reg))
+            int_a, int_e = (np.append(v, np.nan) for v in _sigma_integrals(s[:-1], m_inner_sq, m_level_sq, reg))
         else:
-            int_a, int_e = _sigma_integrals_exact(np.append(p_sq, -m_level_sq), m_inner_sq, reg)
+            int_a, int_e = _sigma_integrals(s, m_inner_sq, m_level_sq, reg)
     else:
         atoms.require_small_b()
-        int_a, int_e = _sigma_integrals_expansion(np.append(np.add(p_sq, m_level_sq), 0.0), level, atoms, reg, b_order)
+        lowest = np.min(s)
+        if lowest < 0:
+            raise KinematicDomainError(f"s = p^2 + m^2 = {lowest} < 0: below the massless-photon branch point")
+        if b_order not in (0, 1):
+            raise ValueError(f"expansion order must be 0 or 1, got {b_order}")
+        half_delta = (0.5 if level == 1 else -0.5) * atoms.delta if b_order == 1 else None
+        int_a, int_e = _sigma_integrals(s, atoms.M2, atoms.M2, reg, half_delta)
 
     sigma_I = gsq * int_a
     coeff = 4.0 * int_e
@@ -644,8 +628,9 @@ def counterterm_report(
     lam_grid = 50.0 * m1 * np.geomspace(1.0, 100.0, 12)
     if lam_grid[-1] > MAX_LAMBDA:
         raise FitError(f"prefactor fit grid reaches Lambda = 5000 m1 = {lam_grid[-1]:.3g}, above the cutoff cap {MAX_LAMBDA:g}")
+    half_delta = 0.5 * atoms.delta if b_order == 1 else None
     vals = np.array([
-        _sigma_integrals_expansion(0.0, 1, atoms, RegScheme(Lambda=lam, quad_tol=reg.quad_tol), b_order)[0]
+        _sigma_integrals(0.0, atoms.M2, atoms.M2, RegScheme(Lambda=lam, quad_tol=reg.quad_tol), half_delta)[0]
         for lam in lam_grid
     ])
     fit = divergence_fit(vals, lam_grid, atoms.M2)

@@ -183,36 +183,84 @@ def test_selfenergy_sigma_subtracted(request, selfenergy):
     assert worst <= bound, (lam, worst)
 
 
-# A truth-checked fuzz of the two commands whose Feynman-parameter scale is a
-# quadratic (ROADMAP item 21's tier-1 slice). Natural-unit configs, FUZZ_CONFIGS
-# per command from a fixed seed: m1 log-uniform in [1e-3, 1e3], m2 / m1 in
-# [1e-10, 1], Lambda / m1 in [0.1, 1e5] (below that M^2 >> Lambda^2, item 2's
-# regime), every momentum component uniform in [-m1, m1], and the vertex's
-# masses split or symmetric, at quad_tol FUZZ_TOL. No drawn q^2 passes a pair
-# threshold (-q^2 <= m1^2), but where m2^2 is below the rounding of m1^2 a
-# scale summed in double would invent one. Every exit-0 row is held to the
-# ledger's bound, and a refusal may name a threshold only where q^2 < 0.
+# A truth-checked fuzz of three loop commands (ROADMAP item 21's tier-1 slice).
+# Natural-unit configs, FUZZ_CONFIGS per command from a fixed seed, at quad_tol
+# FUZZ_TOL: m1 log-uniform in [1e-3, 1e3] and Lambda / m1 in [0.1, 1e5] (below
+# that M^2 >> Lambda^2, item 2's regime). loop-polarization and loop-vertex,
+# whose Feynman-parameter scale is a quadratic, draw m2 / m1 in [1e-10, 1],
+# every momentum component uniform in [-m1, m1], and the vertex's masses split
+# or symmetric. No drawn q^2 passes a pair threshold (-q^2 <= m1^2), but where
+# m2^2 is below the rounding of m1^2 a scale summed in double would invent one,
+# so a refusal may name a threshold only where q^2 < 0. loop-selfenergy runs
+# the exact path at level 2 with m2 / m1 in [1e-10, 1], or the expansion path at
+# level 1 or 2 with m2 / m1 in [0.63, 1] (|b| < 0.87); its offsets are never past
+# a threshold. Every exit-0 row is held to the ledger's bound: sigma_I and
+# sigma_II at SE_OFFSETS for loop-selfenergy (sigma_subtracted is item 3's miss).
 FUZZ_CONFIGS = 40
 FUZZ_TOL = 1e-10
-FUZZ_COLUMNS = {
-    "loop-polarization": ("polarization", ["P_coeff[1]"], lambda cfg, lam: [polarization_truth(cfg, lam)]),
-    "loop-vertex": ("vertex", ["J[1]", "K0[natural^-2]", "K1[natural^-2]", "K2[natural^-2]"], vertex_truth),
-}
 
 
-@pytest.mark.parametrize("command, seed", [("loop-polarization", 0), ("loop-vertex", 1)])
-def test_fuzzed_rows_within_bound(tmp_path, capsys, command, seed):
-    section, columns, truth_of = FUZZ_COLUMNS[command]
-    rng = random.Random(seed)
-    conf = tmp_path / "fuzz.conf"
-    codes, errors, causes = [], [], set()
-    for _ in range(FUZZ_CONFIGS):
+def _fuzz_quadratic(section):
+    """A loop-polarization or loop-vertex config from rng, and whether a refusal may name a threshold."""
+    def draw(rng):
         m1 = 10.0 ** rng.uniform(-3.0, 3.0)
         q = [rng.uniform(-m1, m1) for _ in range(4)]
         text = (f"atoms.m1 = {m1!r}\natoms.m2 = {m1 * 10.0 ** rng.uniform(-10.0, 0.0)!r}\n"
                 f"regulator.lambda = {m1 * 10.0 ** rng.uniform(-1.0, 5.0)!r}\n"
-                f"regulator.quad_tol = {FUZZ_TOL!r}\nvertex.symmetric_masses = {rng.choice(['true', 'false'])}\n"
+                f"vertex.symmetric_masses = {rng.choice(['true', 'false'])}\n"
                 + "".join(f"{section}.q{mu} = {q[mu]!r}\n" for mu in range(4)))
+        return text, sum(Fraction(v) ** 2 for v in q[1:]) - Fraction(q[0]) ** 2 < 0
+    return draw
+
+
+def _fuzz_selfenergy(rng):
+    """A loop-selfenergy config from rng; no refusal may name a threshold."""
+    m1 = 10.0 ** rng.uniform(-3.0, 3.0)
+    path = rng.choice(["exact", "expansion"])
+    level, low = (2, -10.0) if path == "exact" else (rng.choice([1, 2]), math.log10(0.63))
+    text = (f"atoms.m1 = {m1!r}\natoms.m2 = {m1 * 10.0 ** rng.uniform(low, 0.0)!r}\n"
+            f"regulator.lambda = {m1 * 10.0 ** rng.uniform(-1.0, 5.0)!r}\n"
+            f"selfenergy.path = {path}\nselfenergy.level = {level}\n")
+    return text, False
+
+
+def _one_row_pairs(columns, truth_of):
+    """(value, truth, cutoff) of each column of a one-row CSV."""
+    def pairs(cfg, rows):
+        (row,) = rows
+        lam = row["lambda[natural]"]
+        return [(row[column], truth, lam) for column, truth in zip(columns, truth_of(cfg, lam))]
+    return pairs
+
+
+def _selfenergy_pairs(cfg, rows):
+    """(value, truth, cutoff) of sigma_I and sigma_II at SE_OFFSETS of a one-cutoff loop-selfenergy CSV."""
+    pairs = []
+    for row in (rows[offset] for offset in SE_OFFSETS):
+        lam = row["lambda[natural]"]
+        truths = selfenergy_truth(cfg, lam, row["p_sq[natural^2]"])
+        pairs += [(row[column], truth, lam) for column, truth in zip(SE_COLUMNS[:2], truths)]
+    return pairs
+
+
+FUZZ = {
+    "loop-polarization": (_fuzz_quadratic("polarization"),
+                          _one_row_pairs(["P_coeff[1]"], lambda cfg, lam: [polarization_truth(cfg, lam)])),
+    "loop-vertex": (_fuzz_quadratic("vertex"),
+                    _one_row_pairs(["J[1]", "K0[natural^-2]", "K1[natural^-2]", "K2[natural^-2]"], vertex_truth)),
+    "loop-selfenergy": (_fuzz_selfenergy, _selfenergy_pairs),
+}
+
+
+@pytest.mark.parametrize("command, seed", [("loop-polarization", 0), ("loop-vertex", 1), ("loop-selfenergy", 2)])
+def test_fuzzed_rows_within_bound(tmp_path, capsys, command, seed):
+    draw, pairs_of = FUZZ[command]
+    rng = random.Random(seed)
+    conf = tmp_path / "fuzz.conf"
+    codes, errors, causes = [], [], set()
+    for _ in range(FUZZ_CONFIGS):
+        text, threshold_allowed = draw(rng)
+        text += f"regulator.quad_tol = {FUZZ_TOL!r}\n"
         conf.write_text(text, encoding="utf-8")
         code = cli.main([command, "--config", str(conf), "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -220,12 +268,9 @@ def test_fuzzed_rows_within_bound(tmp_path, capsys, command, seed):
         assert code in (0, 3), (text, err)
         if code == 3:
             causes.add(re.sub(r"\d[\d.]*(e[-+]\d+)?", "N", err.strip()))
-            q_sq = sum(Fraction(v) ** 2 for v in q[1:]) - Fraction(q[0]) ** 2
-            assert "threshold" not in err or q_sq < 0, (text, err)
+            assert "threshold" not in err or threshold_allowed, (text, err)
             continue
-        cfg, (row,) = _csv_rows(tmp_path, command, text)
-        for column, truth in zip(columns, truth_of(cfg, row["lambda[natural]"])):
-            errors.append((_rel(row[column], truth), row["lambda[natural]"]))
+        errors += [(_rel(value, truth), lam) for value, truth, lam in pairs_of(*_csv_rows(tmp_path, command, text))]
     print(f"fuzz {command}: {codes.count(0)} of {FUZZ_CONFIGS} configs exit 0, refusals {sorted(causes)}")
     worst, lam = _worst(command, f"fuzz-{seed}", "every column", errors, BOUND_PER_TOL * FUZZ_TOL)
     assert worst <= BOUND_PER_TOL * FUZZ_TOL, (lam, worst)

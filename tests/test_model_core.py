@@ -169,6 +169,9 @@ class TestRecords:
         (1.0, np.nan, "masses must be finite"),
         (-1.0, 1.0, "masses must be positive, got m1=-1.0, m2=1.0"),
         (1.0, 0.0, "masses must be positive, got m1=1.0, m2=0.0"),
+        (1e160, 9.5e159, "m1 = 1e+160: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"),
+        (1.0, 1e-170, "m2 = 1e-170: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"),
+        (1e-170, 1e-170, "m1 = 1e-170: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"),
     ])
     def test_atom_pair_refusals(self, m1, m2, message):
         with pytest.raises(ValueError) as info:

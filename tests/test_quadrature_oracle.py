@@ -22,8 +22,7 @@ from dipole_loop.loops import (
     master_integral_d_scale,
 )
 from dipole_loop.renorm import (
-    _sigma_integrals_exact,
-    _sigma_integrals_expansion,
+    _sigma_integrals,
     counterterm_report,
     photon_polarization,
     vertex_one_loop,
@@ -90,7 +89,8 @@ class TestSelfEnergy:
     @pytest.mark.parametrize("s_frac", [0.0, 1e-6, 5e-4, 1e-3])
     def test_expansion_path(self, lam, level, order, s_frac):
         s = s_frac * SPLIT.M2
-        fast = _sigma_integrals_expansion(s, level, SPLIT, reg(lam), order)
+        half_delta = (0.5 if level == 1 else -0.5) * SPLIT.delta if order == 1 else None
+        fast = _sigma_integrals(s, SPLIT.M2, SPLIT.M2, reg(lam), half_delta)
         slow = oracle_sigma_expansion(s, level, SPLIT, lam, order)
         assert fast == pytest.approx(slow, rel=REL)
 
@@ -98,14 +98,15 @@ class TestSelfEnergy:
     @pytest.mark.parametrize("s_frac", [0.0, 1e-6, 5e-4, 1e-3])
     def test_exact_path(self, lam, s_frac):
         # level 2 with the heavier mass in the loop; s = 0 is its mass shell
-        p_sq = s_frac * SPLIT.M2 - SPLIT.m2**2
-        fast = _sigma_integrals_exact(p_sq, SPLIT.m1**2, reg(lam))
+        s = s_frac * SPLIT.M2
+        p_sq = s - SPLIT.m2**2
+        fast = _sigma_integrals(s, SPLIT.m1**2, SPLIT.m2**2, reg(lam))
         assert fast == pytest.approx(oracle_sigma_exact(p_sq, SPLIT.m1**2, lam), rel=REL)
 
     @pytest.mark.parametrize("lam", [9.0, 1e5])
     def test_exact_path_at_the_decay_threshold(self, lam):
-        # p^2 = -m_inner^2: a^2(x) = m^2 x^2 vanishes quadratically at x = 0
-        fast = _sigma_integrals_exact(-SPLIT.m2**2, SPLIT.m2**2, reg(lam))
+        # p^2 = -m_inner^2 (s = 0 at equal masses): a^2(x) = m^2 x^2 vanishes quadratically at x = 0
+        fast = _sigma_integrals(0.0, SPLIT.m2**2, SPLIT.m2**2, reg(lam))
         assert fast == pytest.approx(oracle_sigma_exact(-SPLIT.m2**2, SPLIT.m2**2, lam), rel=REL)
 
 
@@ -176,7 +177,7 @@ class TestPolarization:
 class TestTolerance:
     def test_unattainable_tolerance_raises(self):
         with pytest.raises(QuadratureError, match="requested 1.00e-18"):
-            _sigma_integrals_expansion(0.0, 1, SPLIT, reg(100.0, tol=1e-18), 0)
+            _sigma_integrals(0.0, SPLIT.M2, SPLIT.M2, reg(100.0, tol=1e-18))
 
     def test_cli_exit_3_without_traceback(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

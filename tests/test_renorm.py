@@ -167,20 +167,34 @@ class TestSelfEnergyArray:
         assert subtracted[0] == 0.0
         assert np.all(subtracted[1:] != 0.0)
 
-    def test_equal_offsets_share_one_row(self):
+    def test_equal_offsets_share_one_row(self, monkeypatch):
         # two equal rows of one matrix product need not round alike, so
         # the on-shell point and the reference must be one row
         widths = []
+        master_integral = renorm.master_integral
 
-        def f(x, offsets):
-            widths.append(offsets.size)
-            return np.stack([np.exp(-offsets * x), x * np.exp(-offsets * x)])
+        def recording(kind, scale_sq, Lambda):
+            widths.append(scale_sq.shape[0])
+            return master_integral(kind, scale_sq, Lambda)
 
-        ints = renorm._integrate_offsets(f, np.array([0.5, 0.0, 0.5, 0.25, 0.0]), 1e-12)
+        monkeypatch.setattr(renorm, "master_integral", recording)
+        ints = renorm._sigma_integrals(np.array([0.5, 0.0, 0.5, 0.25, 0.0]), 1.0, 1.0, REG)
         assert set(widths) == {3}
         assert ints.shape == (2, 5)
         np.testing.assert_array_equal(ints[:, [0, 1]], ints[:, [2, 4]])
-        assert ints[0, 1] == pytest.approx(1.0, rel=1e-14)
+        assert np.all(ints[:, 0] != ints[:, 1]) and np.all(ints[:, 3] != ints[:, 1])
+
+    @pytest.mark.parametrize("lam", [10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("m", [1.0, 0.37])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_equal_masses_exact_is_expansion(self, level, m, lam):
+        # at m1 = m2 the expansion's order 0 is the exact integrand, the same bits
+        atoms = AtomPair(m, m)
+        p_sq = np.linspace(0.0, 1e-3 * atoms.M2, 9) - m * m
+        exact, expansion = (self_energy(level, p_sq, atoms, gamma_for(atoms), RegScheme(Lambda=lam), path=path)
+                            for path in ("exact", "expansion"))
+        for name in FIELDS + ("on_shell_value",):
+            np.testing.assert_array_equal(getattr(exact, name), getattr(expansion, name))
 
     def test_exact_heavier_reference_is_nan(self):
         res = self_energy(1, sweep_points(1, SPLIT.m1**2 - SPLIT.m2**2), SPLIT, gamma_for(SPLIT), REG,
