@@ -353,8 +353,8 @@ def _physics(cfg: Mapping) -> dict:
     With units.mode = SI the apparatus keys are divided by their scales
     here, and the converted values must pass the table's checks again.
     cavity.z defaults to the mode's antinode, and "atoms" (AtomPair) is
-    built from the converted values. It refuses, in pure Python, a mass
-    whose square is not finite and nonzero and a non-finite gamma, so
+    built from the converted values, so a mass pair outside AtomPair's range
+    is a config error. It refuses, in pure Python, a non-finite gamma, so
     _gamma cannot fail; the command handlers, renorm and loops refuse the rest.
     """
     natural = dict(cfg)
@@ -370,16 +370,16 @@ def _physics(cfg: Mapping) -> dict:
                 for p in problems
             ])
     m1, m2 = natural["atoms.m1"], natural["atoms.m2"]
-    for key, m in (("atoms.m1", m1), ("atoms.m2", m2)):
-        if not 0.0 < m * m < math.inf:  # every loop scale is built from m^2
-            raise ConfigError([f"{key} is {m!r} in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"])
+    try:
+        natural["atoms"] = AtomPair(m1=m1, m2=m2)
+    except ValueError as exc:
+        raise ConfigError([f"atoms.m1 and atoms.m2 in natural units: {exc}"]) from None
     # gamma^{0i} = d_i sqrt(m1 m2), as core.dipole_from_moment computes it
     scale = math.sqrt(m1 * m2)
     if not all(math.isfinite(natural[key] * scale) for key in _DIPOLE):
         raise ConfigError(["gamma = d sqrt(m1 m2) is not finite in natural units; it is built from dipole.dx, dipole.dy, dipole.dz, atoms.m1 and atoms.m2"])
     if natural["cavity.z"] is None:
         natural["cavity.z"] = math.pi / (2.0 * natural["cavity.omega"])  # antinode of sin(K z) with K = Omega
-    natural["atoms"] = AtomPair(m1=m1, m2=m2)
     return natural
 
 

@@ -44,7 +44,7 @@ class AtomPair(_Frozen):
     """The two level masses and the derived expansion quantities.
 
     m1 is the upper level, m2 the lower, so omega12 = m1 - m2 >= 0 in the
-    intended regime (the class itself requires positive masses with double squares).
+    intended regime (the class itself requires positive masses, nonzero squares and a finite M^2).
     """
 
     def __init__(self, m1: float, m2: float):
@@ -52,9 +52,9 @@ class AtomPair(_Frozen):
             raise ValueError("masses must be finite")
         if m1 <= 0 or m2 <= 0:
             raise ValueError(f"masses must be positive, got m1={m1}, m2={m2}")
-        for name, m in (("m1", m1), ("m2", m2)):
-            if not 0.0 < m * m < math.inf:
-                raise ValueError(f"{name} = {m!r}: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)")
+        if not (0.0 < min(m1 * m1, m2 * m2) and m1 * m1 + m2 * m2 < math.inf):  # every loop scale is built from them
+            raise ValueError(f"m1 = {m1!r}, m2 = {m2!r}: m1^2 and m2^2 must be nonzero and m1^2 + m2^2 = 2 M^2 "
+                             "finite (m >= 1.6e-162, m1^2 + m2^2 <= 1.8e308)")
         self.__dict__.update(m1=m1, m2=m2)
 
     @property
@@ -110,12 +110,12 @@ class DipoleTensor(_Frozen):
     def _contractions(self) -> dict:
         """contractions() of this tensor, computed on first use."""
         import numpy as np
-        g = np.diag(SIGNATURE)
+        g = np.array(SIGNATURE)  # the diagonal metric lowers an index by scaling its rows or columns
         up = self.components
-        down = g @ up @ g
+        mixed = up * g  # gamma^{mu}_{ tau} = gamma^{mu nu} g_{nu tau}
+        down = g[:, None] * mixed
         gamma_sq = float(np.sum(down * up))
-        # gamma^mu_tau = g_{tau nu} gamma^{mu nu}; then contract with gamma_{mu lambda}
-        mixed = up @ g  # gamma^{mu}_{ tau}
+        # then contract gamma^{mu}_{ tau} with gamma_{mu lambda}
         tensor = mixed.T @ down  # sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
         tensor = 0.5 * (tensor + tensor.T)  # symmetric up to round-off; enforce exactly
         tensor.flags.writeable = False

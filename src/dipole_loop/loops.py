@@ -71,7 +71,7 @@ class MasterIntegralKind(Enum):
     Each value (a, b) gives the integrand g(u) = u^a / (u + s)^b of u = l^2
     over the Euclidean 4-ball of radius Lambda, measure d^4 l / (2 pi)^4.
     d/ds maps (a, b) to -b (a, b + 1) under the integral, so the scale
-    derivatives are master integrals too: dI_A/ds = -2 I_D, dI_E/ds = -2 I_C.
+    derivatives of I_A, I_E and I_B are master integrals too: -2 I_D, -2 I_C, -I_E.
     """
 
     I_A = (1, 2)  # l^2 / (l^2 + s)^2: quadratic divergence, self-energy l l term
@@ -171,15 +171,12 @@ def master_integral(kind: MasterIntegralKind, scale_sq, Lambda: float):
 def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
     """Exact derivative of master_integral with respect to the scale.
 
-    dI_A/ds = -2 I_D and dI_E/ds = -2 I_C, the kinds the first-order
-    mass-splitting expansion of the self-energy needs (MasterIntegralKind
-    derives them). Takes a scalar or an array scale.
+    MasterIntegralKind's rule d/ds (a, b) = -b (a, b + 1), read from the kind;
+    I_C and I_D, whose (a, b + 1) is no kind, raise the enum's ValueError.
+    Takes a scalar or an array scale.
     """
-    if kind is MasterIntegralKind.I_A:
-        return -2.0 * master_integral(MasterIntegralKind.I_D, scale_sq, Lambda)
-    if kind is MasterIntegralKind.I_E:
-        return -2.0 * master_integral(MasterIntegralKind.I_C, scale_sq, Lambda)
-    raise ValueError(f"scale derivative not implemented for {kind!r}")
+    a, b = kind.value
+    return -b * master_integral(MasterIntegralKind((a, b + 1)), scale_sq, Lambda)
 
 
 def feynman_identity_check(A: float, B: float, C: float | None = None) -> float:

@@ -57,7 +57,6 @@ from .loops import (
 )
 
 __all__ = [
-    "METRIC",
     "SelfEnergyResult",
     "DivergenceFit",
     "RenormConstants",
@@ -68,11 +67,6 @@ __all__ = [
     "divergence_fit",
     "counterterm_report",
 ]
-
-# Minkowski metric g_{mu nu} = diag(-1, +1, +1, +1), its own inverse, as an
-# array; core, which loads without numpy, owns the signature.
-METRIC = np.diag(SIGNATURE)
-METRIC.flags.writeable = False
 
 I_A = MasterIntegralKind.I_A
 I_E = MasterIntegralKind.I_E
@@ -476,7 +470,7 @@ def photon_polarization(q: np.ndarray, atoms: AtomPair, gamma: DipoleTensor, reg
             f"M^2(x={x_min:.3g}) = {m_min:.3g} <= 0; q^2 = {q_sq:.3g} beyond the pair threshold"
         )
     P = float(_fixed_rule(lambda x: master_integral(I_E, m_sq_of(x), reg.Lambda), reg.quad_tol, at=x_min))
-    q_low = METRIC @ q  # q with the index down equals g q for this metric
+    q_low = np.multiply(SIGNATURE, q)  # q_mu = g_{mu nu} q^nu, the metric being diagonal
     w = gamma.components.T @ q_low  # w^nu = gamma^{alpha nu} q_alpha
     Pi = 4.0 * P * np.outer(w, w)
     trans = np.max(np.abs(q_low @ Pi))
@@ -498,7 +492,7 @@ class DivergenceFit(NamedTuple):
     """Least-squares coefficients of a regulated quantity on a Lambda grid.
 
     Model "quad_log_const": c_quad Lambda^2 + c_log M^2 ln(Lambda^2/M^2)
-    + c_const M^2. Model "log_const" drops the Lambda^2 column.
+    + c_const M^2. Model "log_const" drops the Lambda^2 column (c_quad = 0).
     normalized() rescales so the leading coefficient is 1.
     """
 
@@ -522,27 +516,27 @@ def divergence_fit(
     M_sq: float,
     model: str = "quad_log_const",
 ) -> DivergenceFit:
-    """Fit cutoff dependence against the divergence basis.
+    """Fit cutoff dependence against the divergence basis, one design for both
+    models ("log_const" drops its Lambda^2 column).
 
     The grid is rejected unless its cutoffs are finite, span two decades
     with min(Lambda)/M >= 10, outnumber the model's coefficients (else the
     residual vanishes by construction), and give a design whose condition
     number s_max/s_min, from the singular values of the one solve, is <= 1e12.
+    A fit is accepted if no residual exceeds 1e-4 of the leading column's largest term.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     values = np.asarray(values, dtype=float)
     if lambdas.ndim != 1 or lambdas.shape != values.shape:
         raise ValueError("values and lambdas must be 1-d arrays of equal length")
-    if model not in ("quad_log_const", "log_const"):
+    dropped = {"quad_log_const": 0, "log_const": 1}.get(model)  # leading basis columns left out
+    if dropped is None:
         raise ValueError(f"unknown model {model!r}")
     M = np.sqrt(M_sq)
     if not (10.0 * M <= lambdas.min() and 100.0 * lambdas.min() <= lambdas.max() < np.inf):
         raise ValueError("rejected grid: need min(Lambda) >= 10 M and a span of at least two decades")
     logs = np.log(lambdas**2 / M_sq)
-    if model == "quad_log_const":
-        design = np.column_stack([lambdas**2, M_sq * logs, M_sq * np.ones_like(lambdas)])
-    else:
-        design = np.column_stack([M_sq * logs, M_sq * np.ones_like(lambdas)])
+    design = np.column_stack([lambdas**2, M_sq * logs, M_sq * np.ones_like(lambdas)])[:, dropped:]
     if lambdas.size <= design.shape[1]:
         raise ValueError(f"rejected grid: {lambdas.size} cutoffs cannot overdetermine the {design.shape[1]} coefficients of {model}")
     coeffs, _, _, sv = np.linalg.lstsq(design, values, rcond=None)
@@ -550,13 +544,8 @@ def divergence_fit(
     if cond > 1e12:
         raise ValueError(f"rejected grid: design matrix condition number {cond:.2e}")
     resid = float(np.max(np.abs(design @ coeffs - values)))
-    if model == "quad_log_const":
-        c_quad, c_log, c_const = (float(c) for c in coeffs)
-        scale = abs(c_quad) * lambdas.max() ** 2
-    else:
-        c_quad = 0.0
-        c_log, c_const = (float(c) for c in coeffs)
-        scale = abs(c_log * M_sq * logs.max())
+    c_quad, c_log, c_const = [0.0] * dropped + [float(c) for c in coeffs]
+    scale = np.max(np.abs(coeffs[0] * design[:, 0]))
     accepted = bool(scale > 0 and resid / scale <= 1e-4)
     return DivergenceFit(
         c_quad=c_quad,

@@ -193,8 +193,8 @@ def test_selfenergy_sigma_subtracted(request, selfenergy):
 # m2^2 is below the rounding of m1^2 a scale summed in double would invent one,
 # so a refusal may name a threshold only where q^2 < 0. loop-selfenergy runs
 # the exact path at level 2 with m2 / m1 in [1e-10, 1], or the expansion path at
-# level 1 or 2 with m2 / m1 in [0.63, 1] (|b| < 0.87); its offsets are never past
-# a threshold. Every exit-0 row is held to the ledger's bound: sigma_I and
+# level 1 or 2 and order 0 or 1 with m2 / m1 in [0.63, 1] (|b| < 0.87); its offsets
+# are never past a threshold. Every exit-0 row is held to the ledger's bound: sigma_I and
 # sigma_II at SE_OFFSETS for loop-selfenergy (sigma_subtracted is item 3's miss).
 FUZZ_CONFIGS = 40
 FUZZ_TOL = 1e-10
@@ -221,6 +221,8 @@ def _fuzz_selfenergy(rng):
     text = (f"atoms.m1 = {m1!r}\natoms.m2 = {m1 * 10.0 ** rng.uniform(low, 0.0)!r}\n"
             f"regulator.lambda = {m1 * 10.0 ** rng.uniform(-1.0, 5.0)!r}\n"
             f"selfenergy.path = {path}\nselfenergy.level = {level}\n")
+    if path == "expansion":
+        text += f"selfenergy.b_order = {rng.choice([0, 1])}\n"
     return text, False
 
 

@@ -18,6 +18,11 @@ from dipole_loop import _csvfloat, cli, errors, jc, nr, renorm
 from dipole_loop.errors import ConfigError, DipoleLoopError
 
 
+# core.AtomPair's mass-range refusal, which _physics reports as a config error
+MASS_RANGE = ("m1^2 and m2^2 must be nonzero and m1^2 + m2^2 = 2 M^2 finite "
+              "(m >= 1.6e-162, m1^2 + m2^2 <= 1.8e308)")
+
+
 def write_conf(tmp_path, text, name="run.conf"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -1252,12 +1257,16 @@ class TestMagnitudeBounds:
         assert f"cutoff grid values must be <= {cli.MAX_LAMBDA}" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("mass", ["1e200", "1e-200"])
+    @pytest.mark.parametrize("mass", ["1e200", "1e-200", "1.3e154"])
     def test_mass_square_must_be_a_double(self, tmp_path, capsys, mass):
+        # AtomPair's refusal, as a config error that names both keys; at 1.3e154
+        # each m^2 is a double but m1^2 + m2^2 = 2 M^2 is not
         conf = write_conf(tmp_path, f"atoms.m1 = {mass}\natoms.m2 = {mass}\n")
         code = cli.main(["check-dims", "--config", conf, "--out", str(tmp_path)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"config error: atoms.m1 is {float(mass)!r} in natural units")
+        m = float(mass)
+        assert capsys.readouterr().err == (f"config error: atoms.m1 and atoms.m2 in natural units: m1 = {m!r}, "
+                                           f"m2 = {m!r}: {MASS_RANGE}\n")
         assert not any(tmp_path.glob("*.csv"))
 
     def test_si_mass_checked_after_conversion(self, tmp_path, capsys):
@@ -1265,7 +1274,9 @@ class TestMagnitudeBounds:
         conf = write_conf(tmp_path, "units.mode = SI\natoms.m1 = 1e120\natoms.m2 = 1e120\n")
         code = cli.main(["check-dims", "--config", conf, "--out", str(tmp_path)])
         assert code == 2
-        assert "in natural units; m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: atoms.m1 and atoms.m2 in natural units: m1 = 5.6")
+        assert err.endswith(MASS_RANGE + "\n")
 
 
 class TestNonFiniteRefused:
@@ -1358,6 +1369,8 @@ PROBES = [
     pytest.param("dipole.dx = 1e160", (0, 0, 0, 3, 3, 3, 3, 0, 0), id="dx-1e160"),
     pytest.param("atoms.m1 = 1e200\natoms.m2 = 1e200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e200"),
     pytest.param("atoms.m1 = 1e-200\natoms.m2 = 1e-200", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1e-200"),
+    # each m^2 is a finite double, but 2 M^2 = m1^2 + m2^2 is not
+    pytest.param("atoms.m1 = 1.3e154\natoms.m2 = 1.3e154", (2, 2, 2, 2, 2, 2, 2, 2, 2), id="masses-1.3e154"),
     # lambda_2 = k^2/m2^2 reaches 1 at the top of the default nr.lambda_grid
     pytest.param("atoms.m2 = 0.1", (0, 0, 3, 3, 0, 0, 3, 0, 0), id="m2-0.1"),
     # lambda_2 overflows to inf (m2^2 is subnormal), and reaches 1e4; M^2(x = 1) = m2^2

@@ -133,15 +133,27 @@ class TestClosedForms:
         val = master_integral(MasterIntegralKind.I_C, b2, lam)
         assert val == pytest.approx(1.0 / (32.0 * np.pi**2 * b2), rel=1e-5)
 
-    @pytest.mark.parametrize("kind", [MasterIntegralKind.I_A, MasterIntegralKind.I_E])
+    @pytest.mark.parametrize("kind", list(truth.D_SCALE))
     def test_scale_derivative(self, kind):
         s, lam, h = 0.37, 25.0, 1e-6
         num = (master_integral(kind, s + h, lam) - master_integral(kind, s - h, lam)) / (2 * h)
         assert master_integral_d_scale(kind, s, lam) == pytest.approx(num, rel=1e-7)
 
-    def test_scale_derivative_unsupported_kind(self):
-        with pytest.raises(ValueError):
-            master_integral_d_scale(MasterIntegralKind.I_B, 1.0, 10.0)
+    @pytest.mark.parametrize("kind", list(truth.D_SCALE))
+    def test_scale_derivative_is_a_master_integral(self, kind):
+        # d/ds (a, b) = -b (a, b + 1) as truth.D_SCALE states it kind by kind (checked against
+        # mpmath.diff in TestTruthModule), bit for bit, on an array and on each scalar in it
+        factor, raised = truth.D_SCALE[kind]
+        scales = np.array([1e-6, 0.37, 4.0, 2.5e3])
+        assert np.array_equal(master_integral_d_scale(kind, scales, 50.0), factor * master_integral(raised, scales, 50.0))
+        for s in scales.tolist():
+            assert master_integral_d_scale(kind, s, 50.0) == factor * master_integral(raised, s, 50.0)
+
+    @pytest.mark.parametrize("kind, raised", [(MasterIntegralKind.I_C, "(0, 4)"), (MasterIntegralKind.I_D, "(1, 4)")])
+    def test_scale_derivative_past_the_kinds(self, kind, raised):
+        # (a, b + 1) is no kind: the enum's ValueError names it
+        with pytest.raises(ValueError, match=re.escape(f"{raised} is not a valid MasterIntegralKind")):
+            master_integral_d_scale(kind, 1.0, 10.0)
 
     def test_nonpositive_scale_rejected(self):
         for kind in KINDS:
@@ -208,6 +220,19 @@ class TestTruthModule:
             s = ratio * lam_sq
             integral = truth.prefactor() * mpmath.quad(lambda u: u * u**a / (u + s) ** b, [0, s, lam_sq])
             assert abs(truth.master_integral(kind, s, lam_sq) / integral - 1) <= 1e-30
+
+    @pytest.mark.parametrize("kind", list(truth.D_SCALE))
+    @pytest.mark.parametrize("ratio", [1e-6, 1.0, 10.0])
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_scale_derivative_rule(self, kind, ratio, lam):
+        # truth.D_SCALE, which the b_order 1 self-energy truth applies, against mpmath.diff
+        # of the closed form at 40 digits; 1e-35 relative (measured: at most 1.2e-38)
+        factor, raised = truth.D_SCALE[kind]
+        with mpmath.workdps(40):
+            lam_sq = mpmath.mpf(lam) ** 2
+            s = ratio * lam_sq
+            derivative = mpmath.diff(lambda t: truth.master_integral(kind, t, lam_sq), s)
+            assert abs(factor * truth.master_integral(raised, s, lam_sq) / derivative - 1) <= 1e-35
 
 
 class TestFarAboveCutoff:

@@ -1,6 +1,8 @@
 """Covariant model core: tensor algebra, contractions, power counting."""
 
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipole_loop.core import (
+    SIGNATURE,
     AtomPair,
     DipoleTensor,
     classify_renormalizability,
@@ -22,10 +25,15 @@ from dipole_loop.core import (
 from dipole_loop import cli
 from dipole_loop.cli import C_SI, EPS0_SI, EV_SI, HBAR_SI, _SI_QUANTITY, _si_scales, parse_config
 from dipole_loop.errors import ConfigError, KinematicDomainError
-from dipole_loop.renorm import METRIC
 
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, width=64)
+
+# AtomPair's refusal of a pair whose squares, or 2 M^2, are not nonzero finite doubles
+MASS_RANGE = ("m1^2 and m2^2 must be nonzero and m1^2 + m2^2 = 2 M^2 finite "
+              "(m >= 1.6e-162, m1^2 + m2^2 <= 1.8e308)")
+# the Minkowski metric g_{mu nu}, the contraction oracles' own
+METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def antisym(entries):
@@ -44,10 +52,9 @@ def boost_x(eta: float) -> np.ndarray:
 
 class TestMetric:
     def test_signature(self):
-        assert np.array_equal(METRIC, np.diag([-1.0, 1.0, 1.0, 1.0]))
-        assert np.array_equal(METRIC @ METRIC, np.eye(4))  # its own inverse
-        with pytest.raises(ValueError):
-            METRIC[0, 0] = 1.0
+        assert SIGNATURE == (-1.0, 1.0, 1.0, 1.0)
+        p, q = np.array([2.0, 1.0, -0.5, 3.0]), np.array([0.25, -4.0, 2.0, 1.5])
+        assert minkowski_dot(p, q) == float(p @ METRIC @ q)
 
     def test_minkowski_dot(self):
         p = np.array([2.0, 1.0, 0.0, 0.0])
@@ -169,14 +176,25 @@ class TestRecords:
         (1.0, np.nan, "masses must be finite"),
         (-1.0, 1.0, "masses must be positive, got m1=-1.0, m2=1.0"),
         (1.0, 0.0, "masses must be positive, got m1=1.0, m2=0.0"),
-        (1e160, 9.5e159, "m1 = 1e+160: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"),
-        (1.0, 1e-170, "m2 = 1e-170: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"),
-        (1e-170, 1e-170, "m1 = 1e-170: m^2 must be finite and nonzero (1.6e-162 <= m <= 1.3e154)"),
+        (1e160, 9.5e159, "m1 = 1e+160, m2 = 9.5e+159: " + MASS_RANGE),
+        (1.0, 1e-170, "m1 = 1.0, m2 = 1e-170: " + MASS_RANGE),
+        (1e-170, 1e-170, "m1 = 1e-170, m2 = 1e-170: " + MASS_RANGE),
+        (1.3e154, 1.3e154, "m1 = 1.3e+154, m2 = 1.3e+154: " + MASS_RANGE),
     ])
     def test_atom_pair_refusals(self, m1, m2, message):
         with pytest.raises(ValueError) as info:
             AtomPair(m1, m2)
         assert info.value.args == (message,)
+
+    def test_atom_pair_m_sq_range(self):
+        # each m^2 is a finite double, but 2 M^2 = m1^2 + m2^2 overflows from about 9.49e153 each
+        top = math.sqrt(sys.float_info.max / 2.0)
+        assert math.isfinite(AtomPair(top, top).M2)
+        assert math.isfinite(AtomPair(1.3e154, 1.0).M2)
+        for m1, m2 in ((1.3e154, 1.3e154), (1.0001 * top, 1.0001 * top), (1.3e154, 0.6e154)):
+            assert m1 * m1 < math.inf and m2 * m2 < math.inf and not m1 * m1 + m2 * m2 < math.inf
+            with pytest.raises(ValueError, match=re.escape(f"m1 = {m1!r}, m2 = {m2!r}: " + MASS_RANGE)):
+                AtomPair(m1, m2)
 
     @pytest.mark.parametrize("components, message", [
         (np.zeros(4), "gamma must be a square matrix, got shape (4,)"),

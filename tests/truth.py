@@ -16,6 +16,13 @@ from dipole_loop.loops import MasterIntegralKind
 
 LEDGER_DPS = 40
 
+# d/ds of a closed form as (factor, kind): d/ds u^a / (u + s)^b = -b u^a / (u + s)^(b + 1)
+D_SCALE = {
+    MasterIntegralKind.I_A: (-2, MasterIntegralKind.I_D),
+    MasterIntegralKind.I_E: (-2, MasterIntegralKind.I_C),
+    MasterIntegralKind.I_B: (-1, MasterIntegralKind.I_E),
+}
+
 
 def prefactor():
     """1 / (16 pi^2), the 4-ball measure's factor, at the working precision."""
@@ -89,16 +96,21 @@ def selfenergy_truth(cfg, lam, p_sq):
     """(sigma_I, sigma_II) = (gamma^2 int_0^1 I_A(a^2) dx, 4 gpp int_0^1 x^2 I_E(a^2) dx).
 
     gamma^2 and gpp = gamma^2_{tau lambda} p^tau p^lambda at the level's rest-frame
-    on-shell momentum are the code's doubles. On the expansion path (order 0)
+    on-shell momentum are the code's doubles. On the expansion path
     a^2 = M^2 x^2 + s x (1 - x), with s = p^2 + m_level^2 formed in double as the
-    code forms it; on the exact path a^2 = m_inner^2 x + p^2 x (1 - x)."""
+    code forms it; at b_order 1 each integrand I(a^2) gains its first order in
+    a^2's shift -half_delta x (2 - x), -half_delta x (2 - x) dI/ds(a^2) with dI/ds
+    from D_SCALE and half_delta = delta / 2 for level 1, -delta / 2 for level 2
+    (M^2 and delta the code's doubles). On the exact path a^2 = m_inner^2 x + p^2 x (1 - x)."""
     atoms, level, gamma = cfg["atoms"], cfg["selfenergy.level"], cli._gamma(cfg)
     gsq = contractions(gamma)["gamma_sq"]
     gpp = gamma_sq_dot(gamma, np.array([atoms.mass(level), 0.0, 0.0, 0.0]))
     with mpmath.workdps(LEDGER_DPS):
+        half_delta = 0
         if cfg["selfenergy.path"] == "expansion":
-            assert cfg["selfenergy.b_order"] == 0, "the truth covers order 0 of the expansion only"
             m_sq, s = mpmath.mpf(atoms.M2), mpmath.mpf(p_sq + atoms.mass(level) ** 2)
+            if cfg["selfenergy.b_order"] == 1:
+                half_delta = mpmath.mpf(atoms.delta) * (0.5 if level == 1 else -0.5)
 
             def a_sq(x):
                 return m_sq * x * x + s * x * (1 - x)
@@ -109,6 +121,14 @@ def selfenergy_truth(cfg, lam, p_sq):
                 return m_inner_sq * x + p * x * (1 - x)
 
         lam_sq = mpmath.mpf(lam) ** 2
-        int_a = mpmath.quad(lambda x: master_integral(MasterIntegralKind.I_A, a_sq(x), lam_sq), [0, 1])
-        int_e = mpmath.quad(lambda x: x * x * master_integral(MasterIntegralKind.I_E, a_sq(x), lam_sq), [0, 1])
+
+        def integrand(kind, x):
+            value = master_integral(kind, a_sq(x), lam_sq)
+            if half_delta:
+                factor, raised = D_SCALE[kind]
+                value -= half_delta * x * (2 - x) * factor * master_integral(raised, a_sq(x), lam_sq)
+            return value
+
+        int_a = mpmath.quad(lambda x: integrand(MasterIntegralKind.I_A, x), [0, 1])
+        int_e = mpmath.quad(lambda x: x * x * integrand(MasterIntegralKind.I_E, x), [0, 1])
         return gsq * int_a, 4 * gpp * int_e
