@@ -23,8 +23,8 @@ script, python -m dipole_loop.cli) enters through run(), which flushes
 stdout and stderr and ends with os._exit; code embedding the package calls
 main(), which returns the exit code.
 numpy loads only in a command that computes with arrays, with one BLAS
-thread unless the caller set a count: reading a config, refusing it and
-check-dims run without it.
+thread unless the caller set a count: reading a config, refusing it,
+check-dims and the three loop sweeps (rows of plain floats) run without it.
 
 Every CSV starts with the full resolved configuration echoed as
 '#'-prefixed comments, then a header row naming columns and units, then
@@ -127,6 +127,16 @@ def parse_grid(spec: str):
     start, stop, count, kind = _grid_spec(spec)
     import numpy as np
     return (np.geomspace if kind == "log" else np.linspace)(start, stop, count)
+
+
+def _spaced(start: float, stop: float, count: int, kind: str = "lin") -> list:
+    """count floats from start to stop as numpy's linspace spaces them (for kind "log", its
+    geomspace, up to the last bit of 10.0 ** y): the cutoff and s grids, far below overflow."""
+    if kind == "log":
+        return [start] + [10.0**y for y in _spaced(math.log10(start), math.log10(stop), count)[1:-1]] + [stop]
+    delta, div = stop - start, count - 1
+    # numpy scales i / div by delta where the step delta / div rounds to 0
+    return [(i * (delta / div) if delta / div else i / div * delta) + start for i in range(div)] + [stop]
 
 
 def _parse_bool(s: str) -> bool:
@@ -394,12 +404,11 @@ def _pmap(fn, items):
 
 
 def _sweep(cfg: Mapping, rows_at):
-    """rows_at(reg), a row or a block, stacked over the config's cutoffs, each RegScheme mapped by _pmap."""
-    import numpy as np
+    """The rows of rows_at(reg), a list of rows, over the config's cutoffs, each RegScheme mapped by _pmap."""
     spec = cfg["regulator.lambda_grid"]
-    lambdas = [cfg["regulator.lambda"]] if spec is None else parse_grid(spec)
+    lambdas = [cfg["regulator.lambda"]] if spec is None else _spaced(*_grid_spec(spec))
     regs = [RegScheme(Lambda=lam, quad_tol=cfg["regulator.quad_tol"]) for lam in lambdas]
-    return np.vstack(_pmap(rows_at, regs))
+    return [row for rows in _pmap(rows_at, regs) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +563,6 @@ def _cmd_nr_reduce(cfg: Mapping):
 
 
 def _cmd_loop_selfenergy(cfg: Mapping):
-    import numpy as np
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
     level = cfg["selfenergy.level"]
@@ -563,13 +571,13 @@ def _cmd_loop_selfenergy(cfg: Mapping):
     s_max = cfg["selfenergy.s_max"]
     if s_max is None:
         s_max = 1e-3 * atoms.M2
-    s_grid = np.linspace(0.0, s_max, cfg["selfenergy.s_count"])
-    p_sq = s_grid - atoms.mass(level) ** 2
+    s_grid = _spaced(0.0, s_max, cfg["selfenergy.s_count"])
+    p_sq = [s - atoms.mass(level) ** 2 for s in s_grid]
 
     def block(reg):
         res = renorm.self_energy(level, p_sq, atoms, gamma, reg, path=path, b_order=b_order)
-        columns = (s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, res.total - res.on_shell_value)
-        return np.column_stack((np.full_like(s_grid, reg.Lambda), *columns))
+        columns = (s_grid, p_sq, res.sigma_I, res.sigma_II, res.total, [v - res.on_shell_value for v in res.total])
+        return [(reg.Lambda, *row) for row in zip(*columns)]
 
     rows = _sweep(cfg, block)
     header = [
@@ -589,15 +597,14 @@ def _cmd_loop_selfenergy(cfg: Mapping):
 
 
 def _cmd_loop_vertex(cfg: Mapping):
-    import numpy as np
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
-    q = np.array([cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"]])
-    p_prime = np.array([atoms.m1, 0.0, 0.0, 0.0])
+    q = (cfg["vertex.q0"], cfg["vertex.q1"], cfg["vertex.q2"], cfg["vertex.q3"])
+    p_prime = (atoms.m1, 0.0, 0.0, 0.0)
 
     def row(reg):
         v = renorm.vertex_one_loop(p_prime, q, atoms, gamma, reg, symmetric_masses=cfg["vertex.symmetric_masses"])
-        return (reg.Lambda, v["q_sq"], v["J"], v["K0"], v["K1"], v["K2"], v["Gamma_I_coeff"], v["Z1_inv"])
+        return [(reg.Lambda, v["q_sq"], v["J"], v["K0"], v["K1"], v["K2"], v["Gamma_I_coeff"], v["Z1_inv"])]
 
     rows = _sweep(cfg, row)
     header = [
@@ -615,17 +622,13 @@ def _cmd_loop_vertex(cfg: Mapping):
 
 
 def _cmd_loop_polarization(cfg: Mapping):
-    import numpy as np
     from . import renorm
     atoms, gamma = cfg["atoms"], _gamma(cfg)
-    q = np.array([
-        cfg["polarization.q0"], cfg["polarization.q1"],
-        cfg["polarization.q2"], cfg["polarization.q3"],
-    ])
+    q = (cfg["polarization.q0"], cfg["polarization.q1"], cfg["polarization.q2"], cfg["polarization.q3"])
 
     def row(reg):
         pol = renorm.photon_polarization(q, atoms, gamma, reg)
-        return (reg.Lambda, pol["q_sq"], pol["P_coeff"], pol["transversality"], *pol["Pi"].reshape(-1))
+        return [(reg.Lambda, pol["q_sq"], pol["P_coeff"], pol["transversality"], *(v for row in pol["Pi"] for v in row))]
 
     rows = _sweep(cfg, row)
     header = ["lambda[natural]", "q_sq[natural^2]", "P_coeff[1]", "transversality[1]"]

@@ -3,14 +3,16 @@
 Everything here works in natural units (hbar = c = eps0 = mu0 = 1) with
 metric signature (-,+,+,+). The dipole coupling is an antisymmetric
 tensor gamma^{mu nu}; its electric components gamma^{0i} carry the
-atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2). numpy is
-imported by the functions that use it; the metric's diagonal is SIGNATURE.
+atomic dipole moment through gamma^{0i} = d_i sqrt(m1 m2). The metric's
+diagonal is SIGNATURE. Everything here computes on plain floats and
+tuples; numpy is imported only to build DipoleTensor.components.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from operator import mul
 
 from .errors import KinematicDomainError
 
@@ -89,58 +91,77 @@ class AtomPair(_Frozen):
             raise KinematicDomainError(f"|b| = |delta|/M^2 = {abs(self.b):.3g} >= 1.0; expansion invalid")
 
 
-class DipoleTensor(_Frozen):
-    """Antisymmetric coupling gamma^{mu nu} (components with indices up), read-only."""
+def _dot(a, b) -> float:
+    """sum_i a_i b_i, added left to right: the same bits on every Python version,
+    which sum() (compensated from 3.12 on) would not give."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
-    def __init__(self, components: np.ndarray):
-        import numpy as np
-        comp = np.array(components, dtype=float)  # a copy, frozen below
-        if comp.ndim != 2 or comp.shape[0] != comp.shape[1]:
-            raise ValueError(f"gamma must be a square matrix, got shape {comp.shape}")
-        if not np.isfinite(comp).all():
+
+class DipoleTensor(_Frozen):
+    """Antisymmetric coupling gamma^{mu nu} (components with indices up), read-only.
+
+    up holds the components as a tuple of row tuples; components is the same
+    matrix as a read-only ndarray, built on first access.
+    """
+
+    def __init__(self, components):
+        try:
+            up = tuple(tuple(map(float, row)) for row in components)  # a copy
+            shape = (len(up), *{len(row) for row in up})
+        except TypeError:  # entries that are not rows
+            up, shape = (), (len(components),)
+        shape = getattr(components, "shape", shape)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"gamma must be a square matrix, got shape {tuple(shape)}")
+        if not all(math.isfinite(v) for row in up for v in row):
             raise ValueError("gamma must be finite")
-        if not np.array_equal(comp, -comp.T):
+        if any(v != -up[nu][mu] for mu, row in enumerate(up) for nu, v in enumerate(row)):
             raise ValueError("gamma must be exactly antisymmetric")
-        if comp.shape[0] != 4:
-            raise ValueError(f"gamma shape {comp.shape} does not match spacetime dimension 4")
+        if shape[0] != 4:
+            raise ValueError(f"gamma shape {tuple(shape)} does not match spacetime dimension 4")
+        self.__dict__.update(up=up)
+
+    @functools.cached_property
+    def components(self):
+        """The components as a read-only 4x4 ndarray."""
+        import numpy as np
+        comp = np.array(self.up)
         comp.flags.writeable = False
-        self.__dict__.update(components=comp)
+        return comp
 
     @functools.cached_property
     def _contractions(self) -> dict:
         """contractions() of this tensor, computed on first use."""
-        import numpy as np
-        g = np.array(SIGNATURE)  # the diagonal metric lowers an index by scaling its rows or columns
-        up = self.components
-        mixed = up * g  # gamma^{mu}_{ tau} = gamma^{mu nu} g_{nu tau}
-        down = g[:, None] * mixed
-        gamma_sq = float(np.sum(down * up))
-        # then contract gamma^{mu}_{ tau} with gamma_{mu lambda}
-        tensor = mixed.T @ down  # sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
-        tensor = 0.5 * (tensor + tensor.T)  # symmetric up to round-off; enforce exactly
-        tensor.flags.writeable = False
+        g = SIGNATURE  # the diagonal metric lowers an index by scaling its rows or columns
+        up = self.up
+        mixed = [[v * g[nu] for nu, v in enumerate(row)] for row in up]  # gamma^{mu}_{ tau} = gamma^{mu nu} g_{nu tau}
+        down = [[g[mu] * v for v in row] for mu, row in enumerate(mixed)]
+        gamma_sq = math.fsum(d * u for d_row, u_row in zip(down, up) for d, u in zip(d_row, u_row))
+        # then contract gamma^{mu}_{ tau} with gamma_{mu lambda}: sum_mu gamma^{mu}_{ tau} gamma_{mu lambda}
+        tensor = [[_dot(tau, lam) for lam in zip(*down)] for tau in zip(*mixed)]
+        # symmetric up to round-off; enforce exactly
+        tensor = tuple(tuple(0.5 * (tensor[a][b] + tensor[b][a]) for b in range(4)) for a in range(4))
         return {"gamma_sq": gamma_sq, "gamma_sq_tensor": tensor}
 
 
-def dipole_from_moment(d: np.ndarray, atoms: AtomPair) -> DipoleTensor:
+def dipole_from_moment(d, atoms: AtomPair) -> DipoleTensor:
     """Build gamma^{mu nu} from an electric dipole moment vector.
 
     gamma^{0i} = d_i sqrt(m1 m2), gamma^{i0} = -gamma^{0i}, spatial
-    components zero (laboratory frame). d needs 3 components, as numpy
-    would broadcast fewer; a non-finite gamma is refused in pure Python, as
-    cli._physics refuses it, before numpy's product could warn of an overflow.
+    components zero (laboratory frame). d needs 3 components, and a
+    non-finite gamma is refused, as cli._physics refuses it.
     """
-    import numpy as np
-    d = np.asarray(d, dtype=float)
-    if d.shape != (3,):
-        raise ValueError(f"dipole moment must have 3 components, got {d.shape}")
+    shape = getattr(d, "shape", (len(d),) if hasattr(d, "__len__") else ())
+    if tuple(shape) != (3,):
+        raise ValueError(f"dipole moment must have 3 components, got {tuple(shape)}")
     scale = math.sqrt(atoms.m1 * atoms.m2)
-    if not all(math.isfinite(x * scale) for x in d.tolist()):
+    g = [float(x) * scale for x in d]
+    if not all(map(math.isfinite, g)):
         raise ValueError("gamma must be finite")
-    comp = np.zeros((4, 4))
-    comp[0, 1:] = d * scale
-    comp[1:, 0] = -d * scale
-    return DipoleTensor(comp)
+    return DipoleTensor([(0.0, *g)] + [(-x, 0.0, 0.0, 0.0) for x in g])
 
 
 def contractions(gamma: DipoleTensor) -> dict:
@@ -154,30 +175,24 @@ def contractions(gamma: DipoleTensor) -> dict:
         gamma_sq : float
             gamma_{mu nu} gamma^{mu nu}. Negative for a purely electric
             tensor in this signature.
-        gamma_sq_tensor : ndarray
+        gamma_sq_tensor : tuple of four row tuples
             gamma^2_{tau lambda} = gamma^{mu}_{ tau} gamma_{mu lambda},
-            symmetric, both indices down, read-only.
+            symmetric, both indices down.
     """
     return dict(gamma._contractions)
 
 
-def gamma_sq_dot(gamma: DipoleTensor, p: np.ndarray, q: np.ndarray | None = None) -> float:
+def gamma_sq_dot(gamma: DipoleTensor, p, q=None) -> float:
     """Contraction gamma^2_{tau lambda} p^tau q^lambda (q defaults to p)."""
-    import numpy as np
     if q is None:
         q = p
     t = gamma._contractions["gamma_sq_tensor"]
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(p @ t @ q)
+    return _dot([_dot(p, column) for column in zip(*t)], q)
 
 
-def minkowski_dot(p: np.ndarray, q: np.ndarray) -> float:
+def minkowski_dot(p, q) -> float:
     """p . q = g_{mu nu} p^mu q^nu with signature (-,+,+,+)."""
-    import numpy as np
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(-p[0] * q[0] + p[1:] @ q[1:])
+    return _dot(map(mul, SIGNATURE, p), q)
 
 
 _INTERACTIONS = ("P", "P_tilde")

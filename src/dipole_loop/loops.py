@@ -7,8 +7,10 @@ Every loop integral reduces by 4D spherical symmetry to
 
 the factor 1/(16 pi^2) being 2 pi^2 / (2 pi)^4 from the 3-sphere area
 times 1/2 from u = l^2. The closed forms below are exact antiderivatives
-at finite Lambda (all boundary terms kept) and take arrays of scales.
-radial_quadrature, tanh-sinh quadrature in numpy (Takahasi & Mori, Publ.
+at finite Lambda (all boundary terms kept), one math expression per kind
+applied to a list of scales: they need no numpy, and take and return a
+float, a sequence or an ndarray. radial_quadrature, tanh-sinh quadrature
+in numpy (Takahasi & Mori, Publ.
 RIMS 9, 721, 1974), is the independent oracle they are tested against:
 it shares no rule with them or with renorm's Gauss-Legendre rules.
 """
@@ -130,42 +132,66 @@ def radial_quadrature(f, Lambda: float, tol: float = 1e-10):
     return PREFACTOR * value
 
 
-def _check_scale(scale_sq, Lambda: float) -> None:
+def _floats(values):
+    """The floats of a scalar, a sequence or an ndarray, and the function that gives
+    a list of results back in that form (numpy is loaded already for an ndarray)."""
+    if isinstance(values, (int, float)):
+        return [float(values)], lambda out: out[0]
+    shape = getattr(values, "shape", None)
+    if shape is None:
+        return list(values), list
     import numpy as np
-    _check_cutoff(Lambda)
-    scale_sq = np.asarray(scale_sq)
-    bad = ~(np.isfinite(scale_sq) & (scale_sq > 0))
-    if np.any(bad):
-        raise KinematicDomainError(
-            f"non-positive integrand scale a^2/b^2 = {scale_sq[bad].flat[0]}; "
-            "kinematics outside the Euclidean domain"
-        )
+    return values.ravel().tolist(), lambda out: np.reshape(out, shape)
+
+
+# PREFACTOR times the bracket of each kind at every scale s of a list, with
+# T = Lambda^2 + s; Python's ** raises OverflowError where T^2 overflows, and
+# math.log a ValueError on a scale that is not positive
+_CLOSED_FORMS = {
+    MasterIntegralKind.I_A: lambda ss, L2, c=PREFACTOR, log=math.log: [
+        c * ((T := L2 + s) - 2.0 * s * log(T / s) - s * s / T) for s in ss],
+    MasterIntegralKind.I_B: lambda ss, L2, c=PREFACTOR, log=math.log: [c * (L2 - s * log((L2 + s) / s)) for s in ss],
+    MasterIntegralKind.I_C: lambda ss, L2, c=PREFACTOR: [
+        c * (-0.5 * (1.0 / (T := L2 + s) - 1.0 / s + L2 / T**2)) for s in ss],
+    MasterIntegralKind.I_D: lambda ss, L2, c=PREFACTOR, log=math.log: [
+        c * (-0.5 * (3.0 - 2.0 * log((T := L2 + s) / s) - 4.0 * s / T + (s / T) ** 2)) for s in ss],
+    MasterIntegralKind.I_E: lambda ss, L2, c=PREFACTOR, log=math.log: [c * (log((T := L2 + s) / s) - L2 / T) for s in ss],
+}
+
+
+def _check_scale(kind: MasterIntegralKind, scales: list, L2: float) -> None:
+    """Raise KinematicDomainError for the first scale that is not a positive
+    finite double, or whose closed form is not a finite double."""
+    for s in scales:
+        try:
+            value = _CLOSED_FORMS[kind]([s], L2)[0] if 0.0 < s < math.inf else None  # NaN fails too
+        except (ArithmeticError, ValueError) as exc:
+            value = exc
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise KinematicDomainError(
+                f"{kind.name} at scale a^2/b^2 = {s} and Lambda^2 = {L2} is not a finite double ({value})" if value
+                else f"non-positive integrand scale a^2/b^2 = {s}; kinematics outside the Euclidean domain")
 
 
 def master_integral(kind: MasterIntegralKind, scale_sq, Lambda: float):
     """Exact closed form of the chosen inner integral at finite Lambda.
 
-    scale_sq may be a scalar or an array; the result has its shape.
+    scale_sq is a float, a sequence or an ndarray; the result is a float,
+    a list or an ndarray of its shape. The scales are checked once per
+    call: one that is not positive, or whose closed form overflows a
+    double, is a KinematicDomainError.
     """
-    import numpy as np
-    _check_scale(scale_sq, Lambda)
-    s = scale_sq
-    L2 = Lambda**2
-    T = L2 + s
-    log = np.log(T / s)
-    if kind is MasterIntegralKind.I_A:
-        bracket = L2 + s - 2.0 * s * log - s**2 / T
-    elif kind is MasterIntegralKind.I_B:
-        bracket = L2 - s * log
-    elif kind is MasterIntegralKind.I_C:
-        bracket = -0.5 * (1.0 / T - 1.0 / s + L2 / T**2)
-    elif kind is MasterIntegralKind.I_D:
-        bracket = -0.5 * (3.0 - 2.0 * log - 4.0 * s / T + (s / T) ** 2)
-    elif kind is MasterIntegralKind.I_E:
-        bracket = log - L2 / T
-    else:
-        raise ValueError(f"unknown master integral kind {kind!r}")
-    return PREFACTOR * bracket
+    scales, pack = _floats(scale_sq)
+    _check_cutoff(Lambda)
+    try:
+        values = _CLOSED_FORMS[kind](scales, Lambda**2)
+        # a sum of doubles is finite only if every one of them is
+        checked = 0.0 < min(scales, default=1.0) and math.isfinite(sum(values))
+    except (ArithmeticError, ValueError):
+        checked = False
+    if not checked:
+        _check_scale(kind, scales, Lambda**2)
+    return pack(values)
 
 
 def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
@@ -173,10 +199,12 @@ def master_integral_d_scale(kind: MasterIntegralKind, scale_sq, Lambda: float):
 
     MasterIntegralKind's rule d/ds (a, b) = -b (a, b + 1), read from the kind;
     I_C and I_D, whose (a, b + 1) is no kind, raise the enum's ValueError.
-    Takes a scalar or an array scale.
+    Takes and returns the forms master_integral does.
     """
     a, b = kind.value
-    return -b * master_integral(MasterIntegralKind((a, b + 1)), scale_sq, Lambda)
+    raised = MasterIntegralKind((a, b + 1))
+    scales, pack = _floats(scale_sq)
+    return pack([-b * v for v in master_integral(raised, scales, Lambda)])
 
 
 def feynman_identity_check(A: float, B: float, C: float | None = None) -> float:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dipole_loop import _csvfloat, cli, errors, jc, nr, renorm
 from dipole_loop.errors import ConfigError, DipoleLoopError
+from dipole_loop.loops import MasterIntegralKind
 
 
 # core.AtomPair's mass-range refusal, which _physics reports as a config error
@@ -388,14 +389,15 @@ class TestImportFloor:
         assert _fresh_python(script)[-2:] == ["False", "[]"]
 
     # of these nine modules, a command loads only the one it runs and
-    # numpy if it computes with arrays, and importing cli loads none.
-    # numpy.polynomial, which renorm's Gauss-Legendre rules once came from,
-    # and numpy.ma, which np.unique imports, no command needs; nor argparse
-    # and dataclasses, since main() reads argv itself and the records are
-    # plain classes
+    # numpy if it computes with arrays, and importing cli loads none. The
+    # three loop sweeps run on plain floats; report-counterterms takes
+    # numpy for its fits. numpy.polynomial, which renorm's Gauss-Legendre
+    # rules once came from, and numpy.ma, which np.unique imports, no
+    # command needs; nor argparse and dataclasses, since main() reads argv
+    # itself and the records are plain classes
     WATCHED = ("numpy", "dipole_loop.jc", "dipole_loop.nr", "dipole_loop.renorm", "numpy.polynomial", "fractions",
                "numpy.ma", "argparse", "dataclasses")
-    LOOP = ["numpy", "dipole_loop.renorm"]
+    LOOP = ["dipole_loop.renorm"]
     LOADS = {
         "jc-evolve": ["numpy", "dipole_loop.jc"],
         "jc-rabi": ["numpy", "dipole_loop.jc"],
@@ -403,7 +405,7 @@ class TestImportFloor:
         "loop-selfenergy": LOOP,
         "loop-vertex": LOOP,
         "loop-polarization": LOOP,
-        "report-counterterms": LOOP,
+        "report-counterterms": ["numpy", "dipole_loop.renorm"],
         "check-dims": ["fractions"],
         "oracle-verify": ["numpy"],
     }
@@ -807,6 +809,15 @@ class TestRuleCount:
         assert cli.main(argv) == 0
         assert len(calls) == rules
 
+    def test_report_integrates_i_e_where_it_is_read(self, tmp_path, monkeypatch):
+        # one rule pair for each Z fit and one for the polarization: the
+        # 12-cutoff prefactor fit integrates its I_A row alone
+        kinds = []
+        master_integral = renorm.master_integral
+        monkeypatch.setattr(renorm, "master_integral", lambda kind, *args: kinds.append(kind) or master_integral(kind, *args))
+        assert cli.main(["report-counterterms", "--config", write_conf(tmp_path, ""), "--out", str(tmp_path)]) == 0
+        assert kinds.count(MasterIntegralKind.I_E) == 6
+
     def test_loop_vertex_builds_each_rule_once(self, tmp_path):
         # all 24 cutoffs grade towards one point and converge at 64 nodes,
         # so their 48 rules are the two (size, grading point) pairs, each
@@ -1150,7 +1161,7 @@ class TestFastRowWriter:
     def test_one_table_type_per_handler(self, command):
         cfg = cli.parse_config("")
         rows = cli._HANDLERS[command](cli._physics(cfg))[1]
-        if command in ("jc-evolve", "nr-reduce", "loop-selfenergy", "loop-vertex", "loop-polarization"):
+        if command in ("jc-evolve", "nr-reduce"):
             assert isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
         else:
             assert isinstance(rows, list)
@@ -1301,6 +1312,22 @@ class TestNonFiniteRefused:
         assert code == 3
         assert captured.err == "error: check-dims: column x[natural] holds a non-finite value; no CSV written\n"
         assert captured.out == ""
+        assert not any(tmp_path.glob("*.csv"))
+
+
+class TestFloatErrorsNamed:
+    """The loop sweeps compute without numpy, so no RuntimeWarning reports an
+    overflow there: the loop layer refuses it with one line naming the value."""
+
+    @pytest.mark.parametrize("command, message", [
+        ("loop-selfenergy", "I_A at scale a^2/b^2 = 3.502935201857298e+188 and Lambda^2 = 10000.0 is not a finite double (-inf)"),
+        ("loop-vertex", "b^2 (Lambda^2 + b^2) overflows a double at b^2 = 1e+200"),
+    ])
+    def test_one_line(self, tmp_path, capsys, command, message):
+        conf = write_conf(tmp_path, "atoms.m1 = 1e100\natoms.m2 = 1e100\ndipole.dx = 1e-120\n")
+        assert cli.main([command, "--config", conf, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
         assert not any(tmp_path.glob("*.csv"))
 
 

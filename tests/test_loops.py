@@ -179,6 +179,26 @@ class TestClosedForms:
         with pytest.raises(KinematicDomainError, match="non-positive integrand scale"):
             master_integral_d_scale(MasterIntegralKind.I_A, scales, 10.0)
 
+    @pytest.mark.parametrize("kind, s, lam, value", [
+        (MasterIntegralKind.I_A, 1e200, 10.0, "-inf"),  # s^2 overflows
+        (MasterIntegralKind.I_C, 1e160, 10.0, "(34, 'Numerical result out of range')"),  # Python's T**2 raises
+        (MasterIntegralKind.I_E, 1e-320, 100.0, "inf"),  # Lambda^2 / s overflows
+    ])
+    def test_overflowing_closed_form_named(self, kind, s, lam, value):
+        # an intermediate that overflows is refused, naming the scale, not returned
+        with pytest.raises(KinematicDomainError) as info:
+            master_integral(kind, [1.0, s, 2.0], lam)
+        assert str(info.value) == f"{kind.name} at scale a^2/b^2 = {s} and Lambda^2 = {lam**2} is not a finite double ({value})"
+
+    def test_forms_follow_the_input(self):
+        # a float gives a float, a sequence a list, an ndarray an ndarray of its shape
+        scales = [0.5, 1.0, 2.0, 4.0]
+        values = master_integral(MasterIntegralKind.I_A, scales, 10.0)
+        assert isinstance(values, list) and values == [master_integral(MasterIntegralKind.I_A, s, 10.0) for s in scales]
+        assert isinstance(master_integral(MasterIntegralKind.I_A, 0.5, 10.0), float)
+        grid = master_integral(MasterIntegralKind.I_A, np.reshape(scales, (2, 2)), 10.0)
+        assert grid.shape == (2, 2) and grid.ravel().tolist() == values
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("lam", [0.1, 1.0, 100.0, 1e5])
     def test_mpmath_50_digits(self, kind, lam):

@@ -131,18 +131,26 @@ class TestDipoleTensor:
 
     @given(st.lists(finite, min_size=6, max_size=6))
     def test_cached_contractions_bitwise(self, entries):
-        # the cached value is the one formula, evaluated once per tensor
+        # the cached value is the one formula, evaluated once per tensor: the
+        # correctly rounded sum for gamma^2, and sums left to right for the
+        # tensor (test_contraction_oracle checks both against index loops)
         gamma = DipoleTensor(antisym(entries))
         up = gamma.components
         down = METRIC @ up @ METRIC
-        tensor = (up @ METRIC).T @ down
+        mixed = up @ METRIC
+        tensor = [[0.0] * 4 for _ in range(4)]
+        for tau in range(4):
+            for lam in range(4):
+                for mu in range(4):
+                    tensor[tau][lam] += mixed[mu, tau] * down[mu, lam]
+        tensor = np.array(tensor)
         tensor = 0.5 * (tensor + tensor.T)
         for _ in range(2):
             out = contractions(gamma)
-            assert out["gamma_sq"] == float(np.sum(down * up))
+            assert out["gamma_sq"] == math.fsum((down * up).ravel().tolist())
             assert np.array_equal(out["gamma_sq_tensor"], tensor)
-            with pytest.raises(ValueError):
-                out["gamma_sq_tensor"][0, 0] = 1.0
+            with pytest.raises(TypeError):
+                out["gamma_sq_tensor"][0][0] = 1.0
             # the returned dict is the caller's own
             out["gamma_sq"] = None
 

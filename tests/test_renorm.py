@@ -1,6 +1,8 @@
 """One-loop layer: self-energy, vertex, polarization, fits, counterterms."""
 
+import math
 import os
+import re
 from fractions import Fraction
 
 import mpmath
@@ -168,18 +170,19 @@ class TestSelfEnergyArray:
         assert np.all(subtracted[1:] != 0.0)
 
     def test_equal_offsets_share_one_row(self, monkeypatch):
-        # two equal rows of one matrix product need not round alike, so
-        # the on-shell point and the reference must be one row
+        # the on-shell point and the reference must be one row, so the
+        # integrand sees each distinct offset once: every master_integral
+        # call takes 3 offsets times the nodes of one rule
         widths = []
         master_integral = renorm.master_integral
 
         def recording(kind, scale_sq, Lambda):
-            widths.append(scale_sq.shape[0])
+            widths.append(len(scale_sq))
             return master_integral(kind, scale_sq, Lambda)
 
         monkeypatch.setattr(renorm, "master_integral", recording)
-        ints = renorm._sigma_integrals(np.array([0.5, 0.0, 0.5, 0.25, 0.0]), 1.0, 1.0, REG)
-        assert set(widths) == {3}
+        ints = np.array(renorm._sigma_integrals(np.array([0.5, 0.0, 0.5, 0.25, 0.0]), 1.0, 1.0, REG))
+        assert widths and set(widths) <= {3 * n for n in RULE_SIZES}
         assert ints.shape == (2, 5)
         np.testing.assert_array_equal(ints[:, [0, 1]], ints[:, [2, 4]])
         assert np.all(ints[:, 0] != ints[:, 1]) and np.all(ints[:, 3] != ints[:, 1])
@@ -230,7 +233,7 @@ class TestSelfEnergyTensor:
         # at p = (m, 0, 0, 0) only gamma^2_{00} m^2 survives
         gamma = gamma_for(SYM)
         res = self_energy(1, -1.0, SYM, gamma, REG)
-        t00 = contractions(gamma)["gamma_sq_tensor"][0, 0]
+        t00 = contractions(gamma)["gamma_sq_tensor"][0][0]
         assert res.sigma_II == pytest.approx(res.sigma_II_coeff * t00 * SYM.m1**2, rel=1e-12)
 
 
@@ -268,8 +271,28 @@ class TestFixedRule:
         assert len(calls) == 1
 
 
+    @pytest.mark.parametrize("fails, message", [
+        (lambda t: 1.0 / (t - t), "float division by zero"),
+        (lambda t: math.log(-t), "math domain error"),
+        (lambda t: 10.0 ** (400.0 * t), "(34, 'Numerical result out of range')"),
+    ])
+    def test_float_error_is_quadrature_error(self, fails, message):
+        # math's exceptions become a QuadratureError that keeps their text
+        with pytest.raises(QuadratureError) as info:
+            renorm._fixed_rule(lambda x: [[fails(t) if t > 0.9 else 1.0 for t in x]], 1e-10)
+        assert str(info.value) == f"Feynman-parameter integrand fails at 32 nodes per side: {message}"
+
+
 # every rule size _fixed_rule can reach
 RULE_SIZES = [32 << k for k in range(6)]
+
+
+def stored_rule(n):
+    """Rule n of renorm's table as a (2, n) array."""
+    return np.array(renorm._LEGGAUSS)[:, n - 32:2 * n - 32]
+
+
+TABLE = os.path.join(os.path.dirname(renorm.__file__), "_leggauss.npy")
 
 
 class TestRuleTable:
@@ -279,7 +302,7 @@ class TestRuleTable:
         # a node or weight differently, so a few ulp are allowed
         from numpy.polynomial.legendre import leggauss
 
-        stored = renorm._LEGGAUSS[:, n - 32:2 * n - 32]
+        stored = stored_rule(n)
         ref = np.stack(leggauss(n))
         assert np.all(np.abs(stored - ref) <= 4 * np.spacing(np.abs(ref)))
 
@@ -287,7 +310,7 @@ class TestRuleTable:
     def test_rule_integrates_legendre_polynomials(self, n):
         # sum_i w_i P_k(t_i) = 2 delta_k0 for every k <= 2n - 1, with P_k by
         # Bonnet's recurrence, so no numpy rule is consulted
-        t, w = renorm._LEGGAUSS[:, n - 32:2 * n - 32]
+        t, w = stored_rule(n)
         prev, cur = np.ones_like(t), t.copy()
         sums = [w @ prev, w @ cur]
         for k in range(1, 2 * n - 1):
@@ -301,30 +324,53 @@ class TestRuleTable:
     def test_graded_rule_bits(self, n):
         # the stored rule n mapped by t = (x + 1)/2, w/2, then u = t^2, w = 2 t w,
         # bit for bit; the file is read here, not through renorm
-        x, v = np.load(os.path.join(os.path.dirname(renorm.__file__), "_leggauss.npy"))[:, n - 32:2 * n - 32]
+        x, v = np.load(TABLE)[:, n - 32:2 * n - 32]
         t, v = 0.5 * (x + 1.0), 0.5 * v
         # graded towards 0, the merged rule returns the map's bytes unchanged
         u, w = renorm._rule(n, 0.0)
-        assert u.tobytes() == (t * t).tobytes() and w.tobytes() == (2.0 * t * v).tobytes()
+        assert np.array(u).tobytes() == (t * t).tobytes() and np.array(w).tobytes() == (2.0 * t * v).tobytes()
 
     def test_table_read_only(self):
-        assert renorm._LEGGAUSS.shape == (2, sum(RULE_SIZES))
-        assert not renorm._LEGGAUSS.flags.writeable
+        assert [len(row) for row in renorm._LEGGAUSS] == [sum(RULE_SIZES)] * 2
         for n in RULE_SIZES:
-            for a in renorm._rule(n, 0.0):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
+            for a in (*renorm._LEGGAUSS, *renorm._rule(n, 0.0)):
+                assert isinstance(a, tuple)
+                with pytest.raises(TypeError):
                     a[0] = 0.0
+
+    def test_stdlib_reader_is_numpy_load(self):
+        # the whole table, bit for bit
+        assert np.array(renorm._read_table(TABLE)).tobytes() == np.load(TABLE).tobytes()
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((2, 4032), dtype="<f4"),
+        np.zeros((2, 4032), dtype=">f8"),
+        np.asfortranarray(np.zeros((2, 4032))),
+        np.zeros((4032, 2)),
+        np.zeros((2, 4031)),
+        np.zeros(2 * 4032),
+    ], ids=["f4", "big-endian", "fortran", "transposed", "short", "flat"])
+    def test_stdlib_reader_refuses_another_table(self, tmp_path, array):
+        path = str(tmp_path / "rules.npy")
+        np.save(path, array)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: not a .npy table of C-order <f8 doubles"):
+            renorm._read_table(path)
+
+    def test_stdlib_reader_refuses_a_truncated_file(self, tmp_path):
+        path = tmp_path / "rules.npy"
+        path.write_bytes(open(TABLE, "rb").read()[:-8])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            renorm._read_table(str(path))
 
     @pytest.mark.parametrize("at", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("n", [32, 1024])
     def test_rule_built_once(self, n, at):
-        # a repeated call returns the arrays built by the first, read-only
+        # a repeated call returns the tuples built by the first
         x, w = renorm._rule(n, at)
         again = renorm._rule(n, at)
         assert again[0] is x and again[1] is w
-        assert x.shape == w.shape == ((1 if at in (0.0, 1.0) else 2) * n,)
-        assert not x.flags.writeable and not w.flags.writeable
+        assert len(x) == len(w) == (1 if at in (0.0, 1.0) else 2) * n
+        assert isinstance(x, tuple) and isinstance(w, tuple)
 
 
 class TestMassShiftAndZ:
@@ -439,6 +485,12 @@ class TestVertex:
         self.gamma = gamma_for(SYM)
         self.p_prime = np.array([1.0, 0.0, 0.0, 0.0])
         self.q = np.array([0.25, 0.25, 0.0, 0.0])  # lightlike
+
+    def test_overflowing_denominator_refused(self):
+        # b^2 (Lambda^2 + b^2) overflows at b^2 = M^2 = 1e200, which would round the K integrands to 0
+        atoms = AtomPair(1e100, 1e100)
+        with pytest.raises(QuadratureError, match=r"overflows a double at b\^2 = 1e\+200$"):
+            vertex_one_loop((1e100, 0.0, 0.0, 0.0), (0.25, 0.25, 0.0, 0.0), atoms, gamma_for(atoms), REG)
 
     @pytest.mark.parametrize("which", ["p_prime", "q", "p_prime and q"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
